@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "models/zoo.h"
 #include "util/env.h"
 #include "util/fault.h"
 #include "util/fnv.h"
@@ -319,82 +318,36 @@ std::unique_ptr<CacheStore> CacheStore::from_env() {
 
 namespace {
 
-bool stamp_accepted(const std::string& stamp) {
-  return stamp == CacheStore::kSchemaStamp ||
-         stamp == CacheStore::kPreAttentionSchemaStamp ||
-         stamp == CacheStore::kPreChecksumSchemaStamp ||
-         stamp == CacheStore::kPreServiceSchemaStamp ||
-         stamp == CacheStore::kLegacySchemaStamp;
-}
-
-/// The network name a record key refers to: the key itself for the
-/// network stage (minus any ";seq=" suffix), the value of the `net=`
-/// field otherwise (which leads the key, or follows the `dev=` tag for
-/// GPU/systolic keys). Empty when the key carries no network.
-std::string key_network(const char* stage, const std::string& key) {
-  if (std::string(stage) == "net") return key.substr(0, key.find(';'));
-  std::size_t pos = 0;
-  if (key.compare(0, 4, "dev=") == 0) {
-    const std::size_t semi = key.find(';');
-    if (semi == std::string::npos) return "";
-    pos = semi + 1;
-  }
-  if (key.compare(pos, 4, "net=") != 0) return "";
-  const std::size_t start = pos + 4;
-  const std::size_t end = key.find(';', start);
-  return key.substr(start,
-                    end == std::string::npos ? std::string::npos : end - start);
-}
-
-/// True for records whose stored content predates the real-attention
-/// rework: Transformer-family keys kept their exact bytes while the
-/// networks behind them changed (stand-in GEMM towers -> a real attention
-/// layer), so the stamp is the only way to tell stale transformer content
-/// from fresh. Such records read as a miss; the entry file is left alone
-/// and is simply overwritten when the recomputed value saves under the
-/// current stamp.
-bool stale_transformer_record(const std::string& stamp, const char* stage,
-                              const std::string& key) {
-  if (stamp == CacheStore::kSchemaStamp) return false;
-  return models::is_transformer_network(key_network(stage, key));
-}
-
 // Outcome of validating one shard entry file against the stage and key the
 // caller asked for. The distinction matters because it decides the file's
 // fate: a kMiss leaves the file alone (it is someone else's valid data — an
-// fnv1a64 collision, or a newer writer whose stamp we don't know), while
-// kCorrupt quarantines it (it can never validate for anyone).
+// fnv1a64 collision, or a writer whose stamp we don't share — and is
+// overwritten when the recomputed value saves), while kCorrupt quarantines
+// it (it can never validate for anyone).
 enum class EntryStatus {
-  kChecksummed,  // current format: record body is in `*body`, verified
-  kInline,       // pre-checksum stamp: record tokens follow in the Reader
+  kValid,  // record body is in `*body`, checksum verified
   kMiss,
   kCorrupt,
 };
 
-EntryStatus check_entry(Reader& r, const char* stage, const std::string& key,
-                        std::string* body) {
+EntryStatus check_entry(const std::string& text, const char* stage,
+                        const std::string& key, std::string* body) {
+  Reader r(text);
   if (r.read_string() != "mbs-entry" || r.fail()) return EntryStatus::kCorrupt;
   if (r.read_int() != CacheStore::kFormatVersion || r.fail())
     return EntryStatus::kCorrupt;
   const std::string stamp = r.read_string();
   if (r.fail()) return EntryStatus::kCorrupt;
-  if (!stamp_accepted(stamp)) return EntryStatus::kMiss;
+  if (stamp != CacheStore::kSchemaStamp) return EntryStatus::kMiss;
   if (r.read_string() != stage || r.fail()) return EntryStatus::kCorrupt;
   const std::string file_key = r.read_string();
   if (r.fail()) return EntryStatus::kCorrupt;
   if (file_key != key) return EntryStatus::kMiss;
-  if (stale_transformer_record(stamp, stage, file_key))
-    return EntryStatus::kMiss;
-  // Checksummed framing arrived with svc2 (pre-attention stamp included);
-  // earlier stamps carry the record tokens inline.
-  if (stamp != CacheStore::kSchemaStamp &&
-      stamp != CacheStore::kPreAttentionSchemaStamp)
-    return EntryStatus::kInline;
   const std::uint64_t want = static_cast<std::uint64_t>(r.read_int());
   *body = r.read_string();
   if (r.fail() || !r.at_end()) return EntryStatus::kCorrupt;
   if (util::fnv1a64(*body) != want) return EntryStatus::kCorrupt;
-  return EntryStatus::kChecksummed;
+  return EntryStatus::kValid;
 }
 
 char hex_digit(std::uint64_t v) {
@@ -428,120 +381,15 @@ void CacheStore::quarantine_entry(const char* stage, const std::string& key) {
                src.c_str(), stage);
 }
 
-void CacheStore::ensure_loaded() {
-  std::call_once(load_once_, [&] {
-    std::string text;
-    if (!util::fs::read_file(path_, &text, "cache.legacy.read"))
-      return;  // no legacy file: cold start
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!parse_file(text)) {
-      networks_.clear();
-      schedules_.clear();
-      traffics_.clear();
-      steps_.clear();
-      gpu_steps_.clear();
-      systolic_steps_.clear();
-      dirty_.clear();
-      loaded_ = 0;
-      std::fprintf(stderr,
-                   "CacheStore: %s is stale or malformed; starting cold\n",
-                   path_.c_str());
-    }
-  });
-}
-
-bool CacheStore::parse_file(const std::string& text) {
-  Reader r(text);
-  if (r.read_string() != "mbs-cache") return false;
-  if (r.read_int() != kFormatVersion) return false;
-  // Older stamps predate stages they cannot contain records of; every
-  // record layout they can hold is unchanged. Accepting them keeps
-  // pre-existing warm caches valid across upgrades. The exception is
-  // Transformer-family records under a pre-net2 stamp (stale stand-in
-  // content, see stale_transformer_record): those are parsed past but not
-  // retained, so their keys read as misses and recompute.
-  const std::string stamp = r.read_string();
-  if (!stamp_accepted(stamp)) return false;
-  while (!r.at_end() && !r.fail()) {
-    const std::string stage = r.read_string();
-    const std::string key = r.read_string();
-    const bool stale = stale_transformer_record(stamp, stage.c_str(), key);
-    if (stage == "net") {
-      core::Network v = read_network(r);
-      if (!stale) networks_[key] = std::move(v);
-    } else if (stage == "sched") {
-      sched::Schedule v = read_schedule(r);
-      if (!stale) schedules_[key] = std::move(v);
-    } else if (stage == "traffic") {
-      sched::Traffic v = read_traffic(r);
-      if (!stale) traffics_[key] = std::move(v);
-    } else if (stage == "step") {
-      sim::StepResult v = read_step(r);
-      if (!stale) steps_[key] = v;
-    } else if (stage == "gpu") {
-      arch::GpuStepResult v = read_gpu_step(r);
-      if (!stale) gpu_steps_[key] = v;
-    } else if (stage == "sys") {
-      arch::SystolicStepResult v = read_systolic_step(r);
-      if (!stale) systolic_steps_[key] = v;
-    } else {
-      return false;
-    }
-  }
-  if (r.fail()) return false;
-  loaded_ = networks_.size() + schedules_.size() + traffics_.size() +
-            steps_.size() + gpu_steps_.size() + systolic_steps_.size();
-  return true;
-}
-
-std::string CacheStore::serialize() const {
-  Writer w;
-  w.put_string("mbs-cache");
-  w.put_int(kFormatVersion);
-  w.put_string(kSchemaStamp);
-  for (const auto& [key, v] : networks_) {
-    w.put_string("net");
-    w.put_string(key);
-    write_network(w, v);
-  }
-  for (const auto& [key, v] : schedules_) {
-    w.put_string("sched");
-    w.put_string(key);
-    write_schedule(w, v);
-  }
-  for (const auto& [key, v] : traffics_) {
-    w.put_string("traffic");
-    w.put_string(key);
-    write_traffic(w, v);
-  }
-  for (const auto& [key, v] : steps_) {
-    w.put_string("step");
-    w.put_string(key);
-    write_step(w, v);
-  }
-  for (const auto& [key, v] : gpu_steps_) {
-    w.put_string("gpu");
-    w.put_string(key);
-    write_gpu_step(w, v);
-  }
-  for (const auto& [key, v] : systolic_steps_) {
-    w.put_string("sys");
-    w.put_string(key);
-    write_systolic_step(w, v);
-  }
-  return w.str();
-}
-
-// One lookup/insert pair per stage; all share the lazy legacy-file load
-// and the lock. A memory miss falls through to the per-entry shard file:
-// on a valid read the value is cached in memory (and counted as loaded),
-// so each key touches disk at most once per process. A file that fails
-// validation (torn write, bad checksum, wrong stage, parse failure) is
-// quarantined and the lookup is a miss; a key mismatch or unknown-newer
-// stamp is a plain miss that leaves the file alone.
+// One lookup/insert pair per stage; all share the lock. A memory miss falls
+// through to the per-entry shard file: on a valid read the value is cached
+// in memory (and counted as loaded), so each key touches disk at most once
+// per process. A file that fails validation (torn write, bad checksum,
+// wrong stage, parse failure) is quarantined and the lookup is a miss; a
+// key mismatch or a foreign stamp is a plain miss that leaves the file
+// alone.
 #define MBS_CACHE_STORE_STAGE(Fn, PutFn, Map, Type, Stage, ReadFn)      \
   bool CacheStore::Fn(const std::string& key, Type* out) {              \
-    ensure_loaded();                                                    \
     std::lock_guard<std::mutex> lock(mu_);                              \
     const auto it = Map.find(key);                                      \
     if (it != Map.end()) {                                              \
@@ -552,18 +400,16 @@ std::string CacheStore::serialize() const {
     if (!util::fs::read_file(entry_file(Stage, key), &text,             \
                              "cache.entry.read"))                       \
       return false;                                                     \
-    Reader r(text);                                                     \
     std::string body;                                                   \
-    const EntryStatus st = check_entry(r, Stage, key, &body);           \
+    const EntryStatus st = check_entry(text, Stage, key, &body);        \
     if (st == EntryStatus::kMiss) return false;                         \
     if (st == EntryStatus::kCorrupt) {                                  \
       quarantine_entry(Stage, key);                                     \
       return false;                                                     \
     }                                                                   \
-    Reader br(body);                                                    \
-    Reader& pr = st == EntryStatus::kChecksummed ? br : r;              \
-    Type v = ReadFn(pr);                                                \
-    if (pr.fail() || !pr.at_end()) {                                    \
+    Reader r(body);                                                     \
+    Type v = ReadFn(r);                                                 \
+    if (r.fail() || !r.at_end()) {                                      \
       quarantine_entry(Stage, key);                                     \
       return false;                                                     \
     }                                                                   \
@@ -573,7 +419,6 @@ std::string CacheStore::serialize() const {
     return true;                                                        \
   }                                                                     \
   void CacheStore::PutFn(const std::string& key, const Type& v) {       \
-    ensure_loaded();                                                    \
     std::lock_guard<std::mutex> lock(mu_);                              \
     if (Map.emplace(key, v).second) dirty_.emplace(Stage, key);         \
   }
@@ -594,7 +439,6 @@ MBS_CACHE_STORE_STAGE(load_systolic_step, put_systolic_step, systolic_steps_,
 #undef MBS_CACHE_STORE_STAGE
 
 bool CacheStore::save() {
-  ensure_loaded();
   // Serialize dirty entries under the lock, write them outside it.
   std::vector<std::tuple<std::string, std::string, std::string>> pending;
   {
@@ -654,23 +498,6 @@ bool CacheStore::save() {
     }
   }
   return all_ok;
-}
-
-bool CacheStore::save_legacy_single_file() {
-  ensure_loaded();
-  std::string text;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    text = serialize();
-  }
-  if (!util::fs::write_atomic(path_, text + "\n", "cache.legacy.write")) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++save_failures_;
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  dirty_.clear();  // every entry is now persisted (in the legacy file)
-  return true;
 }
 
 std::size_t CacheStore::loaded_entries() const {

@@ -9,8 +9,8 @@
 // repeated sweep starts warm and produces bit-identical output (values
 // round-trip exactly via util::serde's hex-float encoding).
 //
-// On-disk layout (since the sweep-service PR) is content-addressed and
-// sharded per entry: each record lives in its own file
+// The on-disk layout is content-addressed and sharded per entry: each
+// record lives in its own file
 //
 //   <path>.d/<stage>/<fnv1a64(key) as 16 hex digits>.rec
 //
@@ -18,26 +18,21 @@
 // distinct files (each file embeds its full key; a hash collision reads as
 // a miss and recomputes) and equal keys always serialize to identical
 // bytes, any number of processes can read and write one warm cache
-// directory concurrently without clobbering each other — the failure mode
-// of the old single-file, last-writer-wins layout. save() is incremental:
-// only entries added since the last save touch disk.
+// directory concurrently without clobbering each other. save() is
+// incremental: only entries added since the last save touch disk.
 //
-// The legacy single-file layout (`<path>` holding every record) is still
-// read on the first lookup, so pre-existing warm caches keep working; new
-// writes always go to the sharded directory. A header in both layouts
-// carries a format version and a schema stamp covering every serialized
-// struct; any mismatch — or any malformed byte — discards that file and
-// treats its entries as cold (the store is a cache, never a source of
-// truth).
-//
-// Since svc2, each shard entry additionally carries an fnv1a64 checksum
-// over its length-prefixed record body, so a torn write (a crash or
-// injected fault that leaves a truncated file behind) is detected on load
-// rather than trusted. A file that fails validation is moved to
-// `<shard_dir>/quarantine/` — never re-read, never able to wedge the
-// store — and its key reads as a miss. All filesystem mutations route
-// through util::fs, whose named fault sites (MBS_FAULTS) make these
-// failure paths deterministically testable.
+// There is exactly one entry format. Its header carries a format version,
+// the stage, the full key and a schema stamp covering every serialized
+// struct; an fnv1a64 checksum over the length-prefixed record body follows,
+// so a torn write (a crash or injected fault that leaves a truncated file
+// behind) is detected on load rather than trusted. The store is a cache,
+// never a source of truth, so an entry whose stamp is not kSchemaStamp —
+// written by an older or newer binary — is a plain miss: the file is left
+// alone and overwritten when the recomputed value is saved. A file that
+// fails validation is moved to `<shard_dir>/quarantine/` — never re-read,
+// never able to wedge the store — and its key reads as a miss. All
+// filesystem mutations route through util::fs, whose named fault sites
+// (MBS_FAULTS) make these failure paths deterministically testable.
 #pragma once
 
 #include <cstdint>
@@ -58,41 +53,16 @@ namespace mbs::engine {
 
 class CacheStore {
  public:
-  /// Bumped when the token framing of a store file itself changes.
+  /// Bumped when the token framing of an entry file itself changes.
   static constexpr int kFormatVersion = 1;
-  /// Bumped (per stage) when a serialized struct gains/loses fields.
-  /// net2: attention layers append a `heads` field (real-attention rework;
-  ///       every other layer kind keeps the net1 byte layout).
+  /// Bumped (per stage) when a serialized struct gains/loses fields; any
+  /// other stamp reads as a miss.
+  /// net2: attention layers append a `heads` field.
   /// sched2: Group gained the `members` list (non-contiguous grouping).
   /// sys1: the cycle-level systolic-step stage joined the store.
-  /// svc2: shard entries carry a per-record fnv1a64 checksum over a
-  ///       length-prefixed body, so torn writes are detected on load
-  ///       (record layouts themselves unchanged).
+  /// svc2: entries carry an fnv1a64 checksum over a length-prefixed body.
   static constexpr const char* kSchemaStamp =
       "net2;sched2;traffic1;step1;gpu1;sys1;svc2";
-  /// Still-accepted older stamps. A stage tag bump invalidates only files
-  /// whose existing records changed layout; no record layout has changed
-  /// since these stamps were current, so files carrying them stay valid
-  /// (warm starts survive the upgrade) — with one carve-out: records keyed
-  /// by a Transformer-family network read as a miss under every pre-net2
-  /// stamp, because the attention rework changed those networks' contents
-  /// without changing their keys (the stand-in GEMM towers became a real
-  /// attention layer). CNN-keyed records are untouched by the rework and
-  /// stay warm.
-  /// Pre-attention: the net1 era's current stamp — checksummed shard
-  /// entries, stand-in transformers.
-  static constexpr const char* kPreAttentionSchemaStamp =
-      "net1;sched2;traffic1;step1;gpu1;sys1;svc2";
-  /// svc1: the first sharded per-entry layout — record tokens inline after
-  /// the header, no checksum.
-  static constexpr const char* kPreChecksumSchemaStamp =
-      "net1;sched2;traffic1;step1;gpu1;sys1;svc1";
-  static constexpr const char* kPreServiceSchemaStamp =
-      "net1;sched2;traffic1;step1;gpu1;sys1";
-  /// Pre-systolic stamp: such a file cannot contain "sys" records, and
-  /// every record it can hold is unchanged.
-  static constexpr const char* kLegacySchemaStamp =
-      "net1;sched2;traffic1;step1;gpu1";
 
   explicit CacheStore(std::string path);
 
@@ -101,9 +71,8 @@ class CacheStore {
   static std::unique_ptr<CacheStore> from_env();
 
   // Lookups copy the stored value into `out` and return true on a hit.
-  // The first lookup loads the legacy single file (if present); misses
-  // then fall through to the per-entry shard files. All methods are
-  // thread-safe.
+  // In-memory misses fall through to the per-entry shard files. All
+  // methods are thread-safe.
   bool load_network(const std::string& key, core::Network* out);
   bool load_schedule(const std::string& key, sched::Schedule* out);
   bool load_traffic(const std::string& key, sched::Traffic* out);
@@ -130,15 +99,11 @@ class CacheStore {
   /// bytes.
   bool save();
 
-  /// Writes ALL entries to the legacy single file at path() (temp file +
-  /// rename, old format). Kept for compatibility tooling and for tests
-  /// that exercise the legacy load path; normal operation never calls it.
-  bool save_legacy_single_file();
-
+  /// The base path the shard directory hangs off.
   const std::string& path() const { return path_; }
   /// Directory holding the per-entry shard files.
   std::string shard_dir() const { return path_ + ".d"; }
-  /// Entries read from disk so far (legacy file + lazy per-entry loads).
+  /// Entries read from disk so far (lazy per-entry loads).
   std::size_t loaded_entries() const;
   /// Current total entries across all stages (in memory).
   std::size_t entry_count() const;
@@ -155,16 +120,12 @@ class CacheStore {
   std::size_t corrupt_entries() const;
 
  private:
-  void ensure_loaded();
-  bool parse_file(const std::string& text);
-  std::string serialize() const;  // callers hold mu_
   std::string entry_file(const char* stage, const std::string& key) const;
   /// Moves a failed-validation entry file out of the shard tree so it is
   /// never re-read (callers hold mu_).
   void quarantine_entry(const char* stage, const std::string& key);
 
   std::string path_;
-  std::once_flag load_once_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, core::Network> networks_;

@@ -48,11 +48,6 @@ Driver::Driver(int argc, char** argv) {
 
   sweep.threads = static_cast<int>(
       util::env_int("MBS_THREADS", sweep.threads, 0, 65536));
-  // Schedule-group batching is on by default; MBS_NO_SCHEDULE_GROUPS=1 is
-  // the A/B escape hatch (output is byte-identical either way).
-  if (const char* env = std::getenv("MBS_NO_SCHEDULE_GROUPS");
-      env && *env && std::strcmp(env, "0") != 0)
-    sweep.group_by_schedule = false;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];

@@ -76,8 +76,8 @@ struct SweepOptions {
   /// blocks on another's in-flight schedule, and the evaluator sees one
   /// traffic lookup per group instead of one per scenario. Results are
   /// byte-identical to ungrouped runs (the shared objects ARE the
-  /// evaluator-cached ones). Disable for A/B timing with
-  /// MBS_NO_SCHEDULE_GROUPS=1 (engine::Driver) or this flag.
+  /// evaluator-cached ones). Tests clear it to get the ungrouped
+  /// reference run.
   bool group_by_schedule = true;
   /// When non-empty, run() / run_sharded() first drain the grid through a
   /// SpoolQueue rooted here (env: MBS_SPOOL_DIR via engine::Driver): N

@@ -8,20 +8,18 @@
 //
 // Two implementations of each pass live here. The default walks raw
 // pointers over the contiguous [H,W] (BN) / [Cg,H,W] (GN) runs of the
-// NCHW layout and hoists loop-invariant scalars; MBS_NO_NORM_REWRITE=1
-// falls back to the original Tensor::at() form. The rewrite preserves
-// every floating-point expression SHAPE — accumulation order, promotion
-// points, and association are unchanged, and only subexpressions that
-// appear verbatim per iteration (e.g. `sum_dy / m`, `gam * inv`) are
-// hoisted, never re-associated ones (`xh * sum / m` stays written out,
-// because `(xh*sum)/m != xh*(sum/m)` in rounding) — so both paths are
-// bit-identical; tests/kernel_test.cc and the CI golden diff enforce it.
+// NCHW layout and hoists loop-invariant scalars; set_norm_rewrite(false)
+// selects the original Tensor::at() form, kept as the test oracle. The
+// rewrite preserves every floating-point expression SHAPE — accumulation
+// order, promotion points, and association are unchanged, and only
+// subexpressions that appear verbatim per iteration (e.g. `sum_dy / m`,
+// `gam * inv`) are hoisted, never re-associated ones (`xh * sum / m` stays
+// written out, because `(xh*sum)/m != xh*(sum/m)` in rounding) — so both
+// paths are bit-identical; tests/kernel_test.cc enforces it.
 #include "train/norm.h"
 
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/parallel.h"
 
@@ -29,13 +27,10 @@ namespace mbs::train {
 
 namespace {
 
-bool g_norm_rewrite = [] {
-  const char* env = std::getenv("MBS_NO_NORM_REWRITE");
-  return !(env && *env && std::strcmp(env, "0") != 0);
-}();
+bool g_norm_rewrite = true;
 
 // ---------------------------------------------------------------------------
-// Legacy Tensor::at() implementations (MBS_NO_NORM_REWRITE=1).
+// Legacy Tensor::at() implementations (the set_norm_rewrite(false) oracle).
 // ---------------------------------------------------------------------------
 
 Tensor batchnorm_forward_legacy(const Tensor& x, const Tensor& gamma,

@@ -46,9 +46,8 @@ NormGrads groupnorm_backward(const Tensor& dy, const Tensor& gamma,
                              int groups, const NormCache& cache);
 
 /// Selects between the raw-pointer norm loops (default) and the legacy
-/// Tensor::at() form. Both are bit-identical — the toggle exists for A/B
-/// timing and for tests that prove the identity in-process. The initial
-/// value honors MBS_NO_NORM_REWRITE=1 (which selects the legacy form).
+/// Tensor::at() form. Both are bit-identical — the toggle exists for
+/// tests that prove the identity in-process. The rewrite is on by default.
 void set_norm_rewrite(bool enabled);
 bool norm_rewrite_enabled();
 

@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -35,17 +34,6 @@ namespace {
 
 int out_dim(int in, int kernel, int stride, int pad) {
   return (in + 2 * pad - kernel) / stride + 1;
-}
-
-/// MBS_NO_CONV_CACHE=1 disables forward-to-backward im2col reuse (the
-/// A/B escape hatch for timing the redundancy): backward then re-lowers
-/// its input exactly like the pre-cache code, bit for bit.
-bool conv_cache_enabled() {
-  static const bool disabled = [] {
-    const char* env = std::getenv("MBS_NO_CONV_CACHE");
-    return env && *env && std::strcmp(env, "0") != 0;
-  }();
-  return !disabled;
 }
 
 struct ConvGeom {
@@ -224,7 +212,7 @@ void conv2d_forward_into(const Tensor& x, const Tensor& w, const Tensor& bias,
   // geometry change that happens to keep the shape (e.g. a 3x1 kernel
   // followed by a 1x3 one) must re-zero the buffer.
   float* cols = nullptr;
-  if (cache && conv_cache_enabled()) {
+  if (cache) {
     if (cache->matches(x, kh, kw, stride, pad))
       cache->cols.ensure_shape({rows, k});  // padding zeros still valid
     else

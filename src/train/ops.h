@@ -20,8 +20,8 @@ namespace mbs::train {
 /// our own hot path. The buffer is reused in place across steps
 /// (Tensor::ensure_shape), reaching zero steady-state heap allocations.
 /// One cache belongs to exactly one conv layer; backward falls back to
-/// recomputing the lowering (bit-identically) whenever the cache is absent,
-/// stale, or disabled via MBS_NO_CONV_CACHE=1.
+/// recomputing the lowering (bit-identically) whenever the cache is absent
+/// or stale.
 struct ConvCache {
   Tensor cols;               ///< [N*Ho*Wo, Ci*Kh*Kw] from the last forward
   std::vector<int> x_shape;  ///< geometry stamp of the cached lowering

@@ -12,8 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include <cstring>
-
 #include "arch/memory.h"
 #include "engine/engine.h"
 #include "models/zoo.h"
@@ -21,6 +19,7 @@
 #include "train/data.h"
 #include "train/model.h"
 #include "train/trainer.h"
+#include "util/fnv.h"
 #include "util/parallel.h"
 #include "util/serde.h"
 
@@ -862,61 +861,105 @@ TEST(CacheStore, WarmRunMatchesColdRunAndSkipsAllComputation) {
 }
 
 TEST(CacheStore, VersionStampMismatchStartsCold) {
-  const std::string dir = test_cache_dir("stale");
-  const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
-
-  const Scenario s = mbs2_scenario("alexnet");
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    eval.step(s);
-    // The single-file writer: the splice below needs the whole document in
-    // one file (the sharded layout stamps each entry instead).
-    ASSERT_TRUE(store.save_legacy_single_file());
-  }
-  // Corrupt the schema stamp: same framing, different schema version.
-  {
-    std::ifstream in(path, std::ios::binary);
+  // The store is a cache: an entry in any layout but the current one is a
+  // plain miss. It is not quarantined (it may be another binary's valid
+  // data) and is overwritten by the next save() of the recomputed value.
+  struct Entry {
+    std::int64_t version;
+    std::string stage, key, body;
+  };
+  struct Input {
+    const char* name;
+    std::string (*rewrite)(const Entry&);
+  };
+  const Input inputs[] = {
+      // The pre-checksum svc1 layout: record tokens inline after the
+      // header, no checksum.
+      {"svc1", [](const Entry& e) {
+         util::serde::Writer w;
+         w.put_string("mbs-entry");
+         w.put_int(e.version);
+         w.put_string("net1;sched2;traffic1;step1;gpu1;sys1;svc1");
+         w.put_string(e.stage);
+         w.put_string(e.key);
+         return w.str() + e.body + "\n";
+       }},
+      // The current framing under a stamp this binary has never seen.
+      {"unknown", [](const Entry& e) {
+         util::serde::Writer w;
+         w.put_string("mbs-entry");
+         w.put_int(e.version);
+         w.put_string("net9;sched2;traffic1;step1;gpu1;sys1;svc2");
+         w.put_string(e.stage);
+         w.put_string(e.key);
+         w.put_int(static_cast<std::int64_t>(util::fnv1a64(e.body)));
+         w.put_string(e.body);
+         return w.str() + "\n";
+       }},
+  };
+  const auto slurp = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
     std::ostringstream text;
     text << in.rdbuf();
-    std::string doc = text.str();
-    const std::size_t pos = doc.find("net2");
-    ASSERT_NE(pos, std::string::npos);
-    doc.replace(pos, 4, "net0");
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << doc;
-  }
-  CacheStore stale(path);
-  Evaluator eval(&stale);
-  eval.step(s);
-  EXPECT_EQ(stale.loaded_entries(), 0u);  // the stale file was discarded
-  const EvaluatorStats stats = eval.stats();
-  EXPECT_EQ(stats.step_disk_hits, 0);
-  EXPECT_EQ(stats.step_misses, 1);
-  // The recomputed entries land in the shard directory on save; the stale
-  // single file is simply never consulted again.
-  EXPECT_TRUE(stale.dirty());
-  ASSERT_TRUE(stale.save());
-  CacheStore reloaded(path);
-  sim::StepResult out;
-  EXPECT_TRUE(reloaded.load_step(s.cache_key(), &out));
-  std::remove(path.c_str());
-}
+    return text.str();
+  };
+  const Scenario s = mbs2_scenario("alexnet");
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const std::string dir =
+        test_cache_dir((std::string("stamp_") + input.name).c_str());
+    const std::string path = dir + "/evaluator.mbscache";
+    sim::StepResult ref;
+    {
+      CacheStore store(path);
+      Evaluator eval(&store);
+      ref = eval.step(s);
+      ASSERT_TRUE(store.save());
+    }
+    std::string step_rec;
+    for (const auto& file :
+         std::filesystem::recursive_directory_iterator(path + ".d")) {
+      if (!file.is_regular_file()) continue;
+      const std::string doc = slurp(file.path().string());
+      util::serde::Reader r(doc);  // views doc, which must outlive it
+      ASSERT_EQ(r.read_string(), "mbs-entry");
+      Entry e;
+      e.version = r.read_int();
+      r.read_string();  // current stamp, replaced
+      e.stage = r.read_string();
+      e.key = r.read_string();
+      r.read_int();  // checksum
+      e.body = r.read_string();
+      ASSERT_FALSE(r.fail());
+      std::ofstream(file.path(), std::ios::binary | std::ios::trunc)
+          << input.rewrite(e);
+      if (e.stage == "step") step_rec = file.path().string();
+    }
+    ASSERT_FALSE(step_rec.empty());
+    const std::string foreign = slurp(step_rec);
 
-TEST(CacheStore, MalformedFileStartsCold) {
-  const std::string dir = test_cache_dir("malformed");
-  const std::string path = dir + "/evaluator.mbscache";
-  std::filesystem::create_directories(dir);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "9:mbs-cache 1 not a valid cache document";
+    CacheStore stale(path);
+    sim::StepResult out;
+    EXPECT_FALSE(stale.load_step(s.cache_key(), &out));
+    EXPECT_EQ(stale.corrupt_entries(), 0u);
+    EXPECT_EQ(slurp(step_rec), foreign);  // left in place, untouched
+
+    Evaluator eval(&stale);
+    EXPECT_TRUE(step_equal(eval.step(s), ref));
+    EXPECT_EQ(eval.stats().step_disk_hits, 0);
+    ASSERT_TRUE(stale.save());
+    const std::string rewritten = slurp(step_rec);
+    util::serde::Reader r(rewritten);
+    r.read_string();
+    r.read_int();
+    EXPECT_EQ(r.read_string(), CacheStore::kSchemaStamp);
+
+    CacheStore fresh(path);
+    ASSERT_TRUE(fresh.load_step(s.cache_key(), &out));
+    EXPECT_TRUE(step_equal(out, ref));
+    EXPECT_EQ(fresh.corrupt_entries(), 0u);
+    std::filesystem::remove_all(dir);
   }
-  CacheStore store(path);
-  sim::StepResult unused;
-  EXPECT_FALSE(store.load_step("anykey", &unused));
-  EXPECT_EQ(store.loaded_entries(), 0u);
-  std::remove(path.c_str());
 }
 
 // ---- Shard-then-merge determinism -------------------------------------------
@@ -1090,192 +1133,6 @@ TEST(CacheStore, SystolicEntriesPersistAndWarmStartFromDisk) {
   std::remove(path.c_str());
 }
 
-TEST(CacheStore, LegacyPreSystolicStampStillLoadsWarm) {
-  const std::string dir = test_cache_dir("legacy");
-  const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
-
-  const Scenario s = mbs2_scenario("alexnet");
-  sim::StepResult ref;
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    ref = eval.step(s);
-    ASSERT_TRUE(store.save_legacy_single_file());
-  }
-  // Rewind the stamp to its pre-systolic value (serde strings are
-  // length-prefixed, so splice prefix and payload together). The file then
-  // looks exactly like one written before the sys stage existed — no "sys"
-  // records, legacy stamp — and must still load warm, not start cold.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string doc = text.str();
-    const std::string current =
-        std::to_string(std::strlen(CacheStore::kSchemaStamp)) + ":" +
-        CacheStore::kSchemaStamp;
-    const std::string legacy =
-        std::to_string(std::strlen(CacheStore::kLegacySchemaStamp)) + ":" +
-        CacheStore::kLegacySchemaStamp;
-    const std::size_t pos = doc.find(current);
-    ASSERT_NE(pos, std::string::npos);
-    doc.replace(pos, current.size(), legacy);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << doc;
-  }
-  CacheStore legacy_store(path);
-  Evaluator eval(&legacy_store);
-  const sim::StepResult& warm = eval.step(s);
-  EXPECT_TRUE(step_equal(warm, ref));
-  const EvaluatorStats stats = eval.stats();
-  EXPECT_EQ(stats.step_disk_hits, 1);
-  EXPECT_EQ(stats.step_misses, 1);
-  EXPECT_GT(legacy_store.loaded_entries(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(CacheStore, PreServiceSingleFileStampStillLoadsWarm) {
-  const std::string dir = test_cache_dir("preservice");
-  const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
-
-  const Scenario s = mbs2_scenario("alexnet");
-  sim::StepResult ref;
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    ref = eval.step(s);
-    ASSERT_TRUE(store.save_legacy_single_file());
-  }
-  // Rewind the stamp to its pre-service value: the file then looks exactly
-  // like a single-file store written before the sharded layout existed,
-  // and must load warm — upgrading the binary must not cold-start caches.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string doc = text.str();
-    const std::string current =
-        std::to_string(std::strlen(CacheStore::kSchemaStamp)) + ":" +
-        CacheStore::kSchemaStamp;
-    const std::string pre_service =
-        std::to_string(std::strlen(CacheStore::kPreServiceSchemaStamp)) +
-        ":" + CacheStore::kPreServiceSchemaStamp;
-    const std::size_t pos = doc.find(current);
-    ASSERT_NE(pos, std::string::npos);
-    doc.replace(pos, current.size(), pre_service);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << doc;
-  }
-  CacheStore pre_store(path);
-  Evaluator eval(&pre_store);
-  const sim::StepResult& warm = eval.step(s);
-  EXPECT_TRUE(step_equal(warm, ref));
-  const EvaluatorStats stats = eval.stats();
-  EXPECT_EQ(stats.step_disk_hits, 1);
-  EXPECT_GT(pre_store.loaded_entries(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(CacheStore, PreAttentionStampStillLoadsWarmForCnns) {
-  const std::string dir = test_cache_dir("preattn_cnn");
-  const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
-
-  const Scenario s = mbs2_scenario("alexnet");
-  sim::StepResult ref;
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    ref = eval.step(s);
-    ASSERT_TRUE(store.save_legacy_single_file());
-  }
-  // Rewind the stamp to its pre-attention (net1) value: a CNN cache
-  // written before the attention kind landed. Nothing in a CNN record
-  // changed, so it must load warm — the real-attention PR must not
-  // cold-start the CNN caches in the wild.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string doc = text.str();
-    const std::string current =
-        std::to_string(std::strlen(CacheStore::kSchemaStamp)) + ":" +
-        CacheStore::kSchemaStamp;
-    const std::string pre_attention =
-        std::to_string(std::strlen(CacheStore::kPreAttentionSchemaStamp)) +
-        ":" + CacheStore::kPreAttentionSchemaStamp;
-    const std::size_t pos = doc.find(current);
-    ASSERT_NE(pos, std::string::npos);
-    doc.replace(pos, current.size(), pre_attention);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << doc;
-  }
-  CacheStore pre_store(path);
-  Evaluator eval(&pre_store);
-  const sim::StepResult& warm = eval.step(s);
-  EXPECT_TRUE(step_equal(warm, ref));
-  const EvaluatorStats stats = eval.stats();
-  EXPECT_EQ(stats.step_disk_hits, 1);
-  EXPECT_GT(pre_store.loaded_entries(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(CacheStore, PreAttentionTransformerRecordsAreStale) {
-  const std::string dir = test_cache_dir("preattn_vit");
-  const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
-
-  // One CNN and one transformer scenario share the store.
-  const Scenario cnn = mbs2_scenario("alexnet");
-  const Scenario vit = mbs2_scenario("vit_small");
-  sim::StepResult cnn_ref;
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    cnn_ref = eval.step(cnn);
-    eval.step(vit);
-    ASSERT_TRUE(store.save_legacy_single_file());
-  }
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string doc = text.str();
-    const std::string current =
-        std::to_string(std::strlen(CacheStore::kSchemaStamp)) + ":" +
-        CacheStore::kSchemaStamp;
-    const std::string pre_attention =
-        std::to_string(std::strlen(CacheStore::kPreAttentionSchemaStamp)) +
-        ":" + CacheStore::kPreAttentionSchemaStamp;
-    const std::size_t pos = doc.find(current);
-    ASSERT_NE(pos, std::string::npos);
-    doc.replace(pos, current.size(), pre_attention);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << doc;
-  }
-  // Under the pre-attention stamp the transformer entries describe the
-  // stand-in convs, not real attention — serving them would resurrect the
-  // phantom flops. They must miss (and recompute); the CNN entries in the
-  // very same file must still hit.
-  CacheStore pre_store(path);
-  Evaluator eval(&pre_store);
-  EXPECT_TRUE(step_equal(eval.step(cnn), cnn_ref));
-  eval.step(vit);
-  const EvaluatorStats stats = eval.stats();
-  EXPECT_EQ(stats.step_disk_hits, 1);  // the CNN
-  EXPECT_EQ(stats.step_misses, 2);
-  // Re-saving upgrades the store: a third process now loads the
-  // transformer entry warm under the current stamp.
-  ASSERT_TRUE(pre_store.dirty());
-  ASSERT_TRUE(pre_store.save());
-  CacheStore upgraded(path);
-  sim::StepResult out;
-  EXPECT_TRUE(upgraded.load_step(vit.cache_key(), &out));
-  std::remove(path.c_str());
-}
-
 TEST(CacheStore, CorruptShardEntryMissesOnlyThatKey) {
   const std::string dir = test_cache_dir("shard_corrupt");
   const std::string path = dir + "/evaluator.mbscache";
@@ -1424,60 +1281,6 @@ TEST(CacheStore, ZeroLengthShardFileMissesCleanly) {
   EXPECT_GT(recomputed.time_s, 0.0);
   EXPECT_EQ(eval.stats().step_disk_hits, 0);
   EXPECT_EQ(eval.stats().step_misses, 1);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CacheStore, PreChecksumShardEntriesStillLoadWarm) {
-  const std::string dir = test_cache_dir("svc1");
-  const std::string path = dir + "/evaluator.mbscache";
-
-  const Scenario s = mbs2_scenario("alexnet");
-  sim::StepResult ref;
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    ref = eval.step(s);
-    ASSERT_TRUE(store.save());
-  }
-  // Rewrite every shard record to the pre-checksum (svc1) layout: same
-  // header minus the checksum token, record tokens inline instead of
-  // length-prefixed. Stores written before checksums shipped must still
-  // load warm — upgrading the binary must not cold-start fleet caches.
-  std::size_t rewritten = 0;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(path + ".d")) {
-    if (!entry.is_regular_file()) continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    const std::string doc = text.str();  // Reader views, must outlive it
-    util::serde::Reader r(doc);
-    ASSERT_EQ(r.read_string(), "mbs-entry");
-    const std::int64_t version = r.read_int();
-    r.read_string();  // svc2 stamp, replaced below
-    const std::string stage = r.read_string();
-    const std::string key = r.read_string();
-    r.read_int();  // checksum, dropped
-    const std::string body = r.read_string();
-    ASSERT_FALSE(r.fail());
-    util::serde::Writer w;
-    w.put_string("mbs-entry");
-    w.put_int(version);
-    w.put_string(CacheStore::kPreChecksumSchemaStamp);
-    w.put_string(stage);
-    w.put_string(key);
-    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
-    out << w.str() << body << "\n";
-    ++rewritten;
-  }
-  ASSERT_GT(rewritten, 0u);
-
-  CacheStore store(path);
-  Evaluator eval(&store);
-  const sim::StepResult& warm = eval.step(s);
-  EXPECT_TRUE(step_equal(warm, ref));
-  EXPECT_EQ(eval.stats().step_disk_hits, 1);
-  EXPECT_EQ(store.corrupt_entries(), 0u);
   std::filesystem::remove_all(dir);
 }
 

@@ -5,8 +5,11 @@
 #      micro_benchmarks) appears backticked in the README repro table;
 #   2. every example binary (the add_executable(...) calls under the
 #      Examples section) is mentioned in README.md or docs/REPRODUCING.md;
-#   3. every MBS_* environment variable read by any source (getenv) is
-#      documented in docs/REPRODUCING.md's consolidated table;
+#   3. every MBS_* environment variable read by any source (getenv or
+#      util::env_int; the test-only MBS_TEST_* names are exempt) has a row
+#      in docs/REPRODUCING.md's consolidated table, and every MBS_* row in
+#      that table is read by some source, so removed switches cannot leave
+#      stale rows behind;
 #   4. the workload guide exists and README links to it.
 #
 # Pure grep — no build needed — so stale docs fail fast on any machine.
@@ -35,12 +38,19 @@ for e in $examples; do
     err "example '$e' appears in neither README.md nor docs/REPRODUCING.md"
 done
 
-# 3. Every env var the code reads is documented in REPRODUCING.md.
-vars="$(grep -rhoE 'getenv\("MBS_[A-Z_]+"\)' src bench examples tools tests \
-        2>/dev/null | grep -oE 'MBS_[A-Z_]+' | sort -u)"
+# 3. The env vars the code reads and REPRODUCING.md's table rows agree.
+vars="$(grep -rhoE '(getenv|env_int)\([[:space:]]*"MBS_[A-Z0-9_]+"' \
+          src bench examples tools tests 2>/dev/null |
+        grep -oE 'MBS_[A-Z0-9_]+' | grep -v '^MBS_TEST_' | sort -u)"
+rows="$(grep -oE '^\| `MBS_[A-Z0-9_]+' docs/REPRODUCING.md |
+        grep -oE 'MBS_[A-Z0-9_]+' | sort -u)"
 for v in $vars; do
-  grep -q "$v" docs/REPRODUCING.md ||
-    err "env var $v is read by the code but undocumented in docs/REPRODUCING.md"
+  echo "$rows" | grep -qx "$v" ||
+    err "env var $v is read by the code but has no row in docs/REPRODUCING.md"
+done
+for v in $rows; do
+  echo "$vars" | grep -qx "$v" ||
+    err "docs/REPRODUCING.md documents $v, which no source reads"
 done
 
 # 4. The workload guide is present and reachable from the README.

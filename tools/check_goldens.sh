@@ -57,14 +57,6 @@ for golden in tests/golden/exports/*; do
   fi
 done
 
-# The kernel-layer job's standalone fig06 golden must stay in lock-step
-# with the copy under stdout/ (same bytes, two consumers).
-if ! cmp -s tests/golden/fig06_training.stdout \
-            tests/golden/stdout/fig06_training.stdout; then
-  echo "check_goldens: the two fig06_training goldens disagree" >&2
-  fail=1
-fi
-
 if [ "$fail" -eq 0 ]; then
   echo "check_goldens: OK ($(ls tests/golden/stdout | wc -l | tr -d ' ') stdouts," \
        "$(ls tests/golden/exports | wc -l | tr -d ' ') exports byte-identical)"
