@@ -12,6 +12,7 @@
 #include "sched/scheduler.h"
 #include "sched/traffic.h"
 #include "sim/simulator.h"
+#include "util/units.h"
 
 namespace mbs::arch {
 namespace {
@@ -287,6 +288,81 @@ TEST(SystolicStep, TinyScratchpadSerializesGemmTransfers) {
       static_cast<std::int64_t>(std::ceil(dram[0] / bytes_per_cycle)) +
       static_cast<std::int64_t>(std::ceil(dram[1] / bytes_per_cycle));
   EXPECT_EQ(r.stats.stall_cycles, expected);
+}
+
+/// Total folds one step's GEMMs make: every chunk's forward, weight-grad
+/// and (past the first GEMM layer) data-grad pass, plus each attention
+/// shape scaled by mini_batch * heads.
+std::int64_t step_folds(const core::Network& net,
+                        const sched::Schedule& schedule,
+                        const SystolicConfig& cfg, Dataflow df) {
+  std::int64_t folds = 0;
+  bool first_gemm = true;
+  for (std::size_t bi = 0; bi < net.blocks.size(); ++bi) {
+    const sched::Group& grp = schedule.groups[static_cast<std::size_t>(
+        schedule.group_of_block(static_cast<int>(bi)))];
+    net.blocks[bi].for_each_layer([&](const core::Layer& l, int) {
+      if (l.is_gemm()) {
+        for (int c : grp.chunks(schedule.mini_batch)) {
+          for (GemmPass pass : {GemmPass::kForward, GemmPass::kWeightGrad,
+                                GemmPass::kDataGrad}) {
+            if (pass == GemmPass::kDataGrad && first_gemm) continue;
+            folds += simulate_gemm_cycles(cfg, df, gemm_shape(l, c, pass))
+                         .folds;
+          }
+        }
+        first_gemm = false;
+      } else if (l.is_attention()) {
+        for (GemmPass pass : {GemmPass::kForward, GemmPass::kDataGrad})
+          for (const GemmShape& sh : attention_gemm_shapes(l, pass))
+            folds += simulate_gemm_cycles(cfg, df, sh).folds *
+                     schedule.mini_batch * l.heads;
+      }
+    });
+  }
+  return folds;
+}
+
+TEST(SystolicStep, PinnedCycleCountsAtMbs2TenMiB) {
+  // Literal cycle and fold counts of the cycle backend, so any change to
+  // its accounting (however it is computed) must reproduce them exactly.
+  struct Pin {
+    const char* network;
+    Dataflow df;
+    std::int64_t comp_cycles, stall_cycles, folds;
+  };
+  const Pin pins[] = {
+      {"resnet50", Dataflow::kOutputStationary, 60161349, 9386908, 56616},
+      {"resnet50", Dataflow::kWeightStationary, 60807941, 9386908, 38624},
+      {"resnet50", Dataflow::kInputStationary, 101572981, 5281052, 157856},
+      {"vit_small", Dataflow::kOutputStationary, 49898489, 6299717, 73138},
+      {"vit_small", Dataflow::kWeightStationary, 52700199, 6236025, 57655},
+      {"vit_small", Dataflow::kInputStationary, 62967913, 5615684, 88990},
+  };
+  bool saw_remainder_chunk = false;
+  for (const Pin& pin : pins) {
+    const core::Network net = models::make_network(pin.network);
+    sched::ScheduleParams sp;
+    sp.buffer_bytes = 10 * util::kMiB;
+    const sched::Schedule schedule =
+        sched::build_schedule(net, sched::ExecConfig::kMbs2, sp);
+    const sched::Traffic traffic = sched::compute_traffic(net, schedule);
+    for (const sched::Group& g : schedule.groups)
+      saw_remainder_chunk |= schedule.mini_batch % g.sub_batch != 0;
+
+    SystolicSimParams p = StepFixture().params();
+    p.options.dataflow = pin.df;
+    const SystolicStepResult r =
+        simulate_systolic_step(net, schedule, traffic, p);
+    EXPECT_EQ(r.stats.comp_cycles, pin.comp_cycles)
+        << pin.network << " " << to_string(pin.df);
+    EXPECT_EQ(r.stats.stall_cycles, pin.stall_cycles)
+        << pin.network << " " << to_string(pin.df);
+    EXPECT_EQ(step_folds(net, schedule, p.array, pin.df), pin.folds)
+        << pin.network << " " << to_string(pin.df);
+  }
+  // The pins cover the partial last chunk of a group, not only full ones.
+  EXPECT_TRUE(saw_remainder_chunk);
 }
 
 TEST(SystolicStep, ScratchpadGatesOverlapOnly) {

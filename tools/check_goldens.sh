@@ -2,15 +2,15 @@
 # Golden-output check (CI "systolic-backend" job; run from the repo root
 # after building everything into build/):
 #
-# Re-runs every bench and example binary that existed before the cycle-level
-# systolic backend landed and byte-compares
+# Re-runs every bench and example binary that has a golden and byte-compares
 #
 #   1. its stdout against tests/golden/stdout/<bin>.stdout, and
 #   2. every CSV/JSON it exports against tests/golden/exports/
 #
-# The goldens were captured from the tree immediately before the systolic
-# backend merged, so any diff here means the new backend perturbed a
-# pre-existing result — the backend must be strictly additive.
+# Most goldens were captured from the tree immediately before the cycle-level
+# systolic backend merged; backend_compare's, which print that backend's
+# results, were captured before its fold accounting moved to closed form.
+# Any diff here means a change perturbed an existing result.
 set -u
 
 [ -f CMakeLists.txt ] || { echo "run from the repo root" >&2; exit 2; }
