@@ -16,6 +16,8 @@
 #include "engine/engine.h"
 #include "models/zoo.h"
 #include "sched/scheduler.h"
+#include "sched/traffic.h"
+#include "sim/simulator.h"
 #include "train/data.h"
 #include "train/gemm_microkernels.h"
 #include "train/im2col.h"
@@ -25,6 +27,7 @@
 #include "util/cpu.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/units.h"
 
 namespace {
 
@@ -46,6 +49,39 @@ void BM_SimulateGemm(benchmark::State& state) {
     benchmark::DoNotOptimize(arch::simulate_gemm(cfg, shape));
 }
 BENCHMARK(BM_SimulateGemm);
+
+// Cycle backend on ResNet-50's conv1 forward GEMM at sub-batch 32
+// ({32*112*112, 64, 3*7*7}: thousands of folds), one Arg per dataflow.
+void BM_SimulateGemmCycles(benchmark::State& state) {
+  const auto df = static_cast<arch::Dataflow>(state.range(0));
+  const arch::SystolicConfig cfg;
+  const arch::GemmShape shape{32 * 112 * 112, 64, 3 * 7 * 7};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(arch::simulate_gemm_cycles(cfg, df, shape));
+  state.SetLabel(arch::to_string(df));
+}
+BENCHMARK(BM_SimulateGemmCycles)->Arg(0)->Arg(1)->Arg(2);
+
+// One cycle-level training step: resnet50 under MBS2 with a 10 MiB buffer.
+void BM_SimulateSystolicStep(benchmark::State& state) {
+  const core::Network net = models::make_network("resnet50");
+  sched::ScheduleParams sp;
+  sp.buffer_bytes = 10 * util::kMiB;
+  const sched::Schedule schedule =
+      sched::build_schedule(net, sched::ExecConfig::kMbs2, sp);
+  const sched::Traffic traffic = sched::compute_traffic(net, schedule);
+  const sim::WaveCoreConfig hw;
+  arch::SystolicSimParams p;
+  p.array = hw.systolic;
+  p.dram_bw_bytes_per_s = hw.memory.per_core_bandwidth(hw.cores);
+  p.buffer_bw_bytes = hw.buffer_bw_bytes;
+  p.vector_flops = hw.vector_flops;
+  p.cores = hw.cores;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        arch::simulate_systolic_step(net, schedule, traffic, p));
+}
+BENCHMARK(BM_SimulateSystolicStep);
 
 void BM_BuildScheduleGreedy(benchmark::State& state) {
   const core::Network net = models::make_network("resnet50");

@@ -1,11 +1,11 @@
 #include "arch/systolic.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
-#include <map>
-#include <utility>
 
+#include "arch/layer_costs.h"
 #include "core/network.h"
 #include "sched/schedule.h"
 #include "sched/traffic.h"
@@ -69,6 +69,24 @@ std::vector<GemmShape> attention_gemm_shapes(const core::Layer& layer,
   return {};
 }
 
+namespace {
+
+/// `count` identical folds (or tiles) of `size` along one dimension.
+struct FoldClass {
+  std::int64_t count = 0;
+  std::int64_t size = 0;
+};
+
+/// Splits `total` into `tile`-sized folds: total / tile full folds plus at
+/// most one edge fold of total % tile. Every fold of a class costs the
+/// same, so a GEMM's totals are sums of count x per-fold value over
+/// classes, computed exactly in int64.
+std::array<FoldClass, 2> fold_classes(std::int64_t total, std::int64_t tile) {
+  return {{{total / tile, tile}, {total % tile != 0 ? 1 : 0, total % tile}}};
+}
+
+}  // namespace
+
 GemmTiming simulate_gemm(const SystolicConfig& cfg, const GemmShape& shape) {
   assert(shape.gh > 0 && shape.gw > 0 && shape.k > 0);
   const std::int64_t m = cfg.tile_m();
@@ -82,10 +100,10 @@ GemmTiming simulate_gemm(const SystolicConfig& cfg, const GemmShape& shape) {
   GemmTiming t;
   t.macs = shape.macs();
 
-  for (std::int64_t th = 0; th < tiles_h; ++th) {
-    const std::int64_t m_t = std::min(m, shape.gh - th * m);
-    for (std::int64_t tw = 0; tw < tiles_w; ++tw) {
-      const std::int64_t n_t = std::min(n, shape.gw - tw * n);
+  for (const FoldClass& h : fold_classes(shape.gh, m)) {
+    const std::int64_t m_t = h.size;
+    for (const FoldClass& w : fold_classes(shape.gw, n)) {
+      const std::int64_t n_t = w.size;
       std::int64_t cycles;
       if (cfg.weight_double_buffering) {
         // Initial weight fill, then each wave streams m_t rows; the next
@@ -96,7 +114,7 @@ GemmTiming simulate_gemm(const SystolicConfig& cfg, const GemmShape& shape) {
         // Every wave pays the full weight shift-in gap (Fig. 8b top).
         cycles = waves * (k_rows + m_t) + k_rows + n_t;
       }
-      t.cycles += cycles;
+      t.cycles += h.count * w.count * cycles;
     }
   }
 
@@ -125,12 +143,15 @@ std::int64_t fold_cycles(std::int64_t preload, std::int64_t stream,
   return preload + stream + span_a + span_b - 2;
 }
 
-void add_fold(GemmCycles* g, std::int64_t cycles, std::int64_t mapped,
-              std::int64_t macs, std::int64_t fold_bytes) {
-  g->comp_cycles += cycles;
-  g->mapped_pe_folds += mapped;
-  g->macs += macs;
-  g->folds += 1;
+/// Adds `count` identical folds (count may be 0 for an empty class).
+void add_folds(GemmCycles* g, std::int64_t count, std::int64_t cycles,
+               std::int64_t mapped, std::int64_t macs,
+               std::int64_t fold_bytes) {
+  if (count == 0) return;
+  g->comp_cycles += count * cycles;
+  g->mapped_pe_folds += count * mapped;
+  g->macs += count * macs;
+  g->folds += count;
   g->max_fold_bytes = std::max(g->max_fold_bytes, fold_bytes);
 }
 
@@ -146,53 +167,53 @@ GemmCycles simulate_gemm_cycles(const SystolicConfig& cfg, Dataflow df,
   if (df == Dataflow::kOutputStationary) {
     // C tiles pinned to the array: Gh folds over rows, Gw over cols, the
     // full reduction streams through each fold with no partial-sum spills.
-    for (std::int64_t h0 = 0; h0 < shape.gh; h0 += R) {
-      const std::int64_t m_t = std::min(R, shape.gh - h0);
-      for (std::int64_t w0 = 0; w0 < shape.gw; w0 += C) {
-        const std::int64_t n_t = std::min(C, shape.gw - w0);
-        const std::int64_t cycles = fold_cycles(0, shape.k, m_t, n_t);
+    for (const FoldClass& h : fold_classes(shape.gh, R)) {
+      const std::int64_t m_t = h.size;
+      for (const FoldClass& w : fold_classes(shape.gw, C)) {
+        const std::int64_t n_t = w.size;
+        const std::int64_t count = h.count * w.count;
         const std::int64_t fold_elems =
             m_t * shape.k + shape.k * n_t + m_t * n_t;
-        add_fold(&g, cycles, m_t * n_t, m_t * n_t * shape.k,
-                 kElemBytes * fold_elems);
-        g.bytes.a += kElemBytes * m_t * shape.k;
-        g.bytes.b += kElemBytes * shape.k * n_t;
-        g.bytes.c += kElemBytes * m_t * n_t;
+        add_folds(&g, count, fold_cycles(0, shape.k, m_t, n_t), m_t * n_t,
+                  m_t * n_t * shape.k, kElemBytes * fold_elems);
+        g.bytes.a += count * kElemBytes * m_t * shape.k;
+        g.bytes.b += count * kElemBytes * shape.k * n_t;
+        g.bytes.c += count * kElemBytes * m_t * n_t;
       }
     }
     return g;
   }
 
-  // ws/is fold the reduction over the array rows; C[m_t|n_t x span] partial
+  // ws/is fold the reduction over the array rows and one GEMM side over the
+  // array columns, streaming the other side: ws pins B (K x Gw) and streams
+  // Gh rows of A, is pins A (Gh x K) and streams Gw columns of B. Partial
   // sums spill to the scratchpad after each fold and are re-read by every
-  // fold after the first along k.
-  for (std::int64_t k0 = 0; k0 < shape.k; k0 += R) {
-    const std::int64_t k_t = std::min(R, shape.k - k0);
-    const std::int64_t psum_rw = k0 == 0 ? 1 : 2;  // write, plus read-back
-    if (df == Dataflow::kWeightStationary) {
-      for (std::int64_t w0 = 0; w0 < shape.gw; w0 += C) {
-        const std::int64_t n_t = std::min(C, shape.gw - w0);
-        const std::int64_t cycles = fold_cycles(k_t, shape.gh, k_t, n_t);
-        const std::int64_t fold_elems =
-            k_t * n_t + shape.gh * k_t + shape.gh * n_t;
-        add_fold(&g, cycles, k_t * n_t, k_t * n_t * shape.gh,
-                 kElemBytes * fold_elems);
-        g.bytes.a += kElemBytes * shape.gh * k_t;
-        g.bytes.b += kElemBytes * k_t * n_t;
-        g.bytes.c += kElemBytes * psum_rw * shape.gh * n_t;
-      }
-    } else {
-      for (std::int64_t h0 = 0; h0 < shape.gh; h0 += C) {
-        const std::int64_t m_t = std::min(C, shape.gh - h0);
-        const std::int64_t cycles = fold_cycles(k_t, shape.gw, k_t, m_t);
-        const std::int64_t fold_elems =
-            k_t * m_t + shape.gw * k_t + m_t * shape.gw;
-        add_fold(&g, cycles, k_t * m_t, k_t * m_t * shape.gw,
-                 kElemBytes * fold_elems);
-        g.bytes.a += kElemBytes * k_t * m_t;
-        g.bytes.b += kElemBytes * shape.gw * k_t;
-        g.bytes.c += kElemBytes * psum_rw * m_t * shape.gw;
-      }
+  // fold after the first along k, so the first k-fold is its own class.
+  const bool ws = df == Dataflow::kWeightStationary;
+  const std::int64_t stream = ws ? shape.gh : shape.gw;
+  const std::int64_t span = ws ? shape.gw : shape.gh;
+  const std::int64_t k_first = std::min(R, shape.k);
+  const std::array<FoldClass, 2> k_rest = fold_classes(shape.k - k_first, R);
+  struct KClass {
+    FoldClass fold;
+    std::int64_t psum_rw;  ///< write, plus read-back after the first fold
+  };
+  const KClass k_classes[] = {
+      {{1, k_first}, 1}, {k_rest[0], 2}, {k_rest[1], 2}};
+  for (const KClass& kc : k_classes) {
+    const std::int64_t k_t = kc.fold.size;
+    for (const FoldClass& sc : fold_classes(span, C)) {
+      const std::int64_t s_t = sc.size;
+      const std::int64_t count = kc.fold.count * sc.count;
+      const std::int64_t fold_elems =
+          k_t * s_t + stream * k_t + stream * s_t;
+      add_folds(&g, count, fold_cycles(k_t, stream, k_t, s_t), k_t * s_t,
+                k_t * s_t * stream, kElemBytes * fold_elems);
+      const std::int64_t pinned = count * kElemBytes * k_t * s_t;
+      const std::int64_t streamed = count * kElemBytes * stream * k_t;
+      g.bytes.a += ws ? streamed : pinned;
+      g.bytes.b += ws ? pinned : streamed;
+      g.bytes.c += count * kElemBytes * kc.psum_rw * stream * s_t;
     }
   }
   return g;
@@ -201,47 +222,6 @@ GemmCycles simulate_gemm_cycles(const SystolicConfig& cfg, Dataflow df,
 namespace {
 
 using core::Layer;
-using core::LayerKind;
-
-/// DRAM and buffer bytes of one (block, layer) aggregated by phase.
-/// Lock-step with sim/simulator.cc's aggregation (same map, same key).
-struct LayerBytes {
-  double dram[2] = {0, 0};  ///< indexed by 0 = forward, 1 = backward
-  double buf[2] = {0, 0};
-};
-
-// Vector-unit op counts, duplicated verbatim from sim/simulator.cc's
-// anonymous namespace (arch cannot depend on sim). Keep the two in lock
-// step: the differential harness asserts backend agreement on traffic, and
-// any drift here shows up as unexplained time divergence.
-double vector_ops_fwd(const Layer& l) {
-  return static_cast<double>(l.flops_per_sample());
-}
-
-double vector_ops_bwd(const Layer& l) {
-  switch (l.kind) {
-    case LayerKind::kNorm:
-      return 2.0 * static_cast<double>(l.flops_per_sample());
-    case LayerKind::kAct:
-      return static_cast<double>(l.in.elements());
-    case LayerKind::kPool:
-      return static_cast<double>(l.out.elements());
-    case LayerKind::kAdd:
-    case LayerKind::kConcat:
-      return 0;
-    default:
-      return 0;
-  }
-}
-
-/// Softmax ops of one attention layer, per sample per direction (~4 ops per
-/// score-matrix element: max, exp-subtract, sum, divide — and the backward
-/// Jacobian-vector product costs the same). Duplicated in sim/simulator.cc;
-/// keep in lock step.
-double attention_softmax_ops(const Layer& l) {
-  const double s = static_cast<double>(l.in.h) * l.in.w;
-  return 4.0 * l.heads * s * s;
-}
 
 /// ceil(bytes / per-cycle rate) as whole cycles; 0 when the rate is
 /// unconstrained (rate <= 0 models infinite bandwidth).
@@ -259,13 +239,7 @@ SystolicStepResult simulate_systolic_step(const core::Network& net,
   const SystolicConfig& cfg = p.array;
   const Dataflow df = p.options.dataflow;
 
-  std::map<std::pair<int, int>, LayerBytes> by_layer;
-  for (const sched::TrafficRecord& r : traffic.records) {
-    LayerBytes& lb = by_layer[{r.block, r.layer}];
-    const int ph = r.phase == sched::Phase::kForward ? 0 : 1;
-    lb.dram[ph] += r.dram_read + r.dram_write;
-    lb.buf[ph] += r.buf_read + r.buf_write;
-  }
+  const LayerBytesTable by_layer = layer_bytes(net, traffic);
 
   const double dram_bpc = p.dram_bw_bytes_per_s > 0
                               ? p.dram_bw_bytes_per_s / cfg.clock_hz
@@ -285,36 +259,41 @@ SystolicStepResult simulate_systolic_step(const core::Network& net,
   for (std::size_t bi = 0; bi < net.blocks.size(); ++bi) {
     const sched::Group& grp = schedule.groups[static_cast<std::size_t>(
         schedule.group_of_block(static_cast<int>(bi)))];
-    const std::vector<int> chunks = grp.chunks(schedule.mini_batch);
+    // Equal chunks run identical GEMMs: each distinct chunk size is
+    // simulated once and weighted by its count.
+    const auto chunks = grp.chunk_classes(schedule.mini_batch);
 
     int li = 0;
     net.blocks[bi].for_each_layer([&](const Layer& l, int) {
-      const LayerBytes lb = by_layer[{static_cast<int>(bi), li}];
+      const LayerBytes& lb = by_layer[bi][static_cast<std::size_t>(li)];
       ++li;
 
       std::int64_t comp[2] = {0, 0};  // forward, backward
       std::int64_t max_fold_bytes = 0;
       bool gate_on_scratchpad = false;
+      // Charges `count` runs of one GEMM to `phase`.
+      auto run = [&](const GemmShape& shape, std::int64_t count, int phase) {
+        const GemmCycles gc = simulate_gemm_cycles(cfg, df, shape);
+        comp[phase] += gc.comp_cycles * count;
+        gemm_macs += gc.macs * count;
+        folds_total += gc.folds * count;
+        mapped_pe_total += gc.mapped_pe_folds * count;
+        stream.a += gc.bytes.a * count;
+        stream.b += gc.bytes.b * count;
+        stream.c += gc.bytes.c * count;
+        max_fold_bytes = std::max(max_fold_bytes, gc.max_fold_bytes);
+      };
       if (l.is_gemm()) {
         gate_on_scratchpad = true;
         const bool skip_dgrad = first_gemm;
         first_gemm = false;
-        auto run = [&](int sub_batch, GemmPass pass, int phase) {
-          const GemmCycles gc =
-              simulate_gemm_cycles(cfg, df, gemm_shape(l, sub_batch, pass));
-          comp[phase] += gc.comp_cycles;
-          gemm_macs += gc.macs;
-          folds_total += gc.folds;
-          mapped_pe_total += gc.mapped_pe_folds;
-          stream.a += gc.bytes.a;
-          stream.b += gc.bytes.b;
-          stream.c += gc.bytes.c;
-          max_fold_bytes = std::max(max_fold_bytes, gc.max_fold_bytes);
-        };
-        for (int c : chunks) {
-          run(c, GemmPass::kForward, 0);
-          run(c, GemmPass::kWeightGrad, 1);
-          if (!skip_dgrad) run(c, GemmPass::kDataGrad, 1);
+        for (const sched::Group::ChunkClass& chunk : chunks) {
+          if (chunk.count == 0) continue;
+          const int c = chunk.size;
+          run(gemm_shape(l, c, GemmPass::kForward), chunk.count, 0);
+          run(gemm_shape(l, c, GemmPass::kWeightGrad), chunk.count, 1);
+          if (!skip_dgrad)
+            run(gemm_shape(l, c, GemmPass::kDataGrad), chunk.count, 1);
         }
       } else if (l.is_attention()) {
         // Attention GEMMs run on the array too; shapes are per (sample,
@@ -324,21 +303,12 @@ SystolicStepResult simulate_systolic_step(const core::Network& net,
         gate_on_scratchpad = true;
         const std::int64_t scale =
             static_cast<std::int64_t>(schedule.mini_batch) * l.heads;
-        auto run_attention = [&](GemmPass pass, int phase) {
-          for (const GemmShape& sh : attention_gemm_shapes(l, pass)) {
-            const GemmCycles gc = simulate_gemm_cycles(cfg, df, sh);
-            comp[phase] += gc.comp_cycles * scale;
-            gemm_macs += gc.macs * scale;
-            folds_total += gc.folds * scale;
-            mapped_pe_total += gc.mapped_pe_folds * scale;
-            stream.a += gc.bytes.a * scale;
-            stream.b += gc.bytes.b * scale;
-            stream.c += gc.bytes.c * scale;
-            max_fold_bytes = std::max(max_fold_bytes, gc.max_fold_bytes);
-          }
-        };
-        run_attention(GemmPass::kForward, 0);
-        run_attention(GemmPass::kDataGrad, 1);
+        for (const GemmShape& sh :
+             attention_gemm_shapes(l, GemmPass::kForward))
+          run(sh, scale, 0);
+        for (const GemmShape& sh :
+             attention_gemm_shapes(l, GemmPass::kDataGrad))
+          run(sh, scale, 1);
         if (vec_opc > 0) {
           const double soft =
               attention_softmax_ops(l) * schedule.mini_batch;

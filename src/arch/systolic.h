@@ -84,19 +84,26 @@ struct GemmTiming {
 };
 
 /// Simulates one GEMM: tiling, waves, fill/drain and (optionally) the
-/// inter-wave weight shift-in gaps. Exact for edge (partial) tiles.
+/// inter-wave weight shift-in gaps. Exact for edge (partial) tiles, which
+/// with the full tiles form the only tile classes summed over.
 GemmTiming simulate_gemm(const SystolicConfig& cfg, const GemmShape& shape);
 
 // ---------------------------------------------------------------------------
 // Cycle-level backend (Device::kSystolic).
 //
 // Unlike the wave model above — which is the paper's analytic pipeline
-// formula — this backend walks every fold a GEMM makes across the PE array
-// under an explicit dataflow (os/ws/is), counts exact fill/stream/drain
-// cycles per fold including partial edge folds, tracks the per-operand bytes
-// each fold streams through the PE-array scratchpad, and charges DRAM stall
-// cycles against the schedule's per-(layer, phase) traffic with a
-// double-buffered scratchpad overlap gate.
+// formula — this backend models the folds a GEMM makes across the PE array
+// under an explicit dataflow (os/ws/is): exact fill/stream/drain cycles per
+// fold including partial edge folds, and the per-operand bytes each fold
+// streams through the PE-array scratchpad. It charges DRAM stall cycles
+// against the schedule's per-(layer, phase) traffic with a double-buffered
+// scratchpad overlap gate.
+//
+// Folds come in a few classes of identical folds: along each folded
+// dimension, total / tile full folds plus at most one edge fold of
+// total % tile (and, for ws/is, the first k-fold, which spills partial sums
+// without re-reading them). Each class adds count x its per-fold value, so
+// a GEMM costs O(1) whatever its size, exactly in int64.
 // ---------------------------------------------------------------------------
 
 /// Cycle accounting of a simulated region (one GEMM or a whole step).
@@ -138,10 +145,11 @@ struct GemmCycles {
   }
 };
 
-/// Runs one GEMM through the array fold by fold. Exact for partial edge
-/// folds; os folds over (Gh/rows x Gw/cols) with K streaming, ws/is fold the
-/// reduction dimension over the array rows and spill 32b partial sums to the
-/// scratchpad between k-folds.
+/// Runs one GEMM through the array: the totals over every fold, summed per
+/// fold class (full folds, edge folds, and for ws/is the first k-fold).
+/// Exact for partial edge folds; os folds over (Gh/rows x Gw/cols) with K
+/// streaming, ws/is fold the reduction dimension over the array rows and
+/// spill 32b partial sums to the scratchpad between k-folds.
 GemmCycles simulate_gemm_cycles(const SystolicConfig& cfg, Dataflow df,
                                 const GemmShape& shape);
 
@@ -184,7 +192,8 @@ struct SystolicStepResult {
 
 /// Simulates one training step at cycle granularity: every sub-batch GEMM of
 /// every layer runs through simulate_gemm_cycles (data-grad skipped for the
-/// first GEMM layer, like the analytic model); vector layers run on the
+/// first GEMM layer, like the analytic model), once per distinct chunk size
+/// and weighted by that size's chunk count; vector layers run on the
 /// vector unit; DRAM stalls come from `traffic` per (layer, phase), fully
 /// hidden behind compute when the double-buffer gate holds. DRAM bytes moved
 /// are the schedule's analytic traffic by construction — the two backends

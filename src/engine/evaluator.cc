@@ -82,7 +82,9 @@ const sim::StepResult& Evaluator::step(const Scenario& s) {
   assert(s.device == Device::kWaveCore);
   return stage(
       steps_, s.cache_key(), &CacheStore::load_step, &CacheStore::put_step,
-      [&] { return sim::simulate_step(network(s), schedule(s), s.hw); },
+      [&] {
+        return sim::simulate_step(network(s), schedule(s), traffic(s), s.hw);
+      },
       &EvaluatorStats::step_hits, &EvaluatorStats::step_misses,
       &EvaluatorStats::step_disk_hits);
 }

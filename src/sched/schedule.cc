@@ -29,13 +29,15 @@ std::vector<int> Group::blocks() const {
 
 std::vector<int> Group::chunks(int mini_batch) const {
   std::vector<int> out;
-  int remaining = mini_batch;
-  while (remaining > 0) {
-    const int c = std::min(sub_batch, remaining);
-    out.push_back(c);
-    remaining -= c;
-  }
+  for (const ChunkClass& c : chunk_classes(mini_batch))
+    out.insert(out.end(), static_cast<std::size_t>(c.count), c.size);
   return out;
+}
+
+std::array<Group::ChunkClass, 2> Group::chunk_classes(int mini_batch) const {
+  const int remainder = mini_batch % sub_batch;
+  return {{{mini_batch / sub_batch, sub_batch},
+           {remainder != 0 ? 1 : 0, remainder}}};
 }
 
 int Schedule::group_of_block(int block) const {

@@ -6,6 +6,7 @@
 // on-chip global buffer (Sec. 3).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -68,6 +69,17 @@ struct Group {
   /// Chunk sizes per iteration, greedy-filled: `sub_batch` for every
   /// iteration except a smaller final remainder (Fig. 5's "3,3,...,3,2").
   std::vector<int> chunks(int mini_batch) const;
+
+  /// `count` consecutive chunks of `size` samples.
+  struct ChunkClass {
+    int count = 0;
+    int size = 0;
+  };
+  /// chunks() run-length encoded: mini_batch / sub_batch chunks of
+  /// sub_batch, then one remainder chunk (count 0 when sub_batch divides
+  /// mini_batch). Equal chunks do identical work, so per-chunk costs need
+  /// one evaluation per class.
+  std::array<ChunkClass, 2> chunk_classes(int mini_batch) const;
 };
 
 /// A complete schedule for one network and execution configuration.

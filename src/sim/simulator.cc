@@ -2,51 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <utility>
+#include <limits>
+
+#include "arch/layer_costs.h"
 
 namespace mbs::sim {
 
 namespace {
 
+using arch::attention_softmax_ops;
+using arch::vector_ops_bwd;
+using arch::vector_ops_fwd;
 using core::Layer;
 using core::LayerKind;
-using sched::Phase;
-
-/// DRAM and buffer bytes of one (block, layer) aggregated by phase.
-struct LayerBytes {
-  double dram[2] = {0, 0};  ///< indexed by Phase
-  double buf[2] = {0, 0};
-};
-
-/// Approximate vector-unit operation counts (per sample).
-double vector_ops_fwd(const Layer& l) {
-  return static_cast<double>(l.flops_per_sample());
-}
-
-double vector_ops_bwd(const Layer& l) {
-  switch (l.kind) {
-    case LayerKind::kNorm:
-      // Gradients w.r.t. input plus scale/shift parameter gradients.
-      return 2.0 * static_cast<double>(l.flops_per_sample());
-    case LayerKind::kAct:
-      return static_cast<double>(l.in.elements());
-    case LayerKind::kPool:
-      return static_cast<double>(l.out.elements());
-    case LayerKind::kAdd:
-    case LayerKind::kConcat:
-      return 0;  // backward is gradient routing
-    default:
-      return 0;
-  }
-}
-
-/// Softmax ops of one attention layer, per sample per direction (~4 ops per
-/// score-matrix element). Duplicated in arch/systolic.cc; keep in lock step.
-double attention_softmax_ops(const Layer& l) {
-  const double s = static_cast<double>(l.in.h) * l.in.w;
-  return 4.0 * l.heads * s * s;
-}
 
 /// Fig. 12 category of a layer. Attention is GEMM-dominated compute and
 /// reports under the conv slot (LayerTypeTimes' layout is
@@ -66,17 +34,9 @@ double* type_slot(LayerTypeTimes& t, LayerKind kind) {
 
 StepResult simulate_step(const core::Network& net,
                          const sched::Schedule& schedule,
+                         const sched::Traffic& traffic,
                          const WaveCoreConfig& hw) {
-  const sched::Traffic traffic = sched::compute_traffic(net, schedule);
-
-  // Aggregate traffic per (block, layer, phase).
-  std::map<std::pair<int, int>, LayerBytes> by_layer;
-  for (const sched::TrafficRecord& r : traffic.records) {
-    LayerBytes& lb = by_layer[{r.block, r.layer}];
-    const int p = r.phase == Phase::kForward ? 0 : 1;
-    lb.dram[p] += r.dram_read + r.dram_write;
-    lb.buf[p] += r.buf_read + r.buf_write;
-  }
+  const arch::LayerBytesTable by_layer = arch::layer_bytes(net, traffic);
 
   const double dram_bw = hw.unlimited_dram_bw
                              ? std::numeric_limits<double>::infinity()
@@ -96,11 +56,11 @@ StepResult simulate_step(const core::Network& net,
   for (std::size_t bi = 0; bi < net.blocks.size(); ++bi) {
     const sched::Group& grp = schedule.groups[static_cast<std::size_t>(
         schedule.group_of_block(static_cast<int>(bi)))];
-    const std::vector<int> chunks = grp.chunks(schedule.mini_batch);
+    const auto chunks = grp.chunk_classes(schedule.mini_batch);
 
     int li = 0;
     net.blocks[bi].for_each_layer([&](const Layer& l, int) {
-      const LayerBytes lb = by_layer[{static_cast<int>(bi), li}];
+      const arch::LayerBytes& lb = by_layer[bi][static_cast<std::size_t>(li)];
       ++li;
 
       double compute_fwd = 0;
@@ -108,31 +68,32 @@ StepResult simulate_step(const core::Network& net,
       if (l.is_gemm()) {
         const bool skip_dgrad = first_gemm;
         first_gemm = false;
-        for (int c : chunks) {
+        auto accumulate = [&](const arch::GemmTiming& t, double* compute) {
+          gemm_cycles += static_cast<double>(t.cycles);
+          gemm_macs += static_cast<double>(t.macs);
+          gemm_buf_bytes +=
+              static_cast<double>(t.buf_read_bytes + t.buf_write_bytes);
+          *compute += t.seconds(systolic);
+        };
+        // Equal chunks run identical GEMMs: simulate each chunk size once,
+        // then accumulate chunk by chunk so every double sums in the same
+        // order as a per-chunk simulation would.
+        for (const sched::Group::ChunkClass& chunk : chunks) {
+          if (chunk.count == 0) continue;
+          const int c = chunk.size;
           const arch::GemmTiming fwd = arch::simulate_gemm(
               systolic, arch::gemm_shape(l, c, arch::GemmPass::kForward));
-          gemm_cycles += static_cast<double>(fwd.cycles);
-          gemm_macs += static_cast<double>(fwd.macs);
-          gemm_buf_bytes += static_cast<double>(fwd.buf_read_bytes +
-                                                fwd.buf_write_bytes);
-          compute_fwd += fwd.seconds(systolic);
-
           const arch::GemmTiming wgrad = arch::simulate_gemm(
               systolic, arch::gemm_shape(l, c, arch::GemmPass::kWeightGrad));
-          gemm_cycles += static_cast<double>(wgrad.cycles);
-          gemm_macs += static_cast<double>(wgrad.macs);
-          gemm_buf_bytes += static_cast<double>(wgrad.buf_read_bytes +
-                                                wgrad.buf_write_bytes);
-          compute_bwd += wgrad.seconds(systolic);
-
-          if (!skip_dgrad) {
-            const arch::GemmTiming dgrad = arch::simulate_gemm(
-                systolic, arch::gemm_shape(l, c, arch::GemmPass::kDataGrad));
-            gemm_cycles += static_cast<double>(dgrad.cycles);
-            gemm_macs += static_cast<double>(dgrad.macs);
-            gemm_buf_bytes += static_cast<double>(dgrad.buf_read_bytes +
-                                                  dgrad.buf_write_bytes);
-            compute_bwd += dgrad.seconds(systolic);
+          const arch::GemmTiming dgrad =
+              skip_dgrad ? arch::GemmTiming{}
+                         : arch::simulate_gemm(
+                               systolic, arch::gemm_shape(
+                                             l, c, arch::GemmPass::kDataGrad));
+          for (int i = 0; i < chunk.count; ++i) {
+            accumulate(fwd, &compute_fwd);
+            accumulate(wgrad, &compute_bwd);
+            if (!skip_dgrad) accumulate(dgrad, &compute_bwd);
           }
         }
       } else if (l.is_attention()) {

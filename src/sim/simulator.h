@@ -62,9 +62,12 @@ struct StepResult {
   arch::EnergyBreakdown energy;
 };
 
-/// Simulates one training step of `net` under `schedule` on `hw`.
+/// Simulates one training step of `net` under `schedule` on `hw`, charging
+/// the schedule's `traffic` (sched::compute_traffic(net, schedule)) per
+/// (layer, phase).
 StepResult simulate_step(const core::Network& net,
                          const sched::Schedule& schedule,
+                         const sched::Traffic& traffic,
                          const WaveCoreConfig& hw);
 
 }  // namespace mbs::sim

@@ -60,6 +60,11 @@ TEST(Group, ChunksGreedyFill) {
     sum += chunks[i];
   }
   EXPECT_EQ(sum, 32);
+  const auto classes = g.chunk_classes(32);  // ten 3s, then one 2
+  EXPECT_EQ(classes[0].count, 10);
+  EXPECT_EQ(classes[0].size, 3);
+  EXPECT_EQ(classes[1].count, 1);
+  EXPECT_EQ(classes[1].size, 2);
 }
 
 TEST(Group, ChunksExactDivision) {
@@ -69,6 +74,10 @@ TEST(Group, ChunksExactDivision) {
   const auto chunks = g.chunks(32);
   ASSERT_EQ(chunks.size(), 4u);
   for (int c : chunks) EXPECT_EQ(c, 8);
+  const auto classes = g.chunk_classes(32);  // no remainder chunk
+  EXPECT_EQ(classes[0].count, 4);
+  EXPECT_EQ(classes[0].size, 8);
+  EXPECT_EQ(classes[1].count, 0);
 }
 
 // ---- Parameterized invariants over every (network, config) pair ------------

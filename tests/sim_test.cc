@@ -12,9 +12,16 @@ namespace {
 using core::Network;
 using sched::ExecConfig;
 
+/// simulate_step charged with the schedule's own traffic.
+StepResult simulate(const Network& net, const sched::Schedule& schedule,
+                    const WaveCoreConfig& hw) {
+  return simulate_step(net, schedule, sched::compute_traffic(net, schedule),
+                       hw);
+}
+
 StepResult run(const Network& net, ExecConfig cfg,
                const WaveCoreConfig& hw = WaveCoreConfig{}) {
-  return simulate_step(net, sched::build_schedule(net, cfg), hw);
+  return simulate(net, sched::build_schedule(net, cfg), hw);
 }
 
 class SimPerNetwork : public ::testing::TestWithParam<std::string> {
@@ -114,7 +121,7 @@ TEST(MemorySensitivity, Mbs2RobustToLowBandwidth) {
   auto time_with = [&](ExecConfig cfg, const arch::MemoryConfig& mem) {
     WaveCoreConfig hw;
     hw.memory = mem;
-    return simulate_step(net, sched::build_schedule(net, cfg, p), hw).time_s;
+    return simulate(net, sched::build_schedule(net, cfg, p), hw).time_s;
   };
   const double base_drop = time_with(ExecConfig::kBaseline, arch::lpddr4()) /
                            time_with(ExecConfig::kBaseline, arch::hbm2_x2());
@@ -133,8 +140,8 @@ TEST(MemorySensitivity, BufferSizeMattersLittleForMbs) {
     p.buffer_bytes = static_cast<std::int64_t>(mib * 1024 * 1024);
     WaveCoreConfig hw;
     hw.global_buffer_bytes = p.buffer_bytes;
-    return simulate_step(net, sched::build_schedule(net, ExecConfig::kMbs2, p),
-                         hw).time_s;
+    return simulate(net, sched::build_schedule(net, ExecConfig::kMbs2, p), hw)
+        .time_s;
   };
   EXPECT_LT(time_at(5.0) / time_at(40.0), 1.30);
 }

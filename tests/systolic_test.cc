@@ -3,8 +3,14 @@
 // double-buffer / bandwidth edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <set>
+#include <string>
+#include <tuple>
 
+#include "arch/layer_costs.h"
 #include "arch/memory.h"
 #include "arch/systolic.h"
 #include "core/block.h"
@@ -113,6 +119,194 @@ TEST(GemmCycles, EdgeFoldsAreExact) {
 }
 
 // ---------------------------------------------------------------------------
+// Closed form vs fold walk: the library sums per fold class; these oracles
+// walk every fold (every tile for the wave model) one at a time.
+// ---------------------------------------------------------------------------
+
+GemmCycles oracle_gemm_cycles(const SystolicConfig& cfg, Dataflow df,
+                              const GemmShape& shape) {
+  const std::int64_t R = cfg.rows;
+  const std::int64_t C = cfg.cols;
+  constexpr std::int64_t kElemBytes = 2;
+  GemmCycles g;
+  auto add_fold = [&](std::int64_t cycles, std::int64_t mapped,
+                      std::int64_t macs, std::int64_t fold_bytes) {
+    g.comp_cycles += cycles;
+    g.mapped_pe_folds += mapped;
+    g.macs += macs;
+    g.folds += 1;
+    g.max_fold_bytes = std::max(g.max_fold_bytes, fold_bytes);
+  };
+
+  if (df == Dataflow::kOutputStationary) {
+    for (std::int64_t h0 = 0; h0 < shape.gh; h0 += R) {
+      const std::int64_t m_t = std::min(R, shape.gh - h0);
+      for (std::int64_t w0 = 0; w0 < shape.gw; w0 += C) {
+        const std::int64_t n_t = std::min(C, shape.gw - w0);
+        const std::int64_t cycles = shape.k + m_t + n_t - 2;
+        const std::int64_t fold_elems =
+            m_t * shape.k + shape.k * n_t + m_t * n_t;
+        add_fold(cycles, m_t * n_t, m_t * n_t * shape.k,
+                 kElemBytes * fold_elems);
+        g.bytes.a += kElemBytes * m_t * shape.k;
+        g.bytes.b += kElemBytes * shape.k * n_t;
+        g.bytes.c += kElemBytes * m_t * n_t;
+      }
+    }
+    return g;
+  }
+
+  for (std::int64_t k0 = 0; k0 < shape.k; k0 += R) {
+    const std::int64_t k_t = std::min(R, shape.k - k0);
+    const std::int64_t psum_rw = k0 == 0 ? 1 : 2;
+    if (df == Dataflow::kWeightStationary) {
+      for (std::int64_t w0 = 0; w0 < shape.gw; w0 += C) {
+        const std::int64_t n_t = std::min(C, shape.gw - w0);
+        const std::int64_t cycles = k_t + shape.gh + k_t + n_t - 2;
+        const std::int64_t fold_elems =
+            k_t * n_t + shape.gh * k_t + shape.gh * n_t;
+        add_fold(cycles, k_t * n_t, k_t * n_t * shape.gh,
+                 kElemBytes * fold_elems);
+        g.bytes.a += kElemBytes * shape.gh * k_t;
+        g.bytes.b += kElemBytes * k_t * n_t;
+        g.bytes.c += kElemBytes * psum_rw * shape.gh * n_t;
+      }
+    } else {
+      for (std::int64_t h0 = 0; h0 < shape.gh; h0 += C) {
+        const std::int64_t m_t = std::min(C, shape.gh - h0);
+        const std::int64_t cycles = k_t + shape.gw + k_t + m_t - 2;
+        const std::int64_t fold_elems =
+            k_t * m_t + shape.gw * k_t + m_t * shape.gw;
+        add_fold(cycles, k_t * m_t, k_t * m_t * shape.gw,
+                 kElemBytes * fold_elems);
+        g.bytes.a += kElemBytes * k_t * m_t;
+        g.bytes.b += kElemBytes * shape.gw * k_t;
+        g.bytes.c += kElemBytes * psum_rw * m_t * shape.gw;
+      }
+    }
+  }
+  return g;
+}
+
+GemmTiming oracle_gemm(const SystolicConfig& cfg, const GemmShape& shape) {
+  const std::int64_t m = cfg.tile_m();
+  const std::int64_t n = cfg.cols;
+  const std::int64_t k_rows = cfg.rows;
+  const std::int64_t tiles_h = (shape.gh + m - 1) / m;
+  const std::int64_t tiles_w = (shape.gw + n - 1) / n;
+  const std::int64_t waves = (shape.k + k_rows - 1) / k_rows;
+
+  GemmTiming t;
+  t.macs = shape.macs();
+  for (std::int64_t th = 0; th < tiles_h; ++th) {
+    const std::int64_t m_t = std::min(m, shape.gh - th * m);
+    for (std::int64_t tw = 0; tw < tiles_w; ++tw) {
+      const std::int64_t n_t = std::min(n, shape.gw - tw * n);
+      t.cycles += cfg.weight_double_buffering
+                      ? k_rows + waves * std::max(m_t, k_rows) + n_t
+                      : waves * (k_rows + m_t) + k_rows + n_t;
+    }
+  }
+  t.buf_read_bytes = 2 * (shape.gh * shape.k * tiles_w +
+                          shape.k * shape.gw * tiles_h);
+  t.buf_write_bytes = 2 * shape.gh * shape.gw;
+  t.utilization = static_cast<double>(t.macs) /
+                  (static_cast<double>(t.cycles) * cfg.rows * cfg.cols);
+  return t;
+}
+
+bool same(const GemmCycles& a, const GemmCycles& b) {
+  return a.comp_cycles == b.comp_cycles && a.macs == b.macs &&
+         a.folds == b.folds && a.mapped_pe_folds == b.mapped_pe_folds &&
+         a.bytes.a == b.bytes.a && a.bytes.b == b.bytes.b &&
+         a.bytes.c == b.bytes.c && a.max_fold_bytes == b.max_fold_bytes;
+}
+
+bool same(const GemmTiming& a, const GemmTiming& b) {
+  return a.cycles == b.cycles && a.macs == b.macs &&
+         a.utilization == b.utilization &&
+         a.buf_read_bytes == b.buf_read_bytes &&
+         a.buf_write_bytes == b.buf_write_bytes;
+}
+
+std::string describe(const SystolicConfig& cfg, const GemmShape& s) {
+  return std::to_string(cfg.rows) + "x" + std::to_string(cfg.cols) +
+         " db=" + std::to_string(cfg.weight_double_buffering) + " gemm " +
+         std::to_string(s.gh) + "x" + std::to_string(s.gw) + "x" +
+         std::to_string(s.k);
+}
+
+/// Checks every field of both closed forms against the fold walks, for
+/// every dataflow and both weight-buffering modes.
+void expect_matches_oracles(SystolicConfig cfg, const GemmShape& shape) {
+  for (Dataflow df : {Dataflow::kOutputStationary,
+                      Dataflow::kWeightStationary,
+                      Dataflow::kInputStationary})
+    EXPECT_TRUE(same(simulate_gemm_cycles(cfg, df, shape),
+                     oracle_gemm_cycles(cfg, df, shape)))
+        << describe(cfg, shape) << " " << to_string(df);
+  for (bool db : {true, false}) {
+    cfg.weight_double_buffering = db;
+    EXPECT_TRUE(same(simulate_gemm(cfg, shape), oracle_gemm(cfg, shape)))
+        << describe(cfg, shape);
+  }
+}
+
+/// Arrays whose wave-model tile height is small enough for the random
+/// shapes below to span several tiles: 4x4 (tile_m 4), 7x5 (odd tile_m 7),
+/// and the default 128x128 (tile_m 256).
+std::vector<SystolicConfig> oracle_arrays() {
+  SystolicConfig square = tiny_array();
+  square.acc_half_bytes = 4 * 4 * 4;
+  SystolicConfig odd = tiny_array();
+  odd.rows = 7;
+  odd.cols = 5;
+  odd.acc_half_bytes = 5 * 4 * 7;
+  return {square, odd, SystolicConfig{}};
+}
+
+TEST(GemmClosedForm, MatchesFoldWalkOnRandomShapes) {
+  std::mt19937_64 rng(20190401);
+  // Each dimension is drawn below a random limit, so shapes mix single
+  // folds, exact multiples of the tile and ragged edges on every array.
+  const std::int64_t limits[] = {9, 70, 700};
+  auto dim = [&] {
+    const std::int64_t limit = limits[rng() % 3];
+    return 1 + static_cast<std::int64_t>(rng() % limit);
+  };
+  const std::vector<SystolicConfig> arrays = oracle_arrays();
+  for (int i = 0; i < 3000; ++i) {
+    const GemmShape shape{dim(), dim(), dim()};
+    for (const SystolicConfig& cfg : arrays)
+      expect_matches_oracles(cfg, shape);
+  }
+}
+
+TEST(GemmClosedForm, MatchesFoldWalkOnEveryZooGemm) {
+  std::set<std::tuple<std::int64_t, std::int64_t, std::int64_t>> shapes;
+  for (const std::string& name : models::all_network_names()) {
+    const core::Network net = models::make_network(name);
+    for (const core::Block& b : net.blocks)
+      b.for_each_layer([&](const core::Layer& l, int) {
+        for (GemmPass pass : {GemmPass::kForward, GemmPass::kDataGrad,
+                              GemmPass::kWeightGrad}) {
+          if (l.is_gemm())
+            for (int sub_batch : {1, 2, 3, 7, 8, 31, 32, 64}) {
+              const GemmShape s = gemm_shape(l, sub_batch, pass);
+              shapes.insert({s.gh, s.gw, s.k});
+            }
+          else if (l.is_attention())
+            for (const GemmShape& s : attention_gemm_shapes(l, pass))
+              shapes.insert({s.gh, s.gw, s.k});
+        }
+      });
+  }
+  ASSERT_GT(shapes.size(), 1000u);
+  for (const auto& [gh, gw, k] : shapes)
+    expect_matches_oracles(SystolicConfig{}, {gh, gw, k});
+}
+
+// ---------------------------------------------------------------------------
 // Step-level invariants.
 // ---------------------------------------------------------------------------
 
@@ -198,7 +392,7 @@ TEST(SystolicStep, MacsMatchAnalyticBackend) {
   // exact same useful arithmetic, whatever the mapping.
   StepFixture f;
   const sim::StepResult analytic =
-      sim::simulate_step(f.net, f.schedule, sim::WaveCoreConfig{});
+      sim::simulate_step(f.net, f.schedule, f.traffic, sim::WaveCoreConfig{});
   for (Dataflow df : {Dataflow::kOutputStationary,
                       Dataflow::kWeightStationary,
                       Dataflow::kInputStationary}) {
@@ -233,7 +427,7 @@ TEST(SystolicStep, AttentionMatchesAnalyticBackendUnconstrained) {
           sched::build_schedule(net, sched::ExecConfig::kMbs2);
       const sched::Traffic traffic = sched::compute_traffic(net, schedule);
       const sim::StepResult analytic =
-          sim::simulate_step(net, schedule, sim::WaveCoreConfig{});
+          sim::simulate_step(net, schedule, traffic, sim::WaveCoreConfig{});
 
       for (Dataflow df : {Dataflow::kOutputStationary,
                           Dataflow::kWeightStationary,
@@ -363,6 +557,39 @@ TEST(SystolicStep, PinnedCycleCountsAtMbs2TenMiB) {
   }
   // The pins cover the partial last chunk of a group, not only full ones.
   EXPECT_TRUE(saw_remainder_chunk);
+}
+
+TEST(LayerBytes, SumsRecordsPerLayerAndPhaseAndDropsUnknownLayers) {
+  StepFixture f;
+  sched::Traffic traffic;
+  sched::TrafficRecord fwd;
+  fwd.block = 1;
+  fwd.layer = 0;
+  fwd.dram_read = 3;
+  fwd.dram_write = 4;
+  fwd.buf_read = 5;
+  sched::TrafficRecord bwd = fwd;
+  bwd.phase = sched::Phase::kBackward;
+  sched::TrafficRecord no_block = fwd;
+  no_block.block = static_cast<int>(f.net.blocks.size());
+  sched::TrafficRecord no_layer = fwd;
+  no_layer.layer = f.net.blocks[1].layer_count();
+  traffic.records = {fwd, fwd, bwd, no_block, no_layer};
+
+  const LayerBytesTable table = layer_bytes(f.net, traffic);
+  ASSERT_EQ(table.size(), f.net.blocks.size());
+  double total = 0;
+  for (std::size_t b = 0; b < table.size(); ++b) {
+    ASSERT_EQ(table[b].size(),
+              static_cast<std::size_t>(f.net.blocks[b].layer_count()));
+    for (const LayerBytes& lb : table[b])
+      total += lb.dram[0] + lb.dram[1] + lb.buf[0] + lb.buf[1];
+  }
+  EXPECT_EQ(table[1][0].dram[0], 14);
+  EXPECT_EQ(table[1][0].buf[0], 10);
+  EXPECT_EQ(table[1][0].dram[1], 7);
+  EXPECT_EQ(table[1][0].buf[1], 5);
+  EXPECT_EQ(total, 14 + 10 + 7 + 5);  // the two unknown layers add nothing
 }
 
 TEST(SystolicStep, ScratchpadGatesOverlapOnly) {
