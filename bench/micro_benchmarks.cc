@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "engine/engine.h"
 #include "models/zoo.h"
@@ -83,23 +84,38 @@ void BM_SimulateSystolicStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateSystolicStep);
 
-void BM_BuildScheduleGreedy(benchmark::State& state) {
-  const core::Network net = models::make_network("resnet50");
+// Grouping-search cases, one Arg each: resnet50 MBS2 at the default
+// 10 MiB buffer, and the two slowest greedy searches of the zoo at 10 MiB.
+struct ScheduleCase {
+  const char* network;
+  sched::ExecConfig config;
+};
+constexpr ScheduleCase kScheduleCases[] = {
+    {"resnet50", sched::ExecConfig::kMbs2},
+    {"resnet152", sched::ExecConfig::kMbs2},
+    {"inception_v4", sched::ExecConfig::kMbs1},
+};
+
+void run_build_schedule(benchmark::State& state, bool optimal_grouping) {
+  const ScheduleCase& c = kScheduleCases[state.range(0)];
+  const core::Network net = models::make_network(c.network);
+  sched::ScheduleParams p;
+  p.buffer_bytes = 10 * util::kMiB;
+  p.optimal_grouping = optimal_grouping;
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        sched::build_schedule(net, sched::ExecConfig::kMbs2));
+    benchmark::DoNotOptimize(sched::build_schedule(net, c.config, p));
+  state.SetLabel(std::string(c.network) + " " + sched::to_string(c.config));
 }
-BENCHMARK(BM_BuildScheduleGreedy);
+
+void BM_BuildScheduleGreedy(benchmark::State& state) {
+  run_build_schedule(state, false);
+}
+BENCHMARK(BM_BuildScheduleGreedy)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_BuildScheduleOptimalDp(benchmark::State& state) {
-  const core::Network net = models::make_network("resnet50");
-  sched::ScheduleParams p;
-  p.optimal_grouping = true;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        sched::build_schedule(net, sched::ExecConfig::kMbs2, p));
+  run_build_schedule(state, true);
 }
-BENCHMARK(BM_BuildScheduleOptimalDp);
+BENCHMARK(BM_BuildScheduleOptimalDp)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_BuildResNet50(benchmark::State& state) {
   for (auto _ : state)

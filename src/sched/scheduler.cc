@@ -51,18 +51,19 @@ std::vector<Group> initial_groups(const Schedule& s, int n_blocks) {
 
 /// Greedy merging: repeatedly apply the adjacent-group merge that reduces
 /// total modeled DRAM traffic the most, until no merge helps (Sec. 3).
-void greedy_merge(const core::Network& net, Schedule& s) {
+void greedy_merge(DramObjective& objective, Schedule& s) {
   refresh_groups(s);
-  double best = dram_traffic_bytes(net, s);
+  double best = objective(s);
+  Schedule cand = s;  // one candidate buffer, refilled for every merge tried
   while (s.groups.size() > 1) {
     int best_idx = -1;
     double best_traffic = best;
     for (std::size_t g = 0; g + 1 < s.groups.size(); ++g) {
-      Schedule cand = s;
+      cand.groups = s.groups;
       cand.groups[g].last = cand.groups[g + 1].last;
       cand.groups.erase(cand.groups.begin() + static_cast<std::ptrdiff_t>(g) + 1);
       refresh_groups(cand);
-      const double traffic = dram_traffic_bytes(net, cand);
+      const double traffic = objective(cand);
       if (traffic < best_traffic) {
         best_traffic = traffic;
         best_idx = static_cast<int>(g);
@@ -88,12 +89,12 @@ void greedy_merge(const core::Network& net, Schedule& s) {
 /// exactly the adjacent merges the contiguous greedy picks — the variant is
 /// the in-tree demonstration that the paper's contiguity restriction loses
 /// nothing.
-void greedy_merge_noncontig(const core::Network& net, Schedule& s) {
+void greedy_merge_noncontig(DramObjective& objective, Schedule& s) {
   // Every group carries members explicitly so downstream consumers can
   // rely on one representation for this variant.
   for (Group& g : s.groups) g.members = g.blocks();
   refresh_groups(s);
-  double best = dram_traffic_bytes(net, s);
+  double best = objective(s);
 
   auto merge_into = [](Schedule& sched, std::size_t a, std::size_t b) {
     Group& ga = sched.groups[a];
@@ -110,15 +111,16 @@ void greedy_merge_noncontig(const core::Network& net, Schedule& s) {
               [](const Group& x, const Group& y) { return x.first < y.first; });
   };
 
+  Schedule cand = s;  // one candidate buffer, refilled for every merge tried
   while (s.groups.size() > 1) {
     std::size_t best_a = 0, best_b = 0;
     double best_traffic = best;
     for (std::size_t a = 0; a < s.groups.size(); ++a)
       for (std::size_t b = a + 1; b < s.groups.size(); ++b) {
-        Schedule cand = s;
+        cand.groups = s.groups;
         merge_into(cand, a, b);
         refresh_groups(cand);
-        const double traffic = dram_traffic_bytes(net, cand);
+        const double traffic = objective(cand);
         if (traffic < best_traffic) {
           best_traffic = traffic;
           best_a = a;
@@ -132,14 +134,19 @@ void greedy_merge_noncontig(const core::Network& net, Schedule& s) {
   }
 }
 
-/// Optimal contiguous partition via dynamic programming (footnote 1).
-/// Evaluates candidate partitions with the full traffic model; to keep this
-/// polynomial it exploits that traffic is additive over groups given fixed
-/// block footprints: dp[j] = min_i dp[i] + cost(i, j) where cost is the
-/// traffic of a schedule containing group [i, j) with every other block in
-/// singleton groups, minus the singleton baseline (a constant shift that
-/// preserves the argmin).
-void dp_optimal(const core::Network& net, Schedule& s) {
+/// Optimal contiguous partition via dynamic programming (footnote 1):
+/// dp[j] = min_i dp[i] + cost(i, j), where cost is the traffic of a
+/// schedule containing group [i, j) with every other block in a singleton
+/// group, minus the singleton baseline (a constant shift that preserves the
+/// argmin). This is exact when traffic is additive over groups, i.e. when
+/// the DRAM bytes of a group's blocks do not depend on how the other blocks
+/// are grouped. That holds for the CNNs. It does not hold for pre-norm
+/// residual stacks (vit_*, transformer_base), where a block's Add routes
+/// its gradient through the next block's identity shortcut, so the
+/// gradient's location depends on the neighbours' grouping; there the DP is
+/// a heuristic. `sched_test` checks both facts.
+void dp_optimal(const core::Network& net, DramObjective& objective,
+                Schedule& s) {
   const int n = static_cast<int>(net.blocks.size());
 
   // Singleton baseline: every block its own group.
@@ -153,17 +160,17 @@ void dp_optimal(const core::Network& net, Schedule& s) {
   refresh_groups(singles);
 
   // cost(i, j): traffic with blocks [i, j] merged and all others singleton.
+  Schedule cand = singles;  // one candidate buffer, refilled per cost
   auto cost = [&](int i, int j) {
-    Schedule cand = singles;
-    std::vector<Group> groups;
-    for (int b = 0; b < i; ++b) groups.push_back(Group{b, b, 1, 1, {}});
-    groups.push_back(Group{i, j, 1, 1, {}});
-    for (int b = j + 1; b < n; ++b) groups.push_back(Group{b, b, 1, 1, {}});
-    cand.groups = std::move(groups);
+    cand.groups.clear();
+    for (int b = 0; b < i; ++b) cand.groups.push_back(Group{b, b, 1, 1, {}});
+    cand.groups.push_back(Group{i, j, 1, 1, {}});
+    for (int b = j + 1; b < n; ++b)
+      cand.groups.push_back(Group{b, b, 1, 1, {}});
     refresh_groups(cand);
-    return dram_traffic_bytes(net, cand);
+    return objective(cand);
   };
-  const double base = dram_traffic_bytes(net, singles);
+  const double base = objective(singles);
 
   std::vector<double> dp(static_cast<std::size_t>(n) + 1,
                          std::numeric_limits<double>::infinity());
@@ -231,12 +238,15 @@ Schedule build_schedule(const core::Network& net, ExecConfig config,
 
   s.groups = initial_groups(s, n);
   refresh_groups(s);
+  // Every search scores its candidates with one objective, which builds the
+  // network's dataflow graph once.
+  DramObjective objective(net);
   if (params.variant == GroupingVariant::kNonContiguous)
-    greedy_merge_noncontig(net, s);
+    greedy_merge_noncontig(objective, s);
   else if (params.optimal_grouping)
-    dp_optimal(net, s);
+    dp_optimal(net, objective, s);
   else
-    greedy_merge(net, s);
+    greedy_merge(objective, s);
   return s;
 }
 

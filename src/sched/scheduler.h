@@ -15,13 +15,17 @@ namespace mbs::sched {
 /// * MBS1 / MBS2: initial groups of equal minimum iteration count, then
 ///   greedy merging of adjacent groups while total modeled DRAM traffic
 ///   improves; MBS2 additionally provisions for inter-branch reuse (Eq. 1/2)
-///   when computing footprints.
+///   when computing footprints. Every search scores candidates with one
+///   `DramObjective`, built once per call.
 ///
 /// Two search-space knobs refine the MBS1/MBS2 grouping step:
 ///
 /// * `params.optimal_grouping` replaces greedy merging with an O(blocks^2)
 ///   dynamic program over contiguous partitions (the exhaustive-search
-///   reference of the paper's footnote 1).
+///   reference of the paper's footnote 1). The DP assumes traffic is
+///   additive over groups: it is exact for the CNNs and a heuristic for
+///   pre-norm residual stacks (vit_*, transformer_base), whose gradient
+///   routing makes a group's traffic depend on its neighbours' grouping.
 /// * `params.variant == GroupingVariant::kNonContiguous` lets the greedy
 ///   merger combine *any* two groups, not just adjacent ones; the resulting
 ///   groups carry explicit member lists (`Group::members`). It takes

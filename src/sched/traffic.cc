@@ -5,15 +5,11 @@
 
 namespace mbs::sched {
 
-namespace {
-
 using core::Block;
 using core::DataType;
 using core::Layer;
 using core::LayerKind;
 using core::Network;
-
-constexpr DataType kFeat = DataType::kF16;
 
 /// A layer with global (block, layer-within-block) indices and resolved
 /// input/output tensor ids.
@@ -37,12 +33,17 @@ struct TensorInfo {
   bool feeds_merge = false;    ///< consumed by a merge layer (Add/Concat)
 };
 
-/// Whole-network dataflow graph at tensor granularity.
+/// Whole-network dataflow graph at tensor granularity. It depends on the
+/// network only, so one graph serves every schedule of that network.
 struct Dataflow {
   std::vector<FlatLayer> layers;
   std::vector<TensorInfo> tensors;
   int first_gemm_flat = -1;  ///< first conv/fc: its data-gradient is skipped
 };
+
+namespace {
+
+constexpr DataType kFeat = DataType::kF16;
 
 Dataflow build_dataflow(const Network& net) {
   Dataflow df;
@@ -132,21 +133,88 @@ std::int64_t layer_ws(const Layer& l) {
          l.attention_score_bytes_per_sample(kFeat);
 }
 
+/// Builder sink for compute_traffic: keeps every record.
+struct RecordSink {
+  Traffic out;
+
+  void add(const FlatLayer& fl, Phase phase, TrafficClass cls, double dram_rd,
+           double dram_wr, double buf_rd, double buf_wr) {
+    TrafficRecord r;
+    r.block = fl.block;
+    r.layer = fl.layer;
+    r.kind = fl.l->kind;
+    r.is_gemm = fl.l->is_gemm();
+    r.phase = phase;
+    r.cls = cls;
+    r.dram_read = dram_rd;
+    r.dram_write = dram_wr;
+    // Every DRAM transfer also moves through the global buffer.
+    r.buf_read = buf_rd + dram_wr;
+    r.buf_write = buf_wr + dram_rd;
+    out.records.push_back(r);
+  }
+};
+
+/// Builder sink for the grouping objective: two running DRAM sums, each
+/// added in record order exactly as Traffic::dram_read_bytes() and
+/// dram_write_bytes() add them.
+struct DramSumSink {
+  double read = 0;
+  double write = 0;
+
+  void add(const FlatLayer&, Phase, TrafficClass, double dram_rd,
+           double dram_wr, double, double) {
+    read += dram_rd;
+    write += dram_wr;
+  }
+};
+
+/// Walks every tensor edge and layer of `df` under one schedule and hands
+/// each traffic contribution to `Sink::add`, in record order.
+template <class Sink>
 class TrafficBuilder {
  public:
-  TrafficBuilder(const Network& net, const Schedule& sched)
-      : net_(net), sched_(sched), df_(build_dataflow(net)),
-        n_(sched.mini_batch), masks_(uses_relu_masks(sched.config)) {}
+  /// `block_group` is scratch space: it is refilled with the owning group
+  /// of every block (-1 for none, as Schedule::group_of_block reports).
+  TrafficBuilder(const Network& net, const Dataflow& df, const Schedule& sched,
+                 std::vector<int>& block_group)
+      : net_(net), sched_(sched), df_(df), block_group_(block_group),
+        n_(sched.mini_batch), masks_(uses_relu_masks(sched.config)) {
+    const int n_blocks = static_cast<int>(net.blocks.size());
+    block_group_.assign(static_cast<std::size_t>(n_blocks), -1);
+    for (std::size_t g = 0; g < sched.groups.size(); ++g) {
+      auto claim = [&](int b) {
+        if (b < 0 || b >= n_blocks) return;
+        int& owner = block_group_[static_cast<std::size_t>(b)];
+        if (owner < 0) owner = static_cast<int>(g);  // first owner wins
+      };
+      const Group& grp = sched.groups[g];
+      if (grp.members.empty()) {
+        for (int b = grp.first; b <= grp.last; ++b) claim(b);
+      } else {
+        for (int b : grp.members) claim(b);
+      }
+    }
+  }
 
-  Traffic run() {
+  Sink run() {
     for (std::size_t ti = 0; ti < df_.tensors.size(); ++ti)
       emit_tensor(static_cast<int>(ti));
     for (std::size_t fi = 0; fi < df_.layers.size(); ++fi)
       emit_layer(static_cast<int>(fi));
-    return std::move(out_);
+    return std::move(sink_);
   }
 
  private:
+  int group_of_block(int block) const {
+    return block_group_[static_cast<std::size_t>(block)];
+  }
+
+  int iterations_of_block(int block) const {
+    const int g = group_of_block(block);
+    return g < 0 ? 1 : sched_.groups[static_cast<std::size_t>(g)].iterations;
+  }
+
   /// Does the edge tensor->consumer move through DRAM?
   bool edge_via_dram(int tensor, int consumer_flat) const {
     const TensorInfo& t = df_.tensors[static_cast<std::size_t>(tensor)];
@@ -195,8 +263,7 @@ class TrafficBuilder {
     }
 
     // Serialized configs: group boundaries always spill.
-    if (sched_.group_of_block(t.producer_block) !=
-        sched_.group_of_block(c.block))
+    if (group_of_block(t.producer_block) != group_of_block(c.block))
       return true;
     if (uses_inter_branch_reuse(cfg)) return false;
     // MBS1 / MBS-FS: no cross-branch provisioning. A block input is only
@@ -217,20 +284,8 @@ class TrafficBuilder {
 
   void add(int flat, Phase phase, TrafficClass cls, double dram_rd,
            double dram_wr, double buf_rd, double buf_wr) {
-    const FlatLayer& fl = df_.layers[static_cast<std::size_t>(flat)];
-    TrafficRecord r;
-    r.block = fl.block;
-    r.layer = fl.layer;
-    r.kind = fl.l->kind;
-    r.is_gemm = fl.l->is_gemm();
-    r.phase = phase;
-    r.cls = cls;
-    r.dram_read = dram_rd;
-    r.dram_write = dram_wr;
-    // Every DRAM transfer also moves through the global buffer.
-    r.buf_read = buf_rd + dram_wr;
-    r.buf_write = buf_wr + dram_rd;
-    out_.records.push_back(r);
+    sink_.add(df_.layers[static_cast<std::size_t>(flat)], phase, cls, dram_rd,
+              dram_wr, buf_rd, buf_wr);
   }
 
   /// Emits forward feature movement, stash writes, gradient movement and
@@ -383,7 +438,7 @@ class TrafficBuilder {
     add(fi, Phase::kForward, TrafficClass::kStash, 0, p, 0, 0);
     add(fi, Phase::kBackward, TrafficClass::kStash, p, 0, 0, 0);
 
-    const int g = sched_.group_of_block(fl.block);
+    const int g = group_of_block(fl.block);
     const std::int64_t sub = sched_.groups[static_cast<std::size_t>(g)].sub_batch;
     if (sub * score_ps <= sched_.buffer_bytes) {
       // Scores/P shuttle through the buffer: GEMM1 writes scores, the
@@ -411,7 +466,7 @@ class TrafficBuilder {
     }
     const double w = static_cast<double>(l.param_bytes(kFeat));
     if (w == 0) return;
-    const int it = sched_.iterations_of_block(fl.block);
+    const int it = iterations_of_block(fl.block);
 
     if (l.kind == LayerKind::kNorm) {
       // GN scale/shift parameters are small enough to stay on chip for the
@@ -435,10 +490,11 @@ class TrafficBuilder {
 
   const Network& net_;
   const Schedule& sched_;
-  Dataflow df_;
+  const Dataflow& df_;
+  std::vector<int>& block_group_;
   int n_;
   bool masks_;
-  Traffic out_;
+  Sink sink_;
 };
 
 }  // namespace
@@ -497,11 +553,24 @@ double Traffic::dram_bytes_for_block(int block) const {
 }
 
 Traffic compute_traffic(const core::Network& net, const Schedule& schedule) {
-  return TrafficBuilder(net, schedule).run();
+  const Dataflow df = build_dataflow(net);
+  std::vector<int> block_group;
+  return TrafficBuilder<RecordSink>(net, df, schedule, block_group).run().out;
+}
+
+DramObjective::DramObjective(const core::Network& net)
+    : net_(net), df_(std::make_unique<const Dataflow>(build_dataflow(net))) {}
+
+DramObjective::~DramObjective() = default;
+
+double DramObjective::operator()(const Schedule& schedule) {
+  const DramSumSink sums =
+      TrafficBuilder<DramSumSink>(net_, *df_, schedule, block_group_).run();
+  return sums.read + sums.write;
 }
 
 double dram_traffic_bytes(const core::Network& net, const Schedule& schedule) {
-  return compute_traffic(net, schedule).dram_bytes();
+  return DramObjective(net)(schedule);
 }
 
 }  // namespace mbs::sched

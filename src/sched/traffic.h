@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/network.h"
@@ -63,7 +64,40 @@ struct Traffic {
 /// are per core (the paper reports per-chip numbers as 2x this).
 Traffic compute_traffic(const core::Network& net, const Schedule& schedule);
 
-/// Convenience: total DRAM bytes per step (used as the greedy/DP objective).
+/// Tensor-level dataflow graph of a network (defined in traffic.cc).
+struct Dataflow;
+
+/// The layer-grouping search's objective: total DRAM bytes per step of a
+/// schedule, i.e. compute_traffic(net, s).dram_bytes(), without the records.
+///
+/// compute_traffic and this objective run one builder over the same edge
+/// rules; only the sink differs. compute_traffic's sink appends a record per
+/// contribution; this one adds each contribution's DRAM read and write bytes
+/// to two running sums. Both sums see the contributions in record order, as
+/// Traffic::dram_read_bytes() and dram_write_bytes() add them, and the two
+/// totals are then added as in Traffic::dram_bytes(), so the result is
+/// bit-identical by construction. The network's dataflow graph is built
+/// once, in the constructor, and reused for every schedule evaluated;
+/// `net` must outlive the objective. Not thread-safe: the block-to-group
+/// table is scratch space shared by successive calls.
+class DramObjective {
+ public:
+  explicit DramObjective(const core::Network& net);
+  ~DramObjective();
+  DramObjective(const DramObjective&) = delete;
+  DramObjective& operator=(const DramObjective&) = delete;
+
+  /// Total DRAM bytes per step of `schedule` over the network.
+  double operator()(const Schedule& schedule);
+
+ private:
+  const core::Network& net_;
+  std::unique_ptr<const Dataflow> df_;
+  std::vector<int> block_group_;
+};
+
+/// Total DRAM bytes per step: a one-shot DramObjective. Equals
+/// compute_traffic(net, schedule).dram_bytes() bit for bit.
 double dram_traffic_bytes(const core::Network& net, const Schedule& schedule);
 
 }  // namespace mbs::sched

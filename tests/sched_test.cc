@@ -3,7 +3,14 @@
 // orderings the paper's evaluation rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <limits>
+#include <random>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "models/zoo.h"
 #include "sched/config.h"
@@ -427,6 +434,240 @@ TEST(Grouping, MiniBatchOverrideRespected) {
   EXPECT_EQ(s.validate(net), "");
 }
 
+// ---- Search oracles ----------------------------------------------------------
+
+// The three grouping searches as first written: every candidate is a fresh
+// Schedule copy scored with compute_traffic(...).dram_bytes(). build_schedule
+// scores candidates with DramObjective and reuses one candidate buffer; it
+// must pick exactly the schedules these oracles pick.
+
+double full_model_traffic(const Network& net, const Schedule& s) {
+  return compute_traffic(net, s).dram_bytes();
+}
+
+void oracle_refresh_groups(Schedule& s) {
+  for (Group& g : s.groups) {
+    int sub = s.mini_batch;
+    for (int b : g.blocks())
+      sub = std::min(sub, s.block_max_sub[static_cast<std::size_t>(b)]);
+    g.sub_batch = sub;
+    g.iterations = iterations_for(s.mini_batch, sub);
+  }
+}
+
+/// build_schedule's MBS1/MBS2 starting point: footprints, per-block
+/// sub-batch limits and the initial equal-iteration groups.
+Schedule oracle_initial_schedule(const Network& net, ExecConfig cfg,
+                                 const ScheduleParams& p) {
+  Schedule s;
+  s.config = cfg;
+  s.mini_batch = p.mini_batch > 0 ? p.mini_batch : net.mini_batch_per_core;
+  s.buffer_bytes = p.buffer_bytes;
+  s.block_footprint = block_footprints(net, cfg, p.feature_type);
+  for (std::int64_t fp : s.block_footprint)
+    s.block_max_sub.push_back(max_sub_batch(fp, s.buffer_bytes, s.mini_batch));
+  const int n = static_cast<int>(net.blocks.size());
+  auto iters = [&](int b) {
+    return iterations_for(s.mini_batch,
+                          s.block_max_sub[static_cast<std::size_t>(b)]);
+  };
+  int start = 0;
+  for (int b = 1; b <= n; ++b) {
+    if (b == n || iters(b) != iters(start)) {
+      s.groups.push_back(Group{start, b - 1, 1, 1, {}});
+      start = b;
+    }
+  }
+  oracle_refresh_groups(s);
+  return s;
+}
+
+Schedule oracle_greedy(const Network& net, Schedule s) {
+  double best = full_model_traffic(net, s);
+  while (s.groups.size() > 1) {
+    int best_idx = -1;
+    double best_traffic = best;
+    for (std::size_t g = 0; g + 1 < s.groups.size(); ++g) {
+      Schedule cand = s;
+      cand.groups[g].last = cand.groups[g + 1].last;
+      cand.groups.erase(cand.groups.begin() + static_cast<std::ptrdiff_t>(g) + 1);
+      oracle_refresh_groups(cand);
+      const double traffic = full_model_traffic(net, cand);
+      if (traffic < best_traffic) {
+        best_traffic = traffic;
+        best_idx = static_cast<int>(g);
+      }
+    }
+    if (best_idx < 0) break;
+    s.groups[static_cast<std::size_t>(best_idx)].last =
+        s.groups[static_cast<std::size_t>(best_idx) + 1].last;
+    s.groups.erase(s.groups.begin() + best_idx + 1);
+    oracle_refresh_groups(s);
+    best = best_traffic;
+  }
+  return s;
+}
+
+Schedule oracle_noncontig(const Network& net, Schedule s) {
+  for (Group& g : s.groups) g.members = g.blocks();
+  double best = full_model_traffic(net, s);
+  auto merge_into = [](Schedule& sched, std::size_t a, std::size_t b) {
+    Group& ga = sched.groups[a];
+    Group& gb = sched.groups[b];
+    std::vector<int> merged;
+    std::merge(ga.members.begin(), ga.members.end(), gb.members.begin(),
+               gb.members.end(), std::back_inserter(merged));
+    ga.members = std::move(merged);
+    ga.first = ga.members.front();
+    ga.last = ga.members.back();
+    sched.groups.erase(sched.groups.begin() + static_cast<std::ptrdiff_t>(b));
+    std::sort(sched.groups.begin(), sched.groups.end(),
+              [](const Group& x, const Group& y) { return x.first < y.first; });
+    oracle_refresh_groups(sched);
+  };
+  while (s.groups.size() > 1) {
+    std::size_t best_a = 0, best_b = 0;
+    double best_traffic = best;
+    for (std::size_t a = 0; a < s.groups.size(); ++a)
+      for (std::size_t b = a + 1; b < s.groups.size(); ++b) {
+        Schedule cand = s;
+        merge_into(cand, a, b);
+        const double traffic = full_model_traffic(net, cand);
+        if (traffic < best_traffic) {
+          best_traffic = traffic;
+          best_a = a;
+          best_b = b;
+        }
+      }
+    if (best_a == best_b) break;
+    merge_into(s, best_a, best_b);
+    best = best_traffic;
+  }
+  return s;
+}
+
+/// Schedule `base` regrouped as `groups` (sub-batches and iterations
+/// recomputed from the per-block limits).
+Schedule regrouped(Schedule base, std::vector<Group> groups) {
+  base.groups = std::move(groups);
+  oracle_refresh_groups(base);
+  return base;
+}
+
+/// Groups [i, j] merged, every other block of `n` a singleton.
+std::vector<Group> merged_among_singletons(int n, int i, int j) {
+  std::vector<Group> groups;
+  for (int b = 0; b < i; ++b) groups.push_back(Group{b, b, 1, 1, {}});
+  groups.push_back(Group{i, j, 1, 1, {}});
+  for (int b = j + 1; b < n; ++b) groups.push_back(Group{b, b, 1, 1, {}});
+  return groups;
+}
+
+Schedule oracle_dp(const Network& net, const Schedule& s) {
+  const int n = static_cast<int>(net.blocks.size());
+  const double base =
+      full_model_traffic(net, regrouped(s, merged_among_singletons(n, 0, 0)));
+  std::vector<double> dp(static_cast<std::size_t>(n) + 1,
+                         std::numeric_limits<double>::infinity());
+  std::vector<int> cut(static_cast<std::size_t>(n) + 1, 0);
+  dp[0] = 0;
+  for (int j = 1; j <= n; ++j)
+    for (int i = 0; i < j; ++i) {
+      const double cost = full_model_traffic(
+          net, regrouped(s, merged_among_singletons(n, i, j - 1)));
+      const double c = dp[static_cast<std::size_t>(i)] + (cost - base);
+      if (c < dp[static_cast<std::size_t>(j)]) {
+        dp[static_cast<std::size_t>(j)] = c;
+        cut[static_cast<std::size_t>(j)] = i;
+      }
+    }
+  std::vector<Group> groups;
+  for (int j = n; j > 0; j = cut[static_cast<std::size_t>(j)])
+    groups.push_back(Group{cut[static_cast<std::size_t>(j)], j - 1, 1, 1, {}});
+  std::reverse(groups.begin(), groups.end());
+  return regrouped(s, std::move(groups));
+}
+
+/// One cell of the oracle grid.
+struct SearchCase {
+  std::string net;
+  ExecConfig cfg;
+  ScheduleParams params;
+};
+
+/// Every zoo network x {MBS1, MBS2} x buffers {2, 5, 10, 40} MiB x
+/// mini-batches {default, 8, 17, 64}.
+std::vector<SearchCase> search_grid() {
+  std::vector<SearchCase> cases;
+  for (const auto& name : models::all_network_names())
+    for (ExecConfig cfg : {ExecConfig::kMbs1, ExecConfig::kMbs2})
+      for (std::int64_t mib : {2, 5, 10, 40})
+        for (int mini_batch : {0, 8, 17, 64}) {
+          ScheduleParams p;
+          p.buffer_bytes = mib * 1024 * 1024;
+          p.mini_batch = mini_batch;
+          cases.push_back({name, cfg, p});
+        }
+  return cases;
+}
+
+/// `per_network` seeded random cells of search_grid() per network. The
+/// non-contiguous greedy (O(groups^3) candidates per schedule) and the DP
+/// (O(blocks^2)) need too many full-model evaluations for their oracles to
+/// cover the whole grid in a unit test.
+std::vector<SearchCase> sampled_search_grid(int per_network) {
+  const std::vector<SearchCase> grid = search_grid();
+  const auto cells = static_cast<std::ptrdiff_t>(
+      grid.size() / models::all_network_names().size());
+  std::mt19937 rng(14);
+  std::vector<SearchCase> sample;
+  for (auto first = grid.begin(); first != grid.end(); first += cells)
+    std::sample(first, first + cells, std::back_inserter(sample), per_network,
+                rng);
+  return sample;
+}
+
+constexpr int kNonContiguousSample = 2;
+constexpr int kDpSample = 1;
+
+std::string describe(const SearchCase& c) {
+  return c.net + " " + to_string(c.cfg) + " " +
+         std::to_string(c.params.buffer_bytes >> 20) + " MiB, mini-batch " +
+         std::to_string(c.params.mini_batch);
+}
+
+TEST(SearchOracles, GreedyMatchesFullModelOracle) {
+  for (const SearchCase& c : search_grid()) {
+    SCOPED_TRACE(describe(c));
+    const Network net = models::make_network(c.net);
+    expect_bitwise_equal(
+        build_schedule(net, c.cfg, c.params),
+        oracle_greedy(net, oracle_initial_schedule(net, c.cfg, c.params)));
+  }
+}
+
+TEST(SearchOracles, NonContiguousMatchesFullModelOracle) {
+  for (SearchCase c : sampled_search_grid(kNonContiguousSample)) {
+    SCOPED_TRACE(describe(c));
+    c.params.variant = GroupingVariant::kNonContiguous;
+    const Network net = models::make_network(c.net);
+    expect_bitwise_equal(
+        build_schedule(net, c.cfg, c.params),
+        oracle_noncontig(net, oracle_initial_schedule(net, c.cfg, c.params)));
+  }
+}
+
+TEST(SearchOracles, DpMatchesFullModelOracle) {
+  for (SearchCase c : sampled_search_grid(kDpSample)) {
+    SCOPED_TRACE(describe(c));
+    c.params.optimal_grouping = true;
+    const Network net = models::make_network(c.net);
+    expect_bitwise_equal(
+        build_schedule(net, c.cfg, c.params),
+        oracle_dp(net, oracle_initial_schedule(net, c.cfg, c.params)));
+  }
+}
+
 // ---- Footprint policies ------------------------------------------------------
 
 TEST(Footprints, InterBranchAtLeastPerBranch) {
@@ -519,6 +760,150 @@ TEST(TrafficClasses, PerBlockAttributionSumsToTotal) {
   for (int b = 0; b < static_cast<int>(net.blocks.size()); ++b)
     sum += t.dram_bytes_for_block(b);
   EXPECT_NEAR(sum, t.dram_bytes(), t.dram_bytes() * 1e-9);
+}
+
+// ---- Grouping objective -------------------------------------------------------
+
+/// A random contiguous partition of `n` blocks.
+std::vector<Group> random_contiguous(int n, std::mt19937& rng) {
+  std::bernoulli_distribution cut(std::uniform_real_distribution<>(0.05, 0.6)(rng));
+  std::vector<Group> groups;
+  int start = 0;
+  for (int b = 1; b <= n; ++b)
+    if (b == n || cut(rng)) {
+      groups.push_back(Group{start, b - 1, 1, 1, {}});
+      start = b;
+    }
+  return groups;
+}
+
+/// A random partition of `n` blocks into up to six groups with explicit
+/// member lists, ordered by first block (the kNonContiguous shape).
+std::vector<Group> random_noncontiguous(int n, std::mt19937& rng) {
+  const int k = std::uniform_int_distribution<>(1, std::min(n, 6))(rng);
+  std::vector<Group> groups(static_cast<std::size_t>(k));
+  for (int b = 0; b < n; ++b)
+    groups[static_cast<std::size_t>(
+               std::uniform_int_distribution<>(0, k - 1)(rng))]
+        .members.push_back(b);
+  groups.erase(std::remove_if(groups.begin(), groups.end(),
+                              [](const Group& g) { return g.members.empty(); }),
+               groups.end());
+  for (Group& g : groups) {
+    g.first = g.members.front();
+    g.last = g.members.back();
+  }
+  std::sort(groups.begin(), groups.end(),
+            [](const Group& x, const Group& y) { return x.first < y.first; });
+  return groups;
+}
+
+/// Random scheduler inputs from the oracle grid's buffers and mini-batches.
+ScheduleParams random_params(std::mt19937& rng) {
+  const std::int64_t mib[] = {2, 5, 10, 40};
+  const int mini_batch[] = {0, 8, 17, 64};
+  std::uniform_int_distribution<> pick(0, 3);
+  ScheduleParams p;
+  p.buffer_bytes = mib[pick(rng)] * 1024 * 1024;
+  p.mini_batch = mini_batch[pick(rng)];
+  return p;
+}
+
+TEST(GroupingObjective, EqualsFullModelOnRandomPartitions) {
+  std::mt19937 rng(1);
+  for (const auto& name : models::all_network_names()) {
+    const Network net = models::make_network(name);
+    const int n = static_cast<int>(net.blocks.size());
+    DramObjective objective(net);  // one objective across all schedules
+    for (ExecConfig cfg : kAllConfigs)
+      for (int trial = 0; trial < 4; ++trial) {
+        const Schedule base = build_schedule(net, cfg, random_params(rng));
+        for (const Schedule& s :
+             {regrouped(base, random_contiguous(n, rng)),
+              regrouped(base, random_noncontiguous(n, rng))}) {
+          const double full = compute_traffic(net, s).dram_bytes();
+          EXPECT_EQ(objective(s), full) << name << " " << to_string(cfg);
+          EXPECT_EQ(dram_traffic_bytes(net, s), full) << name;
+        }
+      }
+  }
+}
+
+TEST(GroupingObjective, DramBytesAreExactIntegers) {
+  // Integer-valued byte counts below 2^53 add exactly in any order, so the
+  // objective's comparisons between candidates never round.
+  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+  for (const auto& name : models::all_network_names()) {
+    const Network net = models::make_network(name);
+    for (ExecConfig cfg : kAllConfigs)
+      for (std::int64_t mib : {2, 40})
+        for (int mini_batch : {0, 64}) {
+          ScheduleParams p;
+          p.buffer_bytes = mib * 1024 * 1024;
+          p.mini_batch = mini_batch;
+          const Traffic t = compute_traffic(net, build_schedule(net, cfg, p));
+          int inexact = 0;
+          for (const TrafficRecord& r : t.records)
+            for (double bytes : {r.dram_read, r.dram_write})
+              inexact += bytes < 0 || bytes != std::floor(bytes);
+          EXPECT_EQ(inexact, 0) << name << " " << to_string(cfg);
+          EXPECT_LT(t.dram_read_bytes(), kExactLimit) << name;
+          EXPECT_LT(t.dram_write_bytes(), kExactLimit) << name;
+          EXPECT_LT(t.dram_bytes(), kExactLimit) << name;
+        }
+  }
+}
+
+/// DRAM bytes attributed to the blocks of `g`.
+double group_dram_bytes(const Traffic& t, const Group& g) {
+  double total = 0;
+  for (int b : g.blocks()) total += t.dram_bytes_for_block(b);
+  return total;
+}
+
+TEST(DpAdditivity, HoldsForEveryGroupOfTheCnns) {
+  // The DP is exact only if a group's blocks move the same DRAM bytes
+  // whatever the other blocks' grouping; it scores each group with every
+  // other block a singleton.
+  std::mt19937 rng(2);
+  for (const auto& name : models::evaluated_network_names()) {
+    const Network net = models::make_network(name);
+    const int n = static_cast<int>(net.blocks.size());
+    for (ExecConfig cfg : {ExecConfig::kMbs1, ExecConfig::kMbs2})
+      for (int trial = 0; trial < 3; ++trial) {
+        const Schedule base = build_schedule(net, cfg, random_params(rng));
+        const Schedule s = regrouped(base, random_contiguous(n, rng));
+        const Traffic t = compute_traffic(net, s);
+        for (const Group& g : s.groups) {
+          const Traffic alone = compute_traffic(
+              net, regrouped(base, merged_among_singletons(n, g.first, g.last)));
+          EXPECT_EQ(group_dram_bytes(t, g), group_dram_bytes(alone, g))
+              << name << " " << to_string(cfg) << " group [" << g.first
+              << "," << g.last << "]";
+        }
+      }
+  }
+}
+
+TEST(DpAdditivity, FailsForPreNormResidualStacks) {
+  // Block 10's Add routes its gradient through block 11's identity
+  // shortcut, so where that gradient lives depends on whether blocks 11
+  // and 12 share a group: the DP is a heuristic for these stacks.
+  const Network net = models::make_network("transformer_base");
+  const int n = static_cast<int>(net.blocks.size());
+  ScheduleParams p;
+  p.buffer_bytes = 5ll * 1024 * 1024;
+  const Schedule greedy = build_schedule(net, ExecConfig::kMbs2, p);
+  const Group g{10, 10, 1, 1, {}};
+  ASSERT_EQ(greedy.group_of_block(10),
+            greedy.group_of_block(9) + 1);  // [10, 10] is a greedy group
+  ASSERT_NE(greedy.group_of_block(10), greedy.group_of_block(11));
+  EXPECT_EQ(group_dram_bytes(compute_traffic(net, greedy), g), 234885120.0);
+  EXPECT_EQ(group_dram_bytes(
+                compute_traffic(net, regrouped(greedy,
+                                               merged_among_singletons(n, 10, 10))),
+                g),
+            241176576.0);
 }
 
 }  // namespace
