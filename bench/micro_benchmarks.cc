@@ -348,26 +348,42 @@ BENCHMARK(BM_Conv2dBackward)->Arg(1)->Arg(0);
 
 // Backward consuming the forward's im2col lowering from a per-layer
 // ConvCache (the production model path), against persistent gradient
-// scratch — the zero-redundancy hot path. Compare with BM_Conv2dBackward
-// (which re-lowers the input and allocates fresh grads) for the reuse win.
+// scratch, on one thread. One Arg per layer shape: the fig06 SmallCnn
+// stage-2 conv at batch 8 (an MBS sub-batch) and 32 (the full batch), and
+// a stride-2 ResNet downsampling conv, whose data gradient runs over a
+// zero-dilated dY.
 void BM_Conv2dBackwardCached(benchmark::State& state) {
+  struct Case {
+    const char* label;
+    int n, ci, hw, co, stride;
+  };
+  static constexpr Case kCases[] = {
+      {"SmallCnn conv2 16->32 6x6 b8", 8, 16, 6, 32, 1},
+      {"SmallCnn conv2 16->32 6x6 b32", 32, 16, 6, 32, 1},
+      {"ResNet 3x3/2 16->32 14x14 b8", 8, 16, 14, 32, 2}};
+  const Case& c = kCases[state.range(0)];
   util::Rng rng(4);
-  const train::Tensor x = train::Tensor::randn({4, 32, 28, 28}, rng);
-  const train::Tensor w = train::Tensor::randn({32, 32, 3, 3}, rng, 0.2);
-  const train::Tensor dy = train::Tensor::randn({4, 32, 28, 28}, rng);
+  const train::Tensor x = train::Tensor::randn({c.n, c.ci, c.hw, c.hw}, rng);
+  const train::Tensor w = train::Tensor::randn({c.co, c.ci, 3, 3}, rng, 0.2);
   train::ConvCache cache;
   train::Conv2dGrads grads;
   train::Tensor y;
-  util::set_thread_budget(static_cast<int>(state.range(0)));
-  train::conv2d_forward_into(x, w, train::Tensor(), 1, 1, &cache, y);
+  util::set_thread_budget(1);
+  train::conv2d_forward_into(x, w, train::Tensor(), c.stride, 1, &cache, y);
+  const train::Tensor dy = train::Tensor::randn(y.shape(), rng);
   for (auto _ : state) {
-    train::conv2d_backward_into(x, w, dy, 1, 1, /*need_dx=*/true, &cache,
-                                grads);
+    train::conv2d_backward_into(x, w, dy, c.stride, 1, /*need_dx=*/true,
+                                &cache, grads);
     benchmark::DoNotOptimize(grads.dx.data());
+    benchmark::ClobberMemory();
   }
   util::set_thread_budget(-1);
+  // Useful FLOPs of the weight- and data-gradient passes (zero taps of the
+  // lowering excluded), as the per-layer perfbench rows count them.
+  const double pass_flops = 2.0 * c.n * c.co * y.dim(2) * y.dim(3) * c.ci * 9;
+  roofline_counters(state, 2 * pass_flops, c.label);
 }
-BENCHMARK(BM_Conv2dBackwardCached)->Arg(1)->Arg(0);
+BENCHMARK(BM_Conv2dBackwardCached)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_TrainStep(benchmark::State& state) {
   // One fig06-style GN+MBS optimizer step (batch 32 as four sub-batches).

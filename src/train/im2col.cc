@@ -35,8 +35,15 @@
 // machinery, not the arithmetic, dominates), so MBS_KERNEL only affects
 // the blocked path. Both families honor the same per-element contract
 // documented in gemm_microkernels.h, so the dispatch is bit-invisible.
+//
+// The conv data gradient is lowered here too (dgrad_cols_into +
+// conv_weights_to_dgrad_into): a forward-style im2col of dY against
+// flipped weights whose K order reproduces the seed scatter's addend
+// sequence, so it runs through matmul_bt_f32 bit-identically (the order
+// argument is at conv2d_backward_into in ops.cc).
 #include "train/im2col.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -543,6 +550,76 @@ void kxn_to_conv_weights_into(const float* md, int co, int ci, int kh, int kw,
   for (std::int64_t i = 0; i < k; ++i)
     for (int o = 0; o < co; ++o)
       wd[static_cast<std::int64_t>(o) * k + i] = md[i * co + o];
+}
+
+namespace {
+
+/// For each input coordinate x in [0, in) and flipped tap t in [0, k): the
+/// dY coordinate y with y*stride = x + t - (k-1-pad), or -1 when that
+/// position is off the stride grid or out of [0, out).
+void dgrad_tap_table(int in, int out, int k, int stride, int pad, int* tab) {
+  for (int x = 0; x < in; ++x)
+    for (int t = 0; t < k; ++t) {
+      const int num = x + t - (k - 1 - pad);
+      const bool on = num >= 0 && num % stride == 0 && num / stride < out;
+      tab[x * k + t] = on ? num / stride : -1;
+    }
+}
+
+}  // namespace
+
+void dgrad_cols_into(const float* dy_rows, int n, int co, int oh, int ow,
+                     int ih, int iw, int kernel_h, int kernel_w, int stride,
+                     int pad, float* cd) {
+  util::ScopedKernelTimer timer(util::KernelKind::kIm2col);
+  const int taps = kernel_h * kernel_w;
+  const int k = co * taps;
+  const std::int64_t x_hw = static_cast<std::int64_t>(ih) * iw;
+  util::ArenaScope scope;
+  int* yh_of = scope.ints(static_cast<std::int64_t>(ih) * kernel_h);
+  int* yw_of = scope.ints(static_cast<std::int64_t>(iw) * kernel_w);
+  dgrad_tap_table(ih, oh, kernel_h, stride, pad, yh_of);
+  dgrad_tap_table(iw, ow, kernel_w, stride, pad, yw_of);
+  util::parallel_for(
+      static_cast<std::int64_t>(n) * x_hw, row_grain(k),
+      [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t row = begin; row < end; ++row) {
+          const std::int64_t b = row / x_hw;
+          const int pos = static_cast<int>(row % x_hw);
+          const int* yh = yh_of + pos / iw * kernel_h;
+          const int* yw = yw_of + pos % iw * kernel_w;
+          float* out = cd + row * k;
+          // A row with any off-grid tap is zeroed whole, then its on-grid
+          // taps overwritten: one vectorized fill beats strided zero stores.
+          bool all_on = true;
+          for (int r = 0; r < kernel_h; ++r) all_on &= yh[r] >= 0;
+          for (int s = 0; s < kernel_w; ++s) all_on &= yw[s] >= 0;
+          if (!all_on) std::fill(out, out + k, 0.0f);
+          for (int r = 0; r < kernel_h; ++r) {
+            if (yh[r] < 0) continue;
+            for (int s = 0; s < kernel_w; ++s) {
+              if (yw[s] < 0) continue;
+              // dY row (b, yh, yw) holds all Co channels contiguously.
+              const float* src =
+                  dy_rows + ((b * oh + yh[r]) * ow + yw[s]) * co;
+              float* dst = out + r * kernel_w + s;
+              for (int o = 0; o < co; ++o)
+                dst[static_cast<std::int64_t>(o) * taps] = src[o];
+            }
+          }
+        }
+      });
+}
+
+void conv_weights_to_dgrad_into(const float* wd, int co, int ci, int kh,
+                                int kw, float* wf) {
+  const int taps = kh * kw;
+  for (int o = 0; o < co; ++o)
+    for (int c = 0; c < ci; ++c) {
+      const float* src = wd + (static_cast<std::int64_t>(o) * ci + c) * taps;
+      float* dst = wf + (static_cast<std::int64_t>(c) * co + o) * taps;
+      for (int t = 0; t < taps; ++t) dst[taps - 1 - t] = src[t];
+    }
 }
 
 Tensor conv2d_forward_im2col(const Tensor& x, const Tensor& w,

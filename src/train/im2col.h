@@ -93,6 +93,24 @@ void rows_to_nchw_into(const float* rows, Tensor& t);
 void kxn_to_conv_weights_into(const float* m, int co, int ci, int kh, int kw,
                               float* w);
 
+/// The data-gradient lowering: dx is the stride-1 forward convolution of
+/// dY, zero-dilated by `stride` and padded by kh-1-pad (kw-1-pad), with
+/// flipped, transposed weights. Writes the [N*H*W, Co*Kh*Kw] im2col matrix
+/// of that convolution (every entry, so `cols` may be uninitialized):
+/// row (b, xh, xw), column (o, r', s') holds
+/// dy[b, o, (xh+r'-ph)/stride, (xw+s'-pw)/stride] when both positions are
+/// on the stride grid and in range, else 0 (ph = kh-1-pad, pw = kw-1-pad).
+/// dY [N, Co, Ho, Wo] is read in the GEMM row layout `dy_rows`
+/// [N*Ho*Wo, Co] (nchw_to_rows_into) the weight gradient already uses.
+void dgrad_cols_into(const float* dy_rows, int n, int co, int oh, int ow,
+                     int ih, int iw, int kernel_h, int kernel_w, int stride,
+                     int pad, float* cols);
+
+/// [Co, Ci, Kh, Kw] -> the data-gradient GEMM operand [Ci, Co*Kh*Kw]:
+/// wf[c][o][kh-1-r][kw-1-s] = w[o][c][r][s] (fully overwritten).
+void conv_weights_to_dgrad_into(const float* w, int co, int ci, int kh,
+                                int kw, float* wf);
+
 /// Convolution forward via im2col + GEMM (Tab. 1 "Forward"). Must equal
 /// conv2d_forward bit-for-bit up to float summation order.
 Tensor conv2d_forward_im2col(const Tensor& x, const Tensor& w,

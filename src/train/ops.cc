@@ -1,22 +1,23 @@
 // Training operators on the fast kernel layer.
 //
-// The convolutions delegate to the im2col+GEMM path (train/im2col.cc) —
-// the equivalence the im2col tests assert is the production path. Bit
-// identity with the original scalar loops is preserved exactly, not
-// approximately: the forward GEMM accumulates in float starting from the
-// bias with K traversed in the original (c, r, s) order
+// All three convolution passes are im2col + GEMM lowerings (train/
+// im2col.cc) — the equivalence the im2col tests assert is the production
+// path. Bit identity with the original scalar loops is preserved exactly,
+// not approximately: the forward GEMM accumulates in float starting from
+// the bias with K traversed in the original (c, r, s) order
 // (matmul_bt_f32), the weight-gradient GEMM sums rows in the original
-// (b, yh, yw) order (matmul_at), and the data-gradient scatter keeps the
-// seed's per-element addend sequence (two implementations, dispatched on
-// dY density — see the scatter_dx_* kernels). The zero-redundancy layer
-// on top (PR 4): conv2d_forward_into records its im2col lowering in a
-// per-layer ConvCache that conv2d_backward_into consumes, all scratch is
-// workspace-arena memory, and outputs land in step-persistent caller
-// tensors — a steady-state train step's conv/GEMM path performs zero
-// heap allocations (Debug-asserted via util/alloc_hook.cc). Everything
-// else is data-parallel over disjoint output ranges via
-// util::parallel_for, which never splits a floating-point reduction — so
-// results are bit-identical at any MBS_THREADS setting.
+// (b, yh, yw) order (matmul_at), and the data-gradient GEMM runs the
+// forward lowering on dY with flipped weights, whose K order (o, r', s')
+// is the seed scatter's per-element addend sequence (o-major, then
+// (yh, yw) ascending; see conv2d_backward_into). conv2d_forward_into
+// records its im2col lowering in a per-layer ConvCache that
+// conv2d_backward_into consumes, all scratch is workspace-arena memory,
+// and outputs land in step-persistent caller tensors — a steady-state
+// train step's conv/GEMM path performs zero heap allocations (Debug-
+// asserted via util/alloc_hook.cc). Everything else is data-parallel over
+// disjoint output ranges via util::parallel_for, which never splits a
+// floating-point reduction — so results are bit-identical at any
+// MBS_THREADS setting.
 #include "train/ops.h"
 
 #include <algorithm>
@@ -34,153 +35,6 @@ namespace {
 
 int out_dim(int in, int kernel, int stride, int pad) {
   return (in + 2 * pad - kernel) / stride + 1;
-}
-
-struct ConvGeom {
-  int n, ci, ih, iw, co, kh, kw, oh, ow, stride, pad;
-};
-
-/// The seed's data-gradient scatter, kept verbatim for sparse dY: its
-/// `d == 0` skip drops whole receptive fields, which wins when the
-/// incoming gradient is ReLU-sparsified (the no-norm training runs).
-void scatter_dx_sparse(const ConvGeom& g, const float* dyd, const float* wd,
-                       float* dxd) {
-  const std::int64_t x_hw = static_cast<std::int64_t>(g.ih) * g.iw;
-  const std::int64_t y_hw = static_cast<std::int64_t>(g.oh) * g.ow;
-  util::parallel_for(g.n, 1, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b)
-      for (int o = 0; o < g.co; ++o) {
-        const float* dy_plane = dyd + (b * g.co + o) * y_hw;
-        for (int yh = 0; yh < g.oh; ++yh) {
-          const int xh0 = yh * g.stride - g.pad;
-          const int r_lo = xh0 < 0 ? -xh0 : 0;
-          const int r_hi = g.ih - xh0 < g.kh ? g.ih - xh0 : g.kh;
-          for (int yw = 0; yw < g.ow; ++yw) {
-            const float d =
-                dy_plane[static_cast<std::int64_t>(yh) * g.ow + yw];
-            if (d == 0.0f) continue;
-            const int xw0 = yw * g.stride - g.pad;
-            const int s_lo = xw0 < 0 ? -xw0 : 0;
-            const int s_hi = g.iw - xw0 < g.kw ? g.iw - xw0 : g.kw;
-            for (int c = 0; c < g.ci; ++c)
-              for (int r = r_lo; r < r_hi; ++r) {
-                const float* w_row =
-                    wd +
-                    ((static_cast<std::int64_t>(o) * g.ci + c) * g.kh + r) *
-                        g.kw;
-                float* dx_row = dxd + (b * g.ci + c) * x_hw +
-                                static_cast<std::int64_t>(xh0 + r) * g.iw +
-                                xw0;
-                for (int s = s_lo; s < s_hi; ++s)
-                  dx_row[s] += d * w_row[s];
-              }
-          }
-        }
-      }
-  });
-}
-
-/// Dense stride-1 scatter: per weight tap (r, s) the update is a shifted
-/// plane axpy dx[yh + r-pad, yw + s-pad] += dy[yh, yw] * w[o,c,r,s], which
-/// vectorizes over whole rows (and over whole planes when the columns
-/// align). Bit-identity with the seed nest: for a fixed dx element the
-/// addend sequence is still o-major then (yh, yw)-lexicographic, because r
-/// and s are iterated DESCENDING (element yh = xh - r + pad rises as r
-/// falls, yw likewise), and the dropped `d == 0` skip only removes +/-0
-/// addends, which cannot change any finite accumulation (same contract as
-/// the GEMM paths' dropped zero skips, see im2col.cc).
-void scatter_dx_dense_s1(const ConvGeom& g, const float* dyd, const float* wd,
-                         float* dxd) {
-  const std::int64_t x_hw = static_cast<std::int64_t>(g.ih) * g.iw;
-  const std::int64_t y_hw = static_cast<std::int64_t>(g.oh) * g.ow;
-  util::parallel_for(g.n, 1, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b)
-      for (int o = 0; o < g.co; ++o) {
-        const float* dy_plane = dyd + (b * g.co + o) * y_hw;
-        for (int c = 0; c < g.ci; ++c) {
-          const float* w_plane =
-              wd + (static_cast<std::int64_t>(o) * g.ci + c) * g.kh * g.kw;
-          float* dx_plane = dxd + (b * g.ci + c) * x_hw;
-          for (int r = g.kh - 1; r >= 0; --r) {
-            const int dr = r - g.pad;  // xh = yh + dr
-            const int yh_lo = dr < 0 ? -dr : 0;
-            const int yh_hi = g.oh < g.ih - dr ? g.oh : g.ih - dr;
-            if (yh_hi <= yh_lo) continue;
-            for (int s = g.kw - 1; s >= 0; --s) {
-              const float wv = w_plane[static_cast<std::int64_t>(r) * g.kw + s];
-              const int ds = s - g.pad;  // xw = yw + ds
-              const int yw_lo = ds < 0 ? -ds : 0;
-              const int yw_hi = g.ow < g.iw - ds ? g.ow : g.iw - ds;
-              if (yw_hi <= yw_lo) continue;
-              if (ds == 0 && g.iw == g.ow) {
-                // Columns align: the rows form one contiguous run.
-                const float* src = dy_plane +
-                                   static_cast<std::int64_t>(yh_lo) * g.ow;
-                float* dst =
-                    dx_plane + static_cast<std::int64_t>(yh_lo + dr) * g.iw;
-                const std::int64_t len =
-                    static_cast<std::int64_t>(yh_hi - yh_lo) * g.ow;
-                for (std::int64_t t = 0; t < len; ++t) dst[t] += src[t] * wv;
-                continue;
-              }
-              const int len = yw_hi - yw_lo;
-              for (int yh = yh_lo; yh < yh_hi; ++yh) {
-                const float* src =
-                    dy_plane + static_cast<std::int64_t>(yh) * g.ow + yw_lo;
-                float* dst = dx_plane +
-                             static_cast<std::int64_t>(yh + dr) * g.iw +
-                             yw_lo + ds;
-                for (int t = 0; t < len; ++t) dst[t] += src[t] * wv;
-              }
-            }
-          }
-        }
-      }
-  });
-}
-
-/// General-stride fallback (dense): per tap, strided row updates in the
-/// same r/s-descending order.
-void scatter_dx_dense(const ConvGeom& g, const float* dyd, const float* wd,
-                      float* dxd) {
-  const std::int64_t x_hw = static_cast<std::int64_t>(g.ih) * g.iw;
-  const std::int64_t y_hw = static_cast<std::int64_t>(g.oh) * g.ow;
-  util::parallel_for(g.n, 1, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b)
-      for (int o = 0; o < g.co; ++o) {
-        const float* dy_plane = dyd + (b * g.co + o) * y_hw;
-        for (int c = 0; c < g.ci; ++c) {
-          const float* w_plane =
-              wd + (static_cast<std::int64_t>(o) * g.ci + c) * g.kh * g.kw;
-          float* dx_plane = dxd + (b * g.ci + c) * x_hw;
-          for (int yh = 0; yh < g.oh; ++yh) {
-            const int xh0 = yh * g.stride - g.pad;
-            const int r_lo = xh0 < 0 ? -xh0 : 0;
-            const int r_hi = g.ih - xh0 < g.kh ? g.ih - xh0 : g.kh;
-            const float* dy_row =
-                dy_plane + static_cast<std::int64_t>(yh) * g.ow;
-            for (int r = r_lo; r < r_hi; ++r) {
-              float* dx_row =
-                  dx_plane + static_cast<std::int64_t>(xh0 + r) * g.iw;
-              const float* w_row =
-                  w_plane + static_cast<std::int64_t>(r) * g.kw;
-              for (int s = g.kw - 1; s >= 0; --s) {
-                const float wv = w_row[s];
-                // Valid yw: 0 <= yw*stride - pad + s < iw.
-                if (g.iw - 1 + g.pad - s < 0) continue;
-                const int yw_lo = g.pad - s <= 0
-                                      ? 0
-                                      : (g.pad - s + g.stride - 1) / g.stride;
-                int yw_hi = (g.iw - 1 + g.pad - s) / g.stride + 1;
-                if (yw_hi > g.ow) yw_hi = g.ow;
-                for (int yw = yw_lo; yw < yw_hi; ++yw)
-                  dx_row[yw * g.stride - g.pad + s] += dy_row[yw] * wv;
-              }
-            }
-          }
-        }
-      }
-  });
 }
 
 }  // namespace
@@ -228,7 +82,6 @@ void conv2d_forward_into(const Tensor& x, const Tensor& w, const Tensor& bias,
     cols = scope.floats(static_cast<std::int64_t>(rows) * k);
     std::memset(cols, 0,
                 static_cast<std::size_t>(rows) * k * sizeof(float));
-    if (cache) cache->valid = false;
   }
   im2col_into(x, kh, kw, stride, pad, pad, cols);
 
@@ -289,29 +142,23 @@ void conv2d_backward_into(const Tensor& x, const Tensor& w, const Tensor& dy,
 
   if (!need_dx) return;
 
-  // Data gradient. The GEMM formulation (dY * W scattered with col2im)
-  // pre-reduces over output channels and would change the per-element
-  // float summation order, so the computation stays a scatter over the
-  // seed's per-element addend sequence (o-major, then (yh, yw)-
-  // lexicographic; see the scatter_dx_* kernels above). Two bit-identical
-  // implementations cover the density extremes, so the dispatch below is
-  // value-dependent but result-invariant: ReLU-sparsified gradients (the
-  // no-norm training runs) keep the seed loop whose `d == 0` skip drops
-  // whole receptive fields, while dense gradients take the vectorized
-  // shifted-plane form.
-  g.dx.ensure_zeroed({n, ci, ih, iw});
-  const ConvGeom geom{n,  ci, ih,     iw, co, kh,
-                      kw, oh, ow, stride, pad};
-  const float* dyd = dy.data();
-  std::int64_t zeros = 0;
-  const std::int64_t dy_n = dy.size();
-  for (std::int64_t i = 0; i < dy_n; ++i) zeros += dyd[i] == 0.0f;
-  if (3 * zeros >= dy_n)
-    scatter_dx_sparse(geom, dyd, w.data(), g.dx.data());
-  else if (stride == 1)
-    scatter_dx_dense_s1(geom, dyd, w.data(), g.dx.data());
-  else
-    scatter_dx_dense(geom, dyd, w.data(), g.dx.data());
+  // Data gradient: dx is the stride-1 forward convolution of the zero-
+  // dilated, (k-1-pad)-padded dY with flipped, transposed weights, lowered
+  // like the forward pass. Its K order (o, r', s') with r' = kh-1-r visits
+  // each dx element's addends o-major, then (yh, yw) ascending — the seed
+  // scatter's sequence — and the zero taps (padding, dilation) add +/-0,
+  // which is exact for finite values (see im2col.cc), so the result is
+  // bit-identical to the seed loop at every stride and dY density.
+  const int kd = co * kh * kw;
+  const std::int64_t xrows = static_cast<std::int64_t>(n) * ih * iw;
+  float* dcols = scope.floats(xrows * kd);
+  dgrad_cols_into(dy2, n, co, oh, ow, ih, iw, kh, kw, stride, pad, dcols);
+  float* wf = scope.floats(static_cast<std::int64_t>(ci) * kd);
+  conv_weights_to_dgrad_into(w.data(), co, ci, kh, kw, wf);
+  float* dxrows = scope.floats(xrows * ci);
+  matmul_bt_f32_into(dcols, xrows, wf, ci, kd, nullptr, dxrows);
+  g.dx.ensure_shape({n, ci, ih, iw});
+  rows_to_nchw_into(dxrows, g.dx);
 }
 
 MaxPoolResult maxpool_forward(const Tensor& x, int kernel, int stride) {

@@ -104,6 +104,10 @@ class ArenaScope {
   ArenaScope& operator=(const ArenaScope&) = delete;
 
   float* floats(std::int64_t n) { return arena_->floats(n); }
+  int* ints(std::int64_t n) {
+    return static_cast<int*>(
+        arena_->allocate(static_cast<std::size_t>(n) * sizeof(int)));
+  }
 
  private:
   Arena* arena_;

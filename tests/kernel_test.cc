@@ -13,15 +13,20 @@
 // each other and to the naive references on remainder-heavy shapes, an
 // MBS_KERNEL=avx2 request on a host without AVX2 must fall back cleanly,
 // and the raw-pointer norm-loop rewrite must equal the legacy Tensor::at()
-// form bit for bit.
+// form bit for bit. The conv data gradient (a GEMM over flipped weights)
+// must equal the seed's scatter loop across dY densities and the
+// geometries its lowering special-cases, on both ISA families at every
+// budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/arena.h"
@@ -29,10 +34,12 @@
 #include "train/data.h"
 #include "train/gemm_microkernels.h"
 #include "train/im2col.h"
+#include "train/loss.h"
 #include "train/model.h"
 #include "train/norm.h"
 #include "train/ops.h"
 #include "train/optim.h"
+#include "train/resnet_model.h"
 #include "train/trainer.h"
 #include "util/cpu.h"
 #include "util/parallel.h"
@@ -306,6 +313,106 @@ TEST(FastConv, ReluSparsifiedGradientsMatchTheSkippingNaiveLoop) {
   expect_bits_equal(g.dbias, ref.dbias, "sparse dbias");
   expect_bits_equal(g.dx, ref.dx, "sparse dx");
 }
+
+// ---- Conv data gradient: the flipped-weight GEMM == the seed scatter --------
+
+/// Pins MBS_KERNEL / MBS_FORCE_NO_AVX2 for one test and restores the
+/// default dispatch (env unset) on the way out.
+struct IsaGuard {
+  ~IsaGuard() {
+    unsetenv("MBS_KERNEL");
+    unsetenv("MBS_FORCE_NO_AVX2");
+    detail::reset_microkernel_dispatch();
+  }
+  void force(const char* isa) {
+    setenv("MBS_KERNEL", isa, 1);
+    detail::reset_microkernel_dispatch();
+  }
+};
+
+bool avx2_available() {
+  return detail::avx2_microkernels() != nullptr && util::cpu_supports_avx2();
+}
+
+struct DgradCase {
+  const char* what;
+  int n, ci, h, w, co, kh, kw, stride, pad;
+  double zero_frac;  ///< exact share of dY entries zeroed, at random places
+};
+
+void PrintTo(const DgradCase& c, std::ostream* os) { *os << c.what; }
+
+class ConvDgrad : public ::testing::TestWithParam<DgradCase> {};
+
+TEST_P(ConvDgrad, MatchesNaiveOnBothIsasAtEveryBudget) {
+  const DgradCase p = GetParam();
+  util::Rng rng(109);
+  const Tensor x = Tensor::randn({p.n, p.ci, p.h, p.w}, rng);
+  const Tensor w = Tensor::randn({p.co, p.ci, p.kh, p.kw}, rng, 0.5);
+  Tensor dy = Tensor::randn(
+      {p.n, p.co, ref_out_dim(p.h, p.kh, p.stride, p.pad),
+       ref_out_dim(p.w, p.kw, p.stride, p.pad)},
+      rng);
+  std::vector<std::int64_t> order(static_cast<std::size_t>(dy.size()));
+  for (std::size_t i = 0; i < order.size(); ++i)
+    order[i] = static_cast<std::int64_t>(i);
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[rng.uniform_int(i)]);
+  const auto zeros =
+      static_cast<std::size_t>(p.zero_frac * static_cast<double>(dy.size()));
+  for (std::size_t i = 0; i < zeros; ++i) dy[order[i]] = 0.0f;
+  const Conv2dGrads ref = naive_conv2d_backward(x, w, dy, p.stride, p.pad);
+
+  IsaGuard isa_guard;
+  BudgetGuard budget_guard;
+  for (const char* isa : {"portable", "avx2"}) {
+    if (std::strcmp(isa, "avx2") == 0 && !avx2_available()) continue;
+    isa_guard.force(isa);
+    for (int budget : kBudgets) {
+      util::set_thread_budget(budget);
+      const std::string tag = std::string(p.what) + " " + isa + " budget " +
+                              std::to_string(budget);
+      ConvCache cache;
+      Conv2dGrads g;
+      Tensor y;
+      conv2d_forward_into(x, w, Tensor(), p.stride, p.pad, &cache, y);
+      conv2d_backward_into(x, w, dy, p.stride, p.pad, /*need_dx=*/true,
+                           &cache, g);
+      expect_bits_equal(g.dx, ref.dx, (tag + " dx").c_str());
+      expect_bits_equal(g.dw, ref.dw, (tag + " dw").c_str());
+      expect_bits_equal(g.dbias, ref.dbias, (tag + " dbias").c_str());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DensitiesAndGeometries, ConvDgrad,
+    ::testing::Values(
+        // SmallCnn conv2 (16->32, 6x6) at the MBS sub-batch and the full
+        // batch, across dY densities; 1/3 was the retired scatter
+        // dispatch's density threshold.
+        DgradCase{"b8 dense", 8, 16, 6, 6, 32, 3, 3, 1, 1, 0.0},
+        DgradCase{"b8 1/3 zero", 8, 16, 6, 6, 32, 3, 3, 1, 1, 1.0 / 3},
+        DgradCase{"b8 1/2 zero", 8, 16, 6, 6, 32, 3, 3, 1, 1, 0.5},
+        DgradCase{"b8 0.9 zero", 8, 16, 6, 6, 32, 3, 3, 1, 1, 0.9},
+        DgradCase{"b8 all zero", 8, 16, 6, 6, 32, 3, 3, 1, 1, 1.0},
+        DgradCase{"b32 dense", 32, 16, 6, 6, 32, 3, 3, 1, 1, 0.0},
+        DgradCase{"b32 1/3 zero", 32, 16, 6, 6, 32, 3, 3, 1, 1, 1.0 / 3},
+        DgradCase{"b32 1/2 zero", 32, 16, 6, 6, 32, 3, 3, 1, 1, 0.5},
+        DgradCase{"b32 0.9 zero", 32, 16, 6, 6, 32, 3, 3, 1, 1, 0.9},
+        DgradCase{"b32 all zero", 32, 16, 6, 6, 32, 3, 3, 1, 1, 1.0},
+        // Geometries the lowering treats specially: pad > k-1 makes the
+        // flipped padding negative; stride 3 leaves (h+2p-k) % stride
+        // input rows/columns that no output reads; rectangular kernels
+        // flip each axis on its own; the stride-2 cases zero-dilate dY.
+        DgradCase{"1x1 pad 1", 2, 3, 5, 6, 4, 1, 1, 1, 1, 0.0},
+        DgradCase{"3x3 pad 2", 2, 3, 6, 5, 4, 3, 3, 1, 2, 0.0},
+        DgradCase{"3x3 stride 3", 2, 3, 11, 12, 4, 3, 3, 3, 1, 0.0},
+        DgradCase{"3x1", 2, 3, 7, 6, 4, 3, 1, 1, 1, 0.0},
+        DgradCase{"1x3", 2, 3, 7, 6, 4, 1, 3, 1, 1, 0.0},
+        DgradCase{"3x3 stride 2", 2, 8, 9, 9, 16, 3, 3, 2, 1, 0.5},
+        DgradCase{"1x1 stride 2 projection", 2, 8, 8, 8, 16, 1, 1, 2, 0,
+                  0.0}));
 
 // ---- im2col with asymmetric padding stays thread-invariant ------------------
 
@@ -683,25 +790,27 @@ TEST(ZeroAllocContract, SteadyStateTrainStepIsAllocationFree) {
       << "steady-state conv/GEMM path touched the heap";
 }
 
-// ---- Kernel-ISA dispatch: portable and AVX2 families are bit-identical ------
-
-/// Pins MBS_KERNEL / MBS_FORCE_NO_AVX2 for one test and restores the
-/// default dispatch (env unset) on the way out.
-struct IsaGuard {
-  ~IsaGuard() {
-    unsetenv("MBS_KERNEL");
-    unsetenv("MBS_FORCE_NO_AVX2");
-    detail::reset_microkernel_dispatch();
-  }
-  void force(const char* isa) {
-    setenv("MBS_KERNEL", isa, 1);
-    detail::reset_microkernel_dispatch();
-  }
-};
-
-bool avx2_available() {
-  return detail::avx2_microkernels() != nullptr && util::cpu_supports_avx2();
+TEST(ZeroAllocContract, SteadyStateResNetStepIsAllocationFree) {
+  if (!util::alloc_hook_active())
+    GTEST_SKIP() << "allocation hook only active in Debug builds";
+  // The second stage strides by 2 and projects its shortcut, so the step
+  // runs the stride-2 3x3 and the 1x1 projection data gradients.
+  const Dataset data = make_synthetic_dataset(16, 4, 1, 12, /*seed=*/11);
+  SmallResNet model(SmallResNetConfig{});
+  auto step = [&] {
+    const Tensor logits = model.forward(data.images);
+    const LossResult loss = softmax_cross_entropy(logits, data.labels);
+    model.zero_grad();
+    model.backward(loss.dlogits);
+  };
+  for (int i = 0; i < 3; ++i) step();
+  const std::int64_t before = util::kernel_path_allocs();
+  for (int i = 0; i < 2; ++i) step();
+  EXPECT_EQ(util::kernel_path_allocs(), before)
+      << "steady-state residual conv/GEMM path touched the heap";
 }
+
+// ---- Kernel-ISA dispatch: portable and AVX2 families are bit-identical ------
 
 class KernelDispatch : public ::testing::TestWithParam<GemmShapeCase> {};
 
