@@ -174,8 +174,7 @@ BENCHMARK(BM_SweepFig10Threaded);
 // ---- Engine: schedule-group batching (fig12-shaped sweep) -------------------
 
 // Twelve scenarios sharing four schedules (4 configs x 3 memory systems):
-// grouped runs do one schedule/traffic lookup per group, ungrouped ones do
-// one per scenario. state.range(0) selects grouping (1 = on).
+// the sweep does one schedule/traffic lookup per schedule group.
 void BM_TrafficGrouped(benchmark::State& state) {
   std::vector<engine::Scenario> grid;
   for (auto cfg : {sched::ExecConfig::kBaseline, sched::ExecConfig::kArchOpt,
@@ -188,15 +187,13 @@ void BM_TrafficGrouped(benchmark::State& state) {
       s.hw.memory = mem;
       grid.push_back(std::move(s));
     }
-  engine::SweepOptions opts;
-  opts.group_by_schedule = state.range(0) != 0;
-  const engine::SweepRunner runner(opts);
+  const engine::SweepRunner runner;
   for (auto _ : state) {
     engine::Evaluator eval;
     benchmark::DoNotOptimize(runner.run(grid, eval));
   }
 }
-BENCHMARK(BM_TrafficGrouped)->Arg(1)->Arg(0);
+BENCHMARK(BM_TrafficGrouped);
 
 // ---- Training kernel layer (serial = budget 1, pooled = hardware) -----------
 
@@ -205,9 +202,14 @@ void BM_GemmSmall(benchmark::State& state) {
   // M/N/K deliberately not tile multiples.
   util::Rng rng(1);
   const train::Tensor a = train::Tensor::randn({129, 65}, rng);
-  const train::Tensor b = train::Tensor::randn({65, 130}, rng);
+  const train::Tensor bt = train::Tensor::randn({130, 65}, rng);
+  train::Tensor c({129, 130});
   util::set_thread_budget(static_cast<int>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(train::matmul(a, b));
+  for (auto _ : state) {
+    train::matmul_bt_f32_into(a.data(), 129, bt.data(), 130, 65, nullptr,
+                              c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
   util::set_thread_budget(-1);
   state.SetLabel("remainder tiles, no zoo layer");
 }
@@ -221,9 +223,13 @@ void BM_GemmResNetShaped(benchmark::State& state) {
   const train::Tensor a = train::Tensor::randn({4608, 288}, rng);
   const train::Tensor w = train::Tensor::randn({32, 288}, rng);
   const train::Tensor bias = train::Tensor::randn({32}, rng, 0.1);
+  train::Tensor c({4608, 32});
   util::set_thread_budget(static_cast<int>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(train::matmul_bt_f32(a, w, bias));
+  for (auto _ : state) {
+    train::matmul_bt_f32_into(a.data(), 4608, w.data(), 32, 288, bias.data(),
+                              c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
   util::set_thread_budget(-1);
   state.SetLabel("fig06 SmallCnn stage-2 3x3 fwd GEMM");
 }
@@ -265,13 +271,19 @@ void roofline_counters(benchmark::State& state, double flops_per_iter,
 
 void BM_RooflineMatmulF32(benchmark::State& state) {
   // ResNet-50 conv3_x 3x3 fwd shape at batch 1: M = Ho*Wo = 28*28 = 784,
-  // K = Ci*3*3 = 128*9 = 1152, N = Co = 128 (models/resnet.cc).
+  // K = Ci*3*3 = 128*9 = 1152, N = Co = 128 (models/resnet.cc), with the
+  // weights in the forward GEMM's [Co, K] layout.
   IsaBenchGuard isa(state.range(1) != 0);
   util::Rng rng(11);
   const train::Tensor a = train::Tensor::randn({784, 1152}, rng);
-  const train::Tensor b = train::Tensor::randn({1152, 128}, rng);
+  const train::Tensor w = train::Tensor::randn({128, 1152}, rng);
+  train::Tensor c({784, 128});
   util::set_thread_budget(static_cast<int>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(train::matmul(a, b));
+  for (auto _ : state) {
+    train::matmul_bt_f32_into(a.data(), 784, w.data(), 128, 1152, nullptr,
+                              c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
   util::set_thread_budget(-1);
   roofline_counters(state, 2.0 * 784 * 1152 * 128,
                     "resnet50 conv3_x 3x3 fwd f32");
@@ -282,20 +294,24 @@ BENCHMARK(BM_RooflineMatmulF32)
     ->Args({1, 0})->Args({2, 0})->Args({4, 0})->Args({8, 0})
     ->Args({1, 1})->Args({2, 1})->Args({4, 1})->Args({8, 1});
 
-void BM_RooflineMatmulBtF64(benchmark::State& state) {
-  // ResNet-50 conv3_x weight-gradient GEMM (double accumulation):
-  // dW[Co, Ci*Kh*Kw] = dY^T[Co, Ho*Wo] x cols[Ci*Kh*Kw, Ho*Wo]^T.
+void BM_RooflineMatmulAt(benchmark::State& state) {
+  // ResNet-50 conv3_x weight-gradient GEMM at batch 1, as conv2d_backward
+  // runs it: dW[Ci*Kh*Kw, Co] = cols[Ho*Wo, Ci*Kh*Kw]^T x dY[Ho*Wo, Co].
   IsaBenchGuard isa(state.range(1) != 0);
   util::Rng rng(12);
-  const train::Tensor a = train::Tensor::randn({128, 784}, rng);
-  const train::Tensor b = train::Tensor::randn({1152, 784}, rng);
+  const train::Tensor cols = train::Tensor::randn({784, 1152}, rng);
+  const train::Tensor dy = train::Tensor::randn({784, 128}, rng);
+  train::Tensor dw({1152, 128});
   util::set_thread_budget(static_cast<int>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(train::matmul_bt(a, b));
+  for (auto _ : state) {
+    train::matmul_at_into(cols.data(), 1152, dy.data(), 128, 784, dw.data());
+    benchmark::DoNotOptimize(dw.data());
+  }
   util::set_thread_budget(-1);
-  roofline_counters(state, 2.0 * 128 * 784 * 1152,
-                    "resnet50 conv3_x wgrad f64");
+  roofline_counters(state, 2.0 * 1152 * 128 * 784,
+                    "resnet50 conv3_x wgrad f32");
 }
-BENCHMARK(BM_RooflineMatmulBtF64)
+BENCHMARK(BM_RooflineMatmulAt)
     ->UseRealTime()
     ->ArgNames({"threads", "avx2"})
     ->Args({1, 0})->Args({2, 0})->Args({4, 0})->Args({8, 0})
@@ -309,9 +325,13 @@ void BM_RooflineMatmulBtF32(benchmark::State& state) {
   const train::Tensor a = train::Tensor::randn({4608, 288}, rng);
   const train::Tensor w = train::Tensor::randn({32, 288}, rng);
   const train::Tensor bias = train::Tensor::randn({32}, rng, 0.1);
+  train::Tensor c({4608, 32});
   util::set_thread_budget(static_cast<int>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(train::matmul_bt_f32(a, w, bias));
+  for (auto _ : state) {
+    train::matmul_bt_f32_into(a.data(), 4608, w.data(), 32, 288, bias.data(),
+                              c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
   util::set_thread_budget(-1);
   roofline_counters(state, 2.0 * 4608 * 288 * 32,
                     "fig06 SmallCnn stage-2 3x3 fwd f32+init");

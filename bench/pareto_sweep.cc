@@ -1,14 +1,12 @@
 // Buffer-capacity x DRAM-bandwidth Pareto front for any zoo network under
 // MBS2 — the "memory configuration frontier" the paper's Fig. 11 hints at
-// but never sweeps jointly. Every (buffer, bandwidth) point is simulated
-// under both grouping variants (contiguous, the paper's search space, and
-// non-contiguous — see sched::GroupingVariant), so scheduler variants,
-// models, and memory configs compose in one engine grid.
+// but never sweeps jointly; models and memory configs compose in one engine
+// grid.
 //
-// A grid point is *frontier* (non-dominated) within its variant when no
-// other point needs at most its buffer AND at most its bandwidth AND still
-// trains at most as fast, with at least one strict improvement — i.e. the
-// set of memory provisionings a rational designer would pick from.
+// A grid point is *frontier* (non-dominated) when no other point needs at
+// most its buffer AND at most its bandwidth AND still trains at most as
+// fast, with at least one strict improvement — i.e. the set of memory
+// provisionings a rational designer would pick from.
 //
 // Usage: pareto_sweep [network] [seq]
 //   network: any models::all_network_names() entry (default resnet50),
@@ -56,53 +54,43 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const sched::GroupingVariant variants[] = {
-      sched::GroupingVariant::kContiguous,
-      sched::GroupingVariant::kNonContiguous};
   const double buffers_mib[] = {2, 5, 10, 20, 40};
   const double bw_scales[] = {0.25, 0.5, 1.0, 2.0};
   const arch::MemoryConfig base_mem = arch::hbm2();
 
-  // Row-major: variant, then buffer, then bandwidth — one output row per
-  // scenario, so scenario index == row index (the default sharding unit).
+  // Row-major: buffer, then bandwidth — one output row per scenario, so
+  // scenario index == row index (the default sharding unit).
   std::vector<engine::Scenario> grid;
-  for (sched::GroupingVariant variant : variants)
-    for (double mib : buffers_mib)
-      for (double scale : bw_scales) {
-        engine::Scenario s;
-        s.network = net_name;
-        s.seq = seq;
-        s.config = sched::ExecConfig::kMbs2;
-        s.params.variant = variant;
-        s.params.buffer_bytes =
-            static_cast<std::int64_t>(mib * static_cast<double>(util::kMiB));
-        s.hw.global_buffer_bytes = s.params.buffer_bytes;
-        s.hw.memory = base_mem;
-        s.hw.memory.bandwidth_bytes_per_s = base_mem.bandwidth_bytes_per_s * scale;
-        s.label = std::string(sched::to_string(variant));
-        grid.push_back(std::move(s));
-      }
+  for (double mib : buffers_mib)
+    for (double scale : bw_scales) {
+      engine::Scenario s;
+      s.network = net_name;
+      s.seq = seq;
+      s.config = sched::ExecConfig::kMbs2;
+      s.params.buffer_bytes =
+          static_cast<std::int64_t>(mib * static_cast<double>(util::kMiB));
+      s.hw.global_buffer_bytes = s.params.buffer_bytes;
+      s.hw.memory = base_mem;
+      s.hw.memory.bandwidth_bytes_per_s =
+          base_mem.bandwidth_bytes_per_s * scale;
+      grid.push_back(std::move(s));
+    }
 
   const auto results = driver.run(grid);
 
   // Dominance is decided over the whole grid (lazy materialization fills
-  // rows this shard does not own), minimizing (buffer, bandwidth, time)
-  // within each variant's 20-point plane.
-  const std::size_t n_bufs = std::size(buffers_mib);
+  // rows this shard does not own), minimizing (buffer, bandwidth, time).
   const std::size_t n_bws = std::size(bw_scales);
-  const std::size_t plane = n_bufs * n_bws;
   auto coords = [&](std::size_t i) {
-    const std::size_t in_plane = i % plane;
     struct {
       double buffer_mib, bw_scale;
-    } c{buffers_mib[in_plane / n_bws], bw_scales[in_plane % n_bws]};
+    } c{buffers_mib[i / n_bws], bw_scales[i % n_bws]};
     return c;
   };
   auto dominated = [&](std::size_t i) {
     const auto ci = coords(i);
     const double ti = results[i].step.time_s;
-    const std::size_t base = (i / plane) * plane;  // this variant's plane
-    for (std::size_t j = base; j < base + plane; ++j) {
+    for (std::size_t j = 0; j < results.size(); ++j) {
       if (j == i) continue;
       const auto cj = coords(j);
       const double tj = results[j].step.time_s;
@@ -117,24 +105,24 @@ int main(int argc, char** argv) {
 
   // The seq tag is appended only when overridden, keeping the default
   // stdout byte-identical to the pre-seq era.
-  std::printf("=== Pareto sweep: %s%s under MBS2, buffer x DRAM bandwidth x "
-              "grouping variant ===\n\n",
+  std::printf("=== Pareto sweep: %s%s under MBS2, buffer x DRAM bandwidth "
+              "===\n\n",
               results[0].network->name.c_str(),
               seq > 0 ? (" (seq=" + std::to_string(seq) + ")").c_str() : "");
 
   engine::ResultSink sink(
-      "buffer/bandwidth Pareto front (frontier = non-dominated in its "
-      "variant's plane, minimizing buffer, bandwidth and time)",
-      {"variant", "buffer", "DRAM bw", "time", "DRAM/step", "energy",
-       "groups", "frontier"});
-  std::size_t frontier_per_variant[2] = {0, 0};
+      "buffer/bandwidth Pareto front (frontier = non-dominated, minimizing "
+      "buffer, bandwidth and time)",
+      {"buffer", "DRAM bw", "time", "DRAM/step", "energy", "groups",
+       "frontier"});
+  std::size_t frontier_points = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const bool frontier = !dominated(i);
-    if (frontier) ++frontier_per_variant[i / plane];
+    if (frontier) ++frontier_points;
     if (!shard.owns(i)) continue;  // one output row per scenario
     const auto c = coords(i);
     const engine::ScenarioResult& r = results[i];
-    sink.add_row({r.scenario.label, util::fmt(c.buffer_mib, 0) + " MiB",
+    sink.add_row({util::fmt(c.buffer_mib, 0) + " MiB",
                   util::format_bytes(r.scenario.hw.memory.bandwidth_bytes_per_s) + "/s",
                   util::format_time(r.step.time_s),
                   util::format_bytes(r.step.dram_bytes),
@@ -145,21 +133,7 @@ int main(int argc, char** argv) {
   sink.print(std::cout);
   sink.export_files("pareto_sweep");
 
-  // The scheduler-variant comparison: non-contiguous merging searches a
-  // strict superset of the contiguous space, so any disagreement would mean
-  // relaxing the paper's contiguity restriction buys something.
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < plane; ++i)
-    if (results[i].step.time_s == results[plane + i].step.time_s &&
-        results[i].step.dram_bytes == results[plane + i].step.dram_bytes)
-      ++agree;
-  std::printf("\nfrontier points: %zu/%zu (contiguous), %zu/%zu "
-              "(noncontig)\n",
-              frontier_per_variant[0], plane, frontier_per_variant[1], plane);
-  std::printf("scheduler variants agree bit-for-bit on %zu/%zu grid points "
-              "— the paper's contiguous-grouping restriction %s\n",
-              agree, plane,
-              agree == plane ? "loses nothing on this network"
-                             : "is NOT lossless on this network");
+  std::printf("\nfrontier points: %zu/%zu\n", frontier_points,
+              results.size());
   return 0;
 }

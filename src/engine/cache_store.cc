@@ -142,8 +142,6 @@ void write_schedule(Writer& w, const sched::Schedule& s) {
     w.put_int(g.last);
     w.put_int(g.sub_batch);
     w.put_int(g.iterations);
-    w.put_int(static_cast<std::int64_t>(g.members.size()));
-    for (int m : g.members) w.put_int(m);
   }
   w.put_int(static_cast<std::int64_t>(s.block_footprint.size()));
   for (std::int64_t v : s.block_footprint) w.put_int(v);
@@ -163,10 +161,7 @@ sched::Schedule read_schedule(Reader& r) {
     g.last = static_cast<int>(r.read_int());
     g.sub_batch = static_cast<int>(r.read_int());
     g.iterations = static_cast<int>(r.read_int());
-    const std::int64_t nmembers = r.read_int();
-    for (std::int64_t j = 0; j < nmembers && !r.fail(); ++j)
-      g.members.push_back(static_cast<int>(r.read_int()));
-    s.groups.push_back(std::move(g));
+    s.groups.push_back(g);
   }
   const std::int64_t nfoot = r.read_int();
   for (std::int64_t i = 0; i < nfoot && !r.fail(); ++i)

@@ -59,10 +59,11 @@ class CacheStore {
   /// other stamp reads as a miss.
   /// net2: attention layers append a `heads` field.
   /// sched2: Group gained the `members` list (non-contiguous grouping).
+  /// sched3: Group lost it again; groups are plain [first, last] ranges.
   /// sys1: the cycle-level systolic-step stage joined the store.
   /// svc2: entries carry an fnv1a64 checksum over a length-prefixed body.
   static constexpr const char* kSchemaStamp =
-      "net2;sched2;traffic1;step1;gpu1;sys1;svc2";
+      "net2;sched3;traffic1;step1;gpu1;sys1;svc2";
 
   explicit CacheStore(std::string path);
 

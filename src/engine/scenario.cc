@@ -66,12 +66,8 @@ std::string Scenario::schedule_key() const {
   field(key, "mb", params.mini_batch);
   field(key, "opt", params.optimal_grouping);
   field(key, "ft", static_cast<int>(params.feature_type));
-  // Appended only when non-default so every pre-variant key keeps its
-  // exact bytes and the key space never fragments as axes accrue. No
-  // collision is possible: default keys end in the ft field, never in a
-  // var field.
-  if (params.variant != sched::GroupingVariant::kContiguous)
-    field(key, "var", static_cast<int>(params.variant));
+  // Appended only when non-default so every pre-seq key keeps its exact
+  // bytes.
   if (seq != 0) field(key, "seq", seq);
   return key;
 }
@@ -94,7 +90,7 @@ std::string Scenario::cache_key() const {
     return key;
   }
   std::string key;
-  // Like params.variant in schedule_key(): the device tag appears only for
+  // Like seq in schedule_key(): the device tag appears only for
   // non-default devices, so every pre-existing kWaveCore key keeps its
   // exact bytes. No collision is possible: kWaveCore keys start with the
   // net field, never with a dev field.
@@ -201,13 +197,6 @@ bool parse_scenario(const std::string& spec, Scenario* out,
     } else if (key == "opt") {
       if (!parse_bool(value, &b)) return fail("bad opt '" + value + "'");
       s.params.optimal_grouping = b;
-    } else if (key == "var") {
-      if (value == "contiguous")
-        s.params.variant = sched::GroupingVariant::kContiguous;
-      else if (value == "noncontiguous")
-        s.params.variant = sched::GroupingVariant::kNonContiguous;
-      else
-        return fail("bad var '" + value + "' (contiguous|noncontiguous)");
     } else if (key == "dev") {
       if (value == "wavecore")
         s.device = Device::kWaveCore;

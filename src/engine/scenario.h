@@ -55,9 +55,7 @@ struct Scenario {
   /// Tab. 3 execution configuration (Baseline ... MBS2).
   sched::ExecConfig config = sched::ExecConfig::kBaseline;
   /// Scheduler inputs: buffer capacity, mini-batch override, greedy-vs-DP
-  /// grouping, feature type, and the grouping-variant axis
-  /// (sched::GroupingVariant — contiguous by default, non-contiguous to
-  /// sweep the relaxed search space).
+  /// grouping, feature type.
   sched::ScheduleParams params;
   /// WaveCore hardware point: systolic array, memory system (type and
   /// bandwidth), core count, global buffer, energy model.
@@ -80,9 +78,9 @@ struct Scenario {
   /// carries the seq override only when non-default).
   std::string network_key() const;
   /// Key of the scheduling stage: network + config + every ScheduleParams
-  /// field. Scenarios differing only in `hw` share this key. Fields added
-  /// after PR 2 (params.variant) are emitted only when non-default, so
-  /// pre-existing scenarios' keys never change bytes as axes accrue.
+  /// field. Scenarios differing only in `hw` share this key. The seq field
+  /// is emitted only when non-default, so pre-existing scenarios' keys
+  /// never change bytes as axes accrue.
   std::string schedule_key() const;
   /// Key of the simulation stage: schedule_key + every hardware field (or
   /// the GPU model fields for kGpu scenarios). Two scenarios with equal
@@ -96,10 +94,9 @@ struct Scenario {
 ///   net=resnet50;cfg=MBS2;buf=8388608;dev=systolic;df=ws;stage=simulate
 ///
 /// Keys: net (required), seq (Transformer token count, 0 = default), cfg
-/// (Tab. 3 name), buf (bytes), mb, opt (0/1), var
-/// (contiguous|noncontiguous), dev (wavecore|gpu|systolic), df (systolic
-/// dataflow), spad (bytes), gmb (GPU mini-batch), nobw (0/1), stage
-/// (network|schedule|traffic|simulate). Unlisted fields keep their
+/// (Tab. 3 name), buf (bytes), mb, opt (0/1), dev (wavecore|gpu|systolic),
+/// df (systolic dataflow), spad (bytes), gmb (GPU mini-batch), nobw (0/1),
+/// stage (network|schedule|traffic|simulate). Unlisted fields keep their
 /// defaults, so a spec's cache_key matches the batch benches' default
 /// hardware point. Whitespace around fields is ignored. Returns false and
 /// fills *error (when non-null) on an unknown key, malformed value, or a

@@ -66,6 +66,12 @@ const ScenarioResult& SweepResults::operator[](std::size_t i) const {
 
 namespace {
 
+/// True when `s` runs the scheduler (WaveCore and the cycle backend both
+/// do). Such scenarios share schedule-stage work by schedule cache key.
+bool runs_scheduler(const Scenario& s) {
+  return s.device != Device::kGpu && s.stage >= Stage::kSchedule;
+}
+
 /// The kSimulate-depth work of a scheduled (non-GPU) scenario: runs the
 /// device-specific step model and maps its metrics into `r.step` so mixed
 /// sweeps tabulate uniformly. Shared by the serial path and the grouped
@@ -158,16 +164,11 @@ void SweepRunner::evaluate_indices(const std::vector<Scenario>& scenarios,
                                    Evaluator& eval,
                                    const std::vector<std::size_t>& indices,
                                    ScenarioResult* out) const {
-  if (!opts_.group_by_schedule) {
-    for_each_index(static_cast<int>(indices.size()), [&](int k) {
-      out[k] = evaluate_scenario(scenarios[indices[static_cast<std::size_t>(k)]],
-                                 eval);
-    });
-    return;
-  }
-
-  // Group the scenarios that run the scheduler (WaveCore and the cycle
-  // backend both do) by schedule cache key; GPU and network-only scenarios
+  // Batch the scenarios that run the scheduler by schedule cache key
+  // (fig12's four memory systems per config, fig13's GPU comparisons, …):
+  // each group's schedule and traffic are computed exactly once up front,
+  // then the members fan out with the shared results, so no worker ever
+  // blocks on another's in-flight schedule. GPU and network-only scenarios
   // stay ungrouped (they share no schedule-stage work).
   struct Group {
     std::size_t repr;  ///< first member, in input order
@@ -178,7 +179,7 @@ void SweepRunner::evaluate_indices(const std::vector<Scenario>& scenarios,
   std::vector<std::int64_t> group_of(indices.size(), -1);
   for (std::size_t k = 0; k < indices.size(); ++k) {
     const Scenario& s = scenarios[indices[k]];
-    if (s.device == Device::kGpu || s.stage < Stage::kSchedule) continue;
+    if (!runs_scheduler(s)) continue;
     const auto [it, inserted] =
         group_by_key.emplace(s.schedule_key(), groups.size());
     if (inserted)
@@ -240,10 +241,8 @@ void SweepRunner::drain_spool(const std::vector<Scenario>& scenarios,
   std::unordered_map<std::string, std::size_t> unit_by_key;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const Scenario& s = scenarios[i];
-    const bool grouped =
-        s.device != Device::kGpu && s.stage >= Stage::kSchedule;
     const std::string key =
-        grouped ? "g:" + s.schedule_key() : "s:" + s.cache_key();
+        runs_scheduler(s) ? "g:" + s.schedule_key() : "s:" + s.cache_key();
     const auto [it, inserted] = unit_by_key.emplace(key, units.size());
     if (inserted) units.emplace_back();
     units[it->second].push_back(i);

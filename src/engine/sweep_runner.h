@@ -62,23 +62,15 @@ struct ScenarioResult {
   arch::SystolicStepResult systolic;  ///< populated only for kSystolic ones
 };
 
-/// Evaluates one scenario against `eval` (the serial reference path; the
-/// parallel runner calls exactly this per index).
+/// Evaluates one scenario against `eval`. SweepRunner returns the same
+/// results but computes each schedule key's shared stages once per sweep,
+/// so a serial loop over this function is the reference it is tested
+/// against.
 ScenarioResult evaluate_scenario(const Scenario& s, Evaluator& eval);
 
 struct SweepOptions {
   /// Worker threads; 0 uses std::thread::hardware_concurrency().
   int threads = 0;
-  /// Batch scenarios that share a schedule cache key (fig12's four memory
-  /// systems per config, fig13's GPU comparisons, …): each group's
-  /// schedule and traffic are computed exactly once up front, then the
-  /// member scenarios fan out with the shared results — no worker ever
-  /// blocks on another's in-flight schedule, and the evaluator sees one
-  /// traffic lookup per group instead of one per scenario. Results are
-  /// byte-identical to ungrouped runs (the shared objects ARE the
-  /// evaluator-cached ones). Tests clear it to get the ungrouped
-  /// reference run.
-  bool group_by_schedule = true;
   /// When non-empty, run() / run_sharded() first drain the grid through a
   /// SpoolQueue rooted here (env: MBS_SPOOL_DIR via engine::Driver): N
   /// worker processes sharing the directory claim schedule-key groups

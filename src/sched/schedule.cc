@@ -6,27 +6,6 @@
 
 namespace mbs::sched {
 
-const char* to_string(GroupingVariant v) {
-  switch (v) {
-    case GroupingVariant::kContiguous: return "contiguous";
-    case GroupingVariant::kNonContiguous: return "noncontig";
-  }
-  return "?";
-}
-
-bool Group::contains(int block) const {
-  if (members.empty()) return block >= first && block <= last;
-  return std::binary_search(members.begin(), members.end(), block);
-}
-
-std::vector<int> Group::blocks() const {
-  if (!members.empty()) return members;
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(last - first + 1));
-  for (int b = first; b <= last; ++b) out.push_back(b);
-  return out;
-}
-
 std::vector<int> Group::chunks(int mini_batch) const {
   std::vector<int> out;
   for (const ChunkClass& c : chunk_classes(mini_batch))
@@ -41,10 +20,9 @@ std::array<Group::ChunkClass, 2> Group::chunk_classes(int mini_batch) const {
 }
 
 int Schedule::group_of_block(int block) const {
-  // Non-contiguous groups can have overlapping [first, last] envelopes, so
-  // membership (not the range test) decides.
   for (std::size_t g = 0; g < groups.size(); ++g)
-    if (groups[g].contains(block)) return static_cast<int>(g);
+    if (block >= groups[g].first && block <= groups[g].last)
+      return static_cast<int>(g);
   return -1;
 }
 
@@ -60,9 +38,6 @@ int Schedule::total_iterations() const {
 }
 
 bool Schedule::is_group_boundary(int block) const {
-  // Equivalent to "block is some group's first" for contiguous schedules;
-  // for non-contiguous groups every run of consecutive members starts a
-  // boundary (the group's data does not stay on chip across a gap).
   if (block <= 0) return true;
   return group_of_block(block - 1) != group_of_block(block);
 }
@@ -71,49 +46,9 @@ std::string Schedule::validate(const core::Network& net) const {
   std::ostringstream err;
   const int n_blocks = static_cast<int>(net.blocks.size());
   if (groups.empty()) return "no groups";
-  bool non_contiguous = false;
-  for (const Group& g : groups) non_contiguous |= !g.members.empty();
-
-  if (!non_contiguous) {
-    if (groups.front().first != 0) return "first group does not start at 0";
-    if (groups.back().last != n_blocks - 1)
-      return "last group does not end at last block";
-  } else {
-    // Non-contiguous partition: every block owned by exactly one group.
-    std::vector<int> owners(static_cast<std::size_t>(n_blocks), 0);
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const Group& grp = groups[g];
-      // Checked before blocks(): a member-less group with first > last
-      // must be reported, not expanded into a bogus range.
-      if (grp.members.empty() && grp.first > grp.last) {
-        err << "group " << g << " has first > last";
-        return err.str();
-      }
-      const std::vector<int> blocks = grp.blocks();
-      if (!std::is_sorted(blocks.begin(), blocks.end()) ||
-          std::adjacent_find(blocks.begin(), blocks.end()) != blocks.end()) {
-        err << "group " << g << " members not sorted/unique";
-        return err.str();
-      }
-      if (grp.first != blocks.front() || grp.last != blocks.back()) {
-        err << "group " << g << " first/last disagree with members";
-        return err.str();
-      }
-      for (int b : blocks) {
-        if (b < 0 || b >= n_blocks) {
-          err << "group " << g << " member out of range";
-          return err.str();
-        }
-        ++owners[static_cast<std::size_t>(b)];
-      }
-    }
-    for (int b = 0; b < n_blocks; ++b)
-      if (owners[static_cast<std::size_t>(b)] != 1) {
-        err << "block " << b << " owned by "
-            << owners[static_cast<std::size_t>(b)] << " groups";
-        return err.str();
-      }
-  }
+  if (groups.front().first != 0) return "first group does not start at 0";
+  if (groups.back().last != n_blocks - 1)
+    return "last group does not end at last block";
 
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const Group& grp = groups[g];
@@ -121,7 +56,7 @@ std::string Schedule::validate(const core::Network& net) const {
       err << "group " << g << " has first > last";
       return err.str();
     }
-    if (!non_contiguous && g > 0 && grp.first != groups[g - 1].last + 1) {
+    if (g > 0 && grp.first != groups[g - 1].last + 1) {
       err << "group " << g << " is not contiguous with its predecessor";
       return err.str();
     }
@@ -148,7 +83,7 @@ std::string Schedule::validate(const core::Network& net) const {
     // Capacity: the sub-batch footprint of every block in the group must fit
     // in the buffer, unless even one sample exceeds it (sub_batch == 1).
     if (uses_serialization(config)) {
-      for (int b : grp.blocks()) {
+      for (int b = grp.first; b <= grp.last; ++b) {
         const auto fp = block_footprint[static_cast<std::size_t>(b)];
         if (grp.sub_batch > 1 &&
             fp * grp.sub_batch > buffer_bytes) {

@@ -16,24 +16,6 @@
 
 namespace mbs::sched {
 
-/// Which layer-grouping search space the MBS1/MBS2 scheduler explores.
-///
-/// The paper (Sec. 3) restricts groups to *contiguous* runs of blocks; the
-/// non-contiguous variant lifts that restriction and lets the greedy merger
-/// combine any two groups, representing the result with explicit member
-/// lists (`Group::members`). Because every tensor edge of the evaluated
-/// networks connects adjacent blocks, a merge of non-adjacent groups keeps
-/// no extra data on chip while still tightening the merged sub-batch — the
-/// variant exists to *demonstrate* (via `bench/pareto_sweep` and
-/// `tests/sched_test.cc`) that the paper's contiguity restriction loses
-/// nothing, not to improve schedules.
-enum class GroupingVariant {
-  kContiguous,     ///< the paper's search space (default; bit-for-bit stable)
-  kNonContiguous,  ///< merge any two groups; groups carry member lists
-};
-
-const char* to_string(GroupingVariant v);
-
 /// Scheduler inputs. Every field is part of `engine::Scenario`'s schedule
 /// cache key, so two scenarios with equal params share one schedule.
 struct ScheduleParams {
@@ -41,30 +23,15 @@ struct ScheduleParams {
   int mini_batch = 0;       ///< 0: use the network's per-core default
   bool optimal_grouping = false;  ///< use DP instead of greedy merging
   core::DataType feature_type = core::DataType::kF16;
-  /// Grouping search space for MBS1/MBS2 (ignored by the other configs).
-  /// The default preserves current schedules bit for bit.
-  GroupingVariant variant = GroupingVariant::kContiguous;
 };
 
-/// One layer group: a set of blocks that run with a common sub-batch size.
-/// A contiguous group (the default, `members` empty) spans blocks
-/// [first, last]; a non-contiguous group (GroupingVariant::kNonContiguous
-/// only) lists its blocks explicitly in `members`, sorted ascending, with
-/// `first`/`last` mirroring the extremes for display.
+/// One layer group: the contiguous blocks [first, last], run with a common
+/// sub-batch size.
 struct Group {
   int first = 0;      ///< first block index (inclusive)
   int last = 0;       ///< last block index (inclusive)
   int sub_batch = 1;  ///< samples per sub-batch iteration
   int iterations = 1; ///< ceil(mini_batch / sub_batch)
-  /// Explicit block list for non-contiguous groups; empty means the
-  /// contiguous range [first, last].
-  std::vector<int> members;
-
-  /// True when `block` belongs to this group.
-  bool contains(int block) const;
-  /// The group's block indices, ascending (materializes the range for
-  /// contiguous groups).
-  std::vector<int> blocks() const;
 
   /// Chunk sizes per iteration, greedy-filled: `sub_batch` for every
   /// iteration except a smaller final remainder (Fig. 5's "3,3,...,3,2").
@@ -87,10 +54,8 @@ struct Schedule {
   ExecConfig config = ExecConfig::kBaseline;
   int mini_batch = 32;
   std::int64_t buffer_bytes = 0;
-  /// Groups covering all blocks exactly once, ordered by first block.
-  /// Contiguous unless the scheduler ran with
-  /// GroupingVariant::kNonContiguous (then groups may interleave and carry
-  /// explicit `members` lists).
+  /// Contiguous groups covering all blocks exactly once, ordered by first
+  /// block.
   std::vector<Group> groups;
 
   /// Per-block per-sample footprint under this config's reuse policy.
@@ -104,10 +69,9 @@ struct Schedule {
   int iterations_of_block(int block) const;
   /// Total sub-batch iterations across all groups.
   int total_iterations() const;
-  /// True if `block` starts a new group run (its input tensor is loaded
-  /// from DRAM at a group boundary): block 0, or a block whose predecessor
-  /// belongs to a different group. For contiguous schedules this is exactly
-  /// "block is some group's `first`".
+  /// True if `block` starts a group (its input tensor is loaded from DRAM
+  /// at a group boundary): block 0, or a block whose predecessor belongs to
+  /// a different group.
   bool is_group_boundary(int block) const;
 
   /// Checks structural invariants (cover, ordering, chunk sums, capacity).

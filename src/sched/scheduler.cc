@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <limits>
 
 #include "sched/traffic.h"
@@ -16,13 +15,8 @@ namespace {
 void refresh_groups(Schedule& s) {
   for (Group& g : s.groups) {
     int sub = s.mini_batch;
-    if (g.members.empty()) {
-      for (int b = g.first; b <= g.last; ++b)
-        sub = std::min(sub, s.block_max_sub[static_cast<std::size_t>(b)]);
-    } else {
-      for (int b : g.members)
-        sub = std::min(sub, s.block_max_sub[static_cast<std::size_t>(b)]);
-    }
+    for (int b = g.first; b <= g.last; ++b)
+      sub = std::min(sub, s.block_max_sub[static_cast<std::size_t>(b)]);
     g.sub_batch = sub;
     g.iterations = iterations_for(s.mini_batch, sub);
   }
@@ -78,62 +72,6 @@ void greedy_merge(DramObjective& objective, Schedule& s) {
   }
 }
 
-/// Non-contiguous greedy merging (GroupingVariant::kNonContiguous):
-/// starting from the same initial groups, repeatedly apply the merge of
-/// *any* two groups — adjacent or not — that reduces total modeled DRAM
-/// traffic the most. Merged groups carry explicit sorted member lists and
-/// the group vector stays ordered by first block. Because all tensor edges
-/// of the evaluated networks connect adjacent blocks, merging non-adjacent
-/// groups keeps no extra data on chip while still tightening the merged
-/// sub-batch to the minimum over members, so in practice this search picks
-/// exactly the adjacent merges the contiguous greedy picks — the variant is
-/// the in-tree demonstration that the paper's contiguity restriction loses
-/// nothing.
-void greedy_merge_noncontig(DramObjective& objective, Schedule& s) {
-  // Every group carries members explicitly so downstream consumers can
-  // rely on one representation for this variant.
-  for (Group& g : s.groups) g.members = g.blocks();
-  refresh_groups(s);
-  double best = objective(s);
-
-  auto merge_into = [](Schedule& sched, std::size_t a, std::size_t b) {
-    Group& ga = sched.groups[a];
-    Group& gb = sched.groups[b];
-    std::vector<int> merged;
-    merged.reserve(ga.members.size() + gb.members.size());
-    std::merge(ga.members.begin(), ga.members.end(), gb.members.begin(),
-               gb.members.end(), std::back_inserter(merged));
-    ga.members = std::move(merged);
-    ga.first = ga.members.front();
-    ga.last = ga.members.back();
-    sched.groups.erase(sched.groups.begin() + static_cast<std::ptrdiff_t>(b));
-    std::sort(sched.groups.begin(), sched.groups.end(),
-              [](const Group& x, const Group& y) { return x.first < y.first; });
-  };
-
-  Schedule cand = s;  // one candidate buffer, refilled for every merge tried
-  while (s.groups.size() > 1) {
-    std::size_t best_a = 0, best_b = 0;
-    double best_traffic = best;
-    for (std::size_t a = 0; a < s.groups.size(); ++a)
-      for (std::size_t b = a + 1; b < s.groups.size(); ++b) {
-        cand.groups = s.groups;
-        merge_into(cand, a, b);
-        refresh_groups(cand);
-        const double traffic = objective(cand);
-        if (traffic < best_traffic) {
-          best_traffic = traffic;
-          best_a = a;
-          best_b = b;
-        }
-      }
-    if (best_a == best_b) break;
-    merge_into(s, best_a, best_b);
-    refresh_groups(s);
-    best = best_traffic;
-  }
-}
-
 /// Optimal contiguous partition via dynamic programming (footnote 1):
 /// dp[j] = min_i dp[i] + cost(i, j), where cost is the traffic of a
 /// schedule containing group [i, j) with every other block in a singleton
@@ -163,10 +101,10 @@ void dp_optimal(const core::Network& net, DramObjective& objective,
   Schedule cand = singles;  // one candidate buffer, refilled per cost
   auto cost = [&](int i, int j) {
     cand.groups.clear();
-    for (int b = 0; b < i; ++b) cand.groups.push_back(Group{b, b, 1, 1, {}});
-    cand.groups.push_back(Group{i, j, 1, 1, {}});
+    for (int b = 0; b < i; ++b) cand.groups.push_back(Group{b, b, 1, 1});
+    cand.groups.push_back(Group{i, j, 1, 1});
     for (int b = j + 1; b < n; ++b)
-      cand.groups.push_back(Group{b, b, 1, 1, {}});
+      cand.groups.push_back(Group{b, b, 1, 1});
     refresh_groups(cand);
     return objective(cand);
   };
@@ -241,9 +179,7 @@ Schedule build_schedule(const core::Network& net, ExecConfig config,
   // Every search scores its candidates with one objective, which builds the
   // network's dataflow graph once.
   DramObjective objective(net);
-  if (params.variant == GroupingVariant::kNonContiguous)
-    greedy_merge_noncontig(objective, s);
-  else if (params.optimal_grouping)
+  if (params.optimal_grouping)
     dp_optimal(net, objective, s);
   else
     greedy_merge(objective, s);

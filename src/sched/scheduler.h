@@ -18,20 +18,12 @@ namespace mbs::sched {
 ///   when computing footprints. Every search scores candidates with one
 ///   `DramObjective`, built once per call.
 ///
-/// Two search-space knobs refine the MBS1/MBS2 grouping step:
-///
-/// * `params.optimal_grouping` replaces greedy merging with an O(blocks^2)
-///   dynamic program over contiguous partitions (the exhaustive-search
-///   reference of the paper's footnote 1). The DP assumes traffic is
-///   additive over groups: it is exact for the CNNs and a heuristic for
-///   pre-norm residual stacks (vit_*, transformer_base), whose gradient
-///   routing makes a group's traffic depend on its neighbours' grouping.
-/// * `params.variant == GroupingVariant::kNonContiguous` lets the greedy
-///   merger combine *any* two groups, not just adjacent ones; the resulting
-///   groups carry explicit member lists (`Group::members`). It takes
-///   precedence over `optimal_grouping` (the DP searches the contiguous
-///   space only). The default, `kContiguous`, preserves current schedules
-///   bit for bit.
+/// `params.optimal_grouping` replaces the MBS1/MBS2 greedy merging with an
+/// O(blocks^2) dynamic program over contiguous partitions (the
+/// exhaustive-search reference of the paper's footnote 1). The DP assumes
+/// traffic is additive over groups: it is exact for the CNNs and a heuristic
+/// for pre-norm residual stacks (vit_*, transformer_base), whose gradient
+/// routing makes a group's traffic depend on its neighbours' grouping.
 ///
 /// Determinism: for fixed inputs the result is a pure function of
 /// (net, config, params) — the engine memoizes it under

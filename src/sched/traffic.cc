@@ -183,16 +183,11 @@ class TrafficBuilder {
     const int n_blocks = static_cast<int>(net.blocks.size());
     block_group_.assign(static_cast<std::size_t>(n_blocks), -1);
     for (std::size_t g = 0; g < sched.groups.size(); ++g) {
-      auto claim = [&](int b) {
-        if (b < 0 || b >= n_blocks) return;
+      const Group& grp = sched.groups[g];
+      for (int b = std::max(grp.first, 0);
+           b <= std::min(grp.last, n_blocks - 1); ++b) {
         int& owner = block_group_[static_cast<std::size_t>(b)];
         if (owner < 0) owner = static_cast<int>(g);  // first owner wins
-      };
-      const Group& grp = sched.groups[g];
-      if (grp.members.empty()) {
-        for (int b = grp.first; b <= grp.last; ++b) claim(b);
-      } else {
-        for (int b : grp.members) claim(b);
       }
     }
   }

@@ -20,17 +20,13 @@
 //     the TU is built with -ffp-contract=off so GCC (whose mul/add
 //     intrinsics are plain vector expressions it would happily contract
 //     under the default -ffp-contract=fast) cannot fuse them behind our
-//     back. The f64 kernel DOES use _mm256_fmadd_pd: both factors are
-//     exact float->double promotions, so the 48-bit product is exact in
-//     double and fused vs. separate rounding give identical bits — there
-//     FMA is a free throughput win.
+//     back.
 //
-// Tile shape: 4 rows x 16 columns (8 __m256 accumulators) for full f32
-// tiles, stepping down to one 8-wide vector with a masked tail store for
-// column remainders; 4 x 8 (8 __m256d accumulators) for f64. Column-tail
-// B loads are unmasked — blocked_gemm over-allocates each panel by
-// detail::kPanelSlack floats so they stay in bounds — and the garbage
-// lanes are dropped by the masked store.
+// Tile shape: 4 rows x 16 columns (8 __m256 accumulators) for full tiles,
+// stepping down to one 8-wide vector with a masked tail store for column
+// remainders. Column-tail B loads are unmasked — blocked_gemm over-allocates
+// each panel by detail::kPanelSlack floats so they stay in bounds — and the
+// garbage lanes are dropped by the masked store.
 #include "train/gemm_microkernels.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -131,58 +127,6 @@ void gemm_panel_f32_avx2(const float* a, int64_t ars, int64_t acs,
         case 3: tile_f32_x8<3>(a_base, ars, acs, panel + j, k, nc, ip, crow + j, ldc, nr); break;
         case 2: tile_f32_x8<2>(a_base, ars, acs, panel + j, k, nc, ip, crow + j, ldc, nr); break;
         default: tile_f32_x8<1>(a_base, ars, acs, panel + j, k, nc, ip, crow + j, ldc, nr); break;
-      }
-    }
-  }
-}
-
-// ---- f64: 4 x 8 tile (two __m256d per row), optionally masked ---------------
-
-template <int MR>
-inline void tile_f64_x8(const float* a_base, int64_t ars, int64_t acs,
-                        const float* bp, int k, int nc, float* c, int64_t ldc,
-                        int nr) {
-  const __m256i mask = tail_mask(nr);
-  __m256d lo[MR], hi[MR];
-  for (int ii = 0; ii < MR; ++ii) {
-    lo[ii] = _mm256_setzero_pd();
-    hi[ii] = _mm256_setzero_pd();
-  }
-  for (int p = 0; p < k; ++p, bp += nc) {
-    const __m256 bv = _mm256_loadu_ps(bp);  // panel slack keeps this in bounds
-    const __m256d blo = _mm256_cvtps_pd(_mm256_castps256_ps128(bv));
-    const __m256d bhi = _mm256_cvtps_pd(_mm256_extractf128_ps(bv, 1));
-    for (int ii = 0; ii < MR; ++ii) {
-      const __m256d av =
-          _mm256_set1_pd(static_cast<double>(a_base[ii * ars + p * acs]));
-      lo[ii] = _mm256_fmadd_pd(av, blo, lo[ii]);  // exact product: fuse freely
-      hi[ii] = _mm256_fmadd_pd(av, bhi, hi[ii]);
-    }
-  }
-  for (int ii = 0; ii < MR; ++ii) {
-    const __m256 f =
-        _mm256_set_m128(_mm256_cvtpd_ps(hi[ii]), _mm256_cvtpd_ps(lo[ii]));
-    if (nr == 8)
-      _mm256_storeu_ps(c + ii * ldc, f);
-    else
-      _mm256_maskstore_ps(c + ii * ldc, mask, f);
-  }
-}
-
-void gemm_panel_f64_avx2(const float* a, int64_t ars, int64_t acs,
-                         const float* panel, int k, int nc, int64_t j0,
-                         float* c, int64_t ldc, int64_t i0, int64_t i1) {
-  for (int64_t i = i0; i < i1; i += 4) {
-    const int mr = static_cast<int>(i1 - i < 4 ? i1 - i : 4);
-    const float* a_base = a + i * ars;
-    float* crow = c + i * ldc + j0;
-    for (int j = 0; j < nc; j += 8) {
-      const int nr = nc - j < 8 ? nc - j : 8;
-      switch (mr) {
-        case 4: tile_f64_x8<4>(a_base, ars, acs, panel + j, k, nc, crow + j, ldc, nr); break;
-        case 3: tile_f64_x8<3>(a_base, ars, acs, panel + j, k, nc, crow + j, ldc, nr); break;
-        case 2: tile_f64_x8<2>(a_base, ars, acs, panel + j, k, nc, crow + j, ldc, nr); break;
-        default: tile_f64_x8<1>(a_base, ars, acs, panel + j, k, nc, crow + j, ldc, nr); break;
       }
     }
   }
@@ -291,8 +235,8 @@ double peak_probe_gflops_avx2() {
 }  // namespace
 
 const MicroKernels* avx2_microkernels() {
-  static const MicroKernels mk{gemm_panel_f32_avx2, gemm_panel_f64_avx2,
-                               pack_panel_nk_avx2, peak_probe_gflops_avx2};
+  static const MicroKernels mk{gemm_panel_f32_avx2, pack_panel_nk_avx2,
+                               peak_probe_gflops_avx2};
   return &mk;
 }
 

@@ -4,7 +4,7 @@
 //
 // A microkernel computes C rows [i0, i1) against ONE packed B panel of nc
 // columns (panel[p*nc + jj], p-major), each output element as a single
-// in-order pass over p = 0..K-1 with a fixed accumulator type. That
+// in-order pass over p = 0..K-1 with a float accumulator. That
 // per-element operation sequence is the bit-identity contract: every
 // family must produce byte-identical results, which is what lets
 // MBS_KERNEL switch families without perturbing the committed golden
@@ -12,10 +12,7 @@
 // multiply-then-add per term (the portable baseline targets plain x86-64,
 // which has no FMA instruction, so the AVX2 family must not contract
 // either — gemm_avx2.cc is additionally built with -ffp-contract=off so
-// the compiler cannot fuse behind our back). The f64 kernel may use FMA
-// freely: both factors are exact float-to-double promotions, so the
-// 48-bit product is exact in double and fused vs. separate rounding are
-// the same bits.
+// the compiler cannot fuse behind our back).
 //
 // Panel slack: blocked_gemm over-allocates every panel by kPanelSlack
 // floats so 8-wide vector loads on the last row's column remainder stay
@@ -33,19 +30,13 @@ namespace mbs::train::detail {
 constexpr int kPanelSlack = 8;
 
 struct MicroKernels {
-  /// Float-accumulating kernel (matmul / matmul_at / matmul_bt_f32):
+  /// Float-accumulating kernel (matmul_at_into / matmul_bt_f32_into):
   /// C[i, j0+jj] = init[j0+jj] (or 0) + sum_p a[i*ars + p*acs] *
   /// panel[p*nc + jj], accumulated in float, one unfused mul+add per term.
   void (*gemm_f32)(const float* a, std::int64_t ars, std::int64_t acs,
                    const float* panel, int k, int nc, const float* init,
                    std::int64_t j0, float* c, std::int64_t ldc,
                    std::int64_t i0, std::int64_t i1);
-  /// Double-accumulating kernel (matmul_bt): products
-  /// double(a) * double(b), rounded to float only on the final store.
-  void (*gemm_f64)(const float* a, std::int64_t ars, std::int64_t acs,
-                   const float* panel, int k, int nc, std::int64_t j0,
-                   float* c, std::int64_t ldc, std::int64_t i0,
-                   std::int64_t i1);
   /// Packs rows [j0, j0+nc) of a [N,K] row-major matrix (columns of B^T)
   /// into panel[p*nc + jj] — a transpose, pure data movement.
   void (*pack_nk)(const float* b, int k, std::int64_t j0, int nc,

@@ -5,8 +5,7 @@
 // over M row blocks on util::parallel_for. Bit-identity with the naive
 // triple loops is by construction: every output element C[i,j] is computed
 // by exactly one thread as a single pass over p = 0..K-1 in increasing
-// order with the same accumulator type as the naive loop (float for
-// matmul/matmul_at/matmul_bt_f32, double for matmul_bt), so the rounded
+// order with a float accumulator, as the naive loop does, so the rounded
 // operation sequence per element is unchanged at any thread count or tile
 // size. The naive loops' `if (v == 0) continue` sparsity skips are dropped
 // on the blocked path (the small-shape path keeps the seed's skip):
@@ -39,7 +38,7 @@
 // The conv data gradient is lowered here too (dgrad_cols_into +
 // conv_weights_to_dgrad_into): a forward-style im2col of dY against
 // flipped weights whose K order reproduces the seed scatter's addend
-// sequence, so it runs through matmul_bt_f32 bit-identically (the order
+// sequence, so it runs through matmul_bt_f32_into bit-identically (the order
 // argument is at conv2d_backward_into in ops.cc).
 #include "train/im2col.h"
 
@@ -111,35 +110,6 @@ void gemm_panel_f32(const float* a, std::int64_t ars, std::int64_t acs,
       for (int ii = 0; ii < mr; ++ii)
         for (int jj = 0; jj < nr; ++jj)
           c[(i + ii) * ldc + j0 + j + jj] = acc[ii][jj];
-    }
-  }
-}
-
-/// Double-accumulator micro-kernel (matmul_bt semantics): the product is
-/// computed in double — static_cast<double>(a) * b, as in the naive loop —
-/// and the accumulator rounds to float only on the final store.
-void gemm_panel_f64(const float* a, std::int64_t ars, std::int64_t acs,
-                    const float* panel, int k, int nc, std::int64_t j0,
-                    float* c, std::int64_t ldc, std::int64_t i0,
-                    std::int64_t i1) {
-  for (std::int64_t i = i0; i < i1; i += kMR) {
-    const int mr = static_cast<int>(i1 - i < kMR ? i1 - i : kMR);
-    for (int j = 0; j < nc; j += kNR) {
-      const int nr = nc - j < kNR ? nc - j : kNR;
-      double acc[kMR][kNR];
-      for (int ii = 0; ii < mr; ++ii)
-        for (int jj = 0; jj < nr; ++jj) acc[ii][jj] = 0.0;
-      const float* bp = panel + j;
-      for (int p = 0; p < k; ++p, bp += nc) {
-        double av[kMR];
-        for (int ii = 0; ii < mr; ++ii)
-          av[ii] = static_cast<double>(a[(i + ii) * ars + p * acs]);
-        for (int ii = 0; ii < mr; ++ii)
-          for (int jj = 0; jj < nr; ++jj) acc[ii][jj] += av[ii] * bp[jj];
-      }
-      for (int ii = 0; ii < mr; ++ii)
-        for (int jj = 0; jj < nr; ++jj)
-          c[(i + ii) * ldc + j0 + j + jj] = static_cast<float>(acc[ii][jj]);
     }
   }
 }
@@ -225,8 +195,8 @@ std::int64_t small_row_grain(std::int64_t n, int k) {
 /// B in [K,N] row-major: C rows accumulated in p order — the seed's naive
 /// matmul loop nest verbatim, zero skip included (the skip only drops +/-0
 /// addends, and measurably helps codegen even on dense data). A is
-/// addressed a[i*ars + p*acs], serving both A-normal (matmul) and
-/// A-transposed (matmul_at) callers.
+/// addressed a[i*ars + p*acs]; matmul_at_into passes the A-transposed
+/// strides.
 void small_gemm_kn_f32(const float* a, std::int64_t ars, std::int64_t acs,
                        const float* b, std::int64_t m, std::int64_t n, int k,
                        float* c) {
@@ -253,7 +223,7 @@ void small_gemm_kn_f32(const float* a, std::int64_t ars, std::int64_t acs,
 namespace detail {
 
 const MicroKernels& portable_microkernels() {
-  static const MicroKernels mk{gemm_panel_f32, gemm_panel_f64, pack_panel_nk,
+  static const MicroKernels mk{gemm_panel_f32, pack_panel_nk,
                                peak_probe_gflops_portable};
   return mk;
 }
@@ -299,17 +269,6 @@ double measured_peak_gflops() {
 
 util::KernelIsa active_gemm_isa() { return detail::resolved_isa(); }
 
-Tensor im2col(const Tensor& x, int kernel_h, int kernel_w, int stride,
-              int pad_h, int pad_w) {
-  assert(x.ndim() == 4);
-  const int n = x.dim(0), ci = x.dim(1), ih = x.dim(2), iw = x.dim(3);
-  const int oh = out_dim(ih, kernel_h, stride, pad_h);
-  const int ow = out_dim(iw, kernel_w, stride, pad_w);
-  Tensor cols({n * oh * ow, ci * kernel_h * kernel_w});  // zero-initialized
-  im2col_into(x, kernel_h, kernel_w, stride, pad_h, pad_w, cols.data());
-  return cols;
-}
-
 void im2col_into(const Tensor& x, int kernel_h, int kernel_w, int stride,
                  int pad_h, int pad_w, float* cd) {
   assert(x.ndim() == 4);
@@ -345,94 +304,6 @@ void im2col_into(const Tensor& x, int kernel_h, int kernel_w, int stride,
       });
 }
 
-Tensor col2im(const Tensor& cols, const std::vector<int>& x_shape,
-              int kernel_h, int kernel_w, int stride, int pad_h, int pad_w) {
-  util::ScopedKernelTimer timer(util::KernelKind::kIm2col);
-  const int n = x_shape[0], ci = x_shape[1], ih = x_shape[2], iw = x_shape[3];
-  const int oh = out_dim(ih, kernel_h, stride, pad_h);
-  const int ow = out_dim(iw, kernel_w, stride, pad_w);
-  const int k = ci * kernel_h * kernel_w;
-  assert(cols.dim(0) == n * oh * ow && cols.dim(1) == k);
-  Tensor x(x_shape);
-  const float* cd = cols.data();
-  float* xd = x.data();
-  // The scatter-add stays inside one sample, so partitioning over samples
-  // keeps every x element owned by one thread in unchanged (yh,yw,r,s)
-  // accumulation order.
-  util::parallel_for(n, 1, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b) {
-      std::int64_t row = b * oh * ow;
-      for (int yh = 0; yh < oh; ++yh)
-        for (int yw = 0; yw < ow; ++yw, ++row) {
-          const float* in = cd + row * k;
-          const int xw0 = yw * stride - pad_w;
-          const int s_lo = xw0 < 0 ? -xw0 : 0;
-          const int s_hi = iw - xw0 < kernel_w ? iw - xw0 : kernel_w;
-          for (int c = 0; c < ci; ++c)
-            for (int r = 0; r < kernel_h; ++r) {
-              const int xh = yh * stride - pad_h + r;
-              if (xh < 0 || xh >= ih) continue;
-              float* dst =
-                  xd + ((b * ci + c) * ih + xh) * iw + xw0;
-              const float* src =
-                  in + (static_cast<std::int64_t>(c) * kernel_h + r) * kernel_w;
-              for (int s = s_lo; s < s_hi; ++s) dst[s] += src[s];
-            }
-        }
-    }
-  });
-  return x;
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  assert(a.ndim() == 2 && b.ndim() == 2 && a.dim(1) == b.dim(0));
-  util::ScopedKernelTimer timer(util::KernelKind::kGemm);
-  const std::int64_t m = a.dim(0), n = b.dim(1);
-  const int k = a.dim(1);
-  util::note_kernel_flops(2 * m * n * k);
-  Tensor c({static_cast<int>(m), static_cast<int>(n)});
-  const float* ad = a.data();
-  float* cd = c.data();
-  if (small_gemm_shape(m, n, k)) {
-    small_gemm_kn_f32(ad, k, 1, b.data(), m, n, k, cd);
-    return c;
-  }
-  const detail::MicroKernels& mk = detail::active_microkernels();
-  blocked_gemm(m, n, k, PanelLayout::kKN, b.data(), mk,
-               [&](const float* panel, int nc, std::int64_t j0,
-                   std::int64_t i0, std::int64_t i1) {
-                 mk.gemm_f32(ad, k, 1, panel, k, nc, nullptr, j0, cd, n, i0,
-                             i1);
-               });
-  return c;
-}
-
-Tensor matmul_bt(const Tensor& a, const Tensor& b) {
-  assert(a.ndim() == 2 && b.ndim() == 2 && a.dim(1) == b.dim(1));
-  util::ScopedKernelTimer timer(util::KernelKind::kGemm);
-  const std::int64_t m = a.dim(0), n = b.dim(0);
-  const int k = a.dim(1);
-  util::note_kernel_flops(2 * m * n * k);
-  Tensor c({static_cast<int>(m), static_cast<int>(n)});
-  const float* ad = a.data();
-  float* cd = c.data();
-  const detail::MicroKernels& mk = detail::active_microkernels();
-  blocked_gemm(m, n, k, PanelLayout::kNK, b.data(), mk,
-               [&](const float* panel, int nc, std::int64_t j0,
-                   std::int64_t i0, std::int64_t i1) {
-                 mk.gemm_f64(ad, k, 1, panel, k, nc, j0, cd, n, i0, i1);
-               });
-  return c;
-}
-
-Tensor matmul_at(const Tensor& a, const Tensor& b) {
-  assert(a.ndim() == 2 && b.ndim() == 2 && a.dim(0) == b.dim(0));
-  const std::int64_t m = a.dim(1), n = b.dim(1);
-  Tensor c({static_cast<int>(m), static_cast<int>(n)});
-  matmul_at_into(a.data(), m, b.data(), n, a.dim(0), c.data());
-  return c;
-}
-
 void matmul_at_into(const float* a, std::int64_t m, const float* b,
                     std::int64_t n, int k, float* c) {
   util::ScopedKernelTimer timer(util::KernelKind::kGemm);
@@ -450,16 +321,6 @@ void matmul_at_into(const float* a, std::int64_t m, const float* b,
                });
 }
 
-Tensor matmul_bt_f32(const Tensor& a, const Tensor& b, const Tensor& init) {
-  assert(a.ndim() == 2 && b.ndim() == 2 && a.dim(1) == b.dim(1));
-  assert(init.empty() || init.size() == b.dim(0));
-  const std::int64_t m = a.dim(0), n = b.dim(0);
-  Tensor c({static_cast<int>(m), static_cast<int>(n)});
-  matmul_bt_f32_into(a.data(), m, b.data(), n, a.dim(1),
-                     init.empty() ? nullptr : init.data(), c.data());
-  return c;
-}
-
 void matmul_bt_f32_into(const float* a, std::int64_t m, const float* b,
                         std::int64_t n, int k, const float* init, float* c) {
   util::ScopedKernelTimer timer(util::KernelKind::kGemm);
@@ -472,27 +333,11 @@ void matmul_bt_f32_into(const float* a, std::int64_t m, const float* b,
                });
 }
 
-Tensor column_sums_f32(const Tensor& m) {
-  assert(m.ndim() == 2);
-  Tensor sums({m.dim(1)});
-  column_sums_f32_into(m.data(), m.dim(0), m.dim(1), sums.data());
-  return sums;
-}
-
 void column_sums_f32_into(const float* m, std::int64_t rows, int n,
                           float* out) {
   for (int j = 0; j < n; ++j) out[j] = 0.0f;
   for (std::int64_t r = 0; r < rows; ++r)
     for (int j = 0; j < n; ++j) out[j] += m[r * n + j];
-}
-
-Tensor nchw_to_rows(const Tensor& t) {
-  assert(t.ndim() == 4);
-  const int n = t.dim(0), c = t.dim(1);
-  const std::int64_t hw = static_cast<std::int64_t>(t.dim(2)) * t.dim(3);
-  Tensor rows({static_cast<int>(n * hw), c});
-  nchw_to_rows_into(t, rows.data());
-  return rows;
 }
 
 void nchw_to_rows_into(const Tensor& t, float* rd) {
@@ -510,16 +355,6 @@ void nchw_to_rows_into(const Tensor& t, float* rd) {
                      });
 }
 
-Tensor rows_to_nchw(const Tensor& rows, const std::vector<int>& shape4) {
-  assert(rows.ndim() == 2 && shape4.size() == 4);
-  assert(rows.dim(0) == static_cast<std::int64_t>(shape4[0]) * shape4[2] *
-                            shape4[3] &&
-         rows.dim(1) == shape4[1]);
-  Tensor t(shape4);
-  rows_to_nchw_into(rows.data(), t);
-  return t;
-}
-
 void rows_to_nchw_into(const float* rd, Tensor& t) {
   assert(t.ndim() == 4);
   const int c = t.dim(1);
@@ -533,15 +368,6 @@ void rows_to_nchw_into(const float* rd, Tensor& t) {
                            td[(b * c + ch) * hw + pos] = rd[row * c + ch];
                        }
                      });
-}
-
-Tensor kxn_to_conv_weights(const Tensor& m, int co, int ci, int kh, int kw) {
-  assert(m.ndim() == 2 &&
-         m.dim(0) == static_cast<std::int64_t>(ci) * kh * kw &&
-         m.dim(1) == co);
-  Tensor w({co, ci, kh, kw});
-  kxn_to_conv_weights_into(m.data(), co, ci, kh, kw, w.data());
-  return w;
 }
 
 void kxn_to_conv_weights_into(const float* md, int co, int ci, int kh, int kw,
@@ -620,61 +446,6 @@ void conv_weights_to_dgrad_into(const float* wd, int co, int ci, int kh,
       float* dst = wf + (static_cast<std::int64_t>(c) * co + o) * taps;
       for (int t = 0; t < taps; ++t) dst[taps - 1 - t] = src[t];
     }
-}
-
-Tensor conv2d_forward_im2col(const Tensor& x, const Tensor& w,
-                             const Tensor& bias, int stride, int pad) {
-  const int n = x.dim(0);
-  const int co = w.dim(0), ci = w.dim(1), kh = w.dim(2), kw = w.dim(3);
-  const int oh = out_dim(x.dim(2), kh, stride, pad);
-  const int ow = out_dim(x.dim(3), kw, stride, pad);
-
-  // A [N*Ho*Wo, Ci*Kh*Kw]; B = W reshaped [Co, Ci*Kh*Kw], used transposed.
-  const Tensor a = im2col(x, kh, kw, stride, pad, pad);
-  Tensor w2({co, ci * kh * kw});
-  std::memcpy(w2.data(), w.data(),
-              static_cast<std::size_t>(w.size()) * sizeof(float));
-  const Tensor c = matmul_bt(a, w2);  // [N*Ho*Wo, Co]
-
-  // Repack [N*Ho*Wo, Co] -> [N, Co, Ho, Wo] and add bias.
-  Tensor y = rows_to_nchw(c, {n, co, oh, ow});
-  if (!bias.empty()) {
-    const std::int64_t hw = static_cast<std::int64_t>(oh) * ow;
-    float* yd = y.data();
-    for (int b = 0; b < n; ++b)
-      for (int o = 0; o < co; ++o) {
-        float* row = yd + (static_cast<std::int64_t>(b) * co + o) * hw;
-        for (std::int64_t i = 0; i < hw; ++i) row[i] += bias[o];
-      }
-  }
-  return y;
-}
-
-Conv2dIm2colGrads conv2d_backward_im2col(const Tensor& x, const Tensor& w,
-                                         const Tensor& dy, int stride,
-                                         int pad) {
-  const int co = w.dim(0), ci = w.dim(1), kh = w.dim(2), kw = w.dim(3);
-  const std::int64_t k = static_cast<std::int64_t>(ci) * kh * kw;
-
-  // dY as a [N*Ho*Wo, Co] matrix.
-  const Tensor dy2 = nchw_to_rows(dy);
-
-  Conv2dIm2colGrads g;
-
-  // Weight gradient (Tab. 1): im2col(x)^T * dY, repacked to [Co,Ci,Kh,Kw].
-  const Tensor a = im2col(x, kh, kw, stride, pad, pad);
-  g.dw = kxn_to_conv_weights(matmul_at(a, dy2), co, ci, kh, kw);
-
-  // Bias gradient: column sums of dY.
-  g.dbias = column_sums_f32(dy2);
-
-  // Data gradient (Tab. 1): dA = dY * W [Gh, K], scattered back with col2im.
-  Tensor w2({co, static_cast<int>(k)});
-  std::memcpy(w2.data(), w.data(),
-              static_cast<std::size_t>(w.size()) * sizeof(float));
-  const Tensor da = matmul(dy2, w2);  // [N*Ho*Wo, Ci*Kh*Kw]
-  g.dx = col2im(da, x.shape(), kh, kw, stride, pad, pad);
-  return g;
 }
 
 }  // namespace mbs::train

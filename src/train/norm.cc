@@ -6,16 +6,15 @@
 // samples, so it parallelizes over groups only (samples stay an inner,
 // in-order loop).
 //
-// Two implementations of each pass live here. The default walks raw
-// pointers over the contiguous [H,W] (BN) / [Cg,H,W] (GN) runs of the
-// NCHW layout and hoists loop-invariant scalars; set_norm_rewrite(false)
-// selects the original Tensor::at() form, kept as the test oracle. The
-// rewrite preserves every floating-point expression SHAPE — accumulation
-// order, promotion points, and association are unchanged, and only
-// subexpressions that appear verbatim per iteration (e.g. `sum_dy / m`,
-// `gam * inv`) are hoisted, never re-associated ones (`xh * sum / m` stays
-// written out, because `(xh*sum)/m != xh*(sum/m)` in rounding) — so both
-// paths are bit-identical; tests/kernel_test.cc enforces it.
+// The loops walk raw pointers over the contiguous [H,W] (BN) / [Cg,H,W]
+// (GN) runs of the NCHW layout and hoist loop-invariant scalars. They
+// preserve every floating-point expression SHAPE of the seed's Tensor::at()
+// form — accumulation order, promotion points, and association are
+// unchanged, and only subexpressions that appear verbatim per iteration
+// (e.g. `sum_dy / m`, `gam * inv`) are hoisted, never re-associated ones
+// (`xh * sum / m` stays written out, because `(xh*sum)/m != xh*(sum/m)` in
+// rounding) — so both forms are bit-identical; tests/kernel_test.cc keeps
+// the Tensor::at() form as its oracle and enforces it.
 #include "train/norm.h"
 
 #include <cassert>
@@ -25,180 +24,9 @@
 
 namespace mbs::train {
 
-namespace {
-
-bool g_norm_rewrite = true;
-
-// ---------------------------------------------------------------------------
-// Legacy Tensor::at() implementations (the set_norm_rewrite(false) oracle).
-// ---------------------------------------------------------------------------
-
-Tensor batchnorm_forward_legacy(const Tensor& x, const Tensor& gamma,
-                                const Tensor& beta, NormCache& cache,
-                                float eps) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::int64_t m = static_cast<std::int64_t>(n) * h * w;
-  Tensor y(x.shape());
-  util::parallel_for(c, 1, [&](std::int64_t c0, std::int64_t c1) {
-  for (int ch = static_cast<int>(c0); ch < c1; ++ch) {
-    double sum = 0, sq = 0;
-    for (int b = 0; b < n; ++b)
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) {
-          const double v = x.at(b, ch, i, j);
-          sum += v;
-          sq += v * v;
-        }
-    const double mean = sum / static_cast<double>(m);
-    const double var = sq / static_cast<double>(m) - mean * mean;
-    const double inv = 1.0 / std::sqrt(var + eps);
-    cache.mean[ch] = static_cast<float>(mean);
-    cache.inv_std[ch] = static_cast<float>(inv);
-    for (int b = 0; b < n; ++b)
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) {
-          const float xh = static_cast<float>((x.at(b, ch, i, j) - mean) * inv);
-          cache.xhat.at(b, ch, i, j) = xh;
-          y.at(b, ch, i, j) = gamma[ch] * xh + beta[ch];
-        }
-  }
-  });
-  return y;
-}
-
-NormGrads batchnorm_backward_legacy(const Tensor& dy, const Tensor& gamma,
-                                    const NormCache& cache) {
-  const Tensor& x = cache.x;
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const double m = static_cast<double>(n) * h * w;
-  NormGrads g;
-  g.dx = Tensor(x.shape());
-  g.dgamma = Tensor({c});
-  g.dbeta = Tensor({c});
-  util::parallel_for(c, 1, [&](std::int64_t c0, std::int64_t c1) {
-  for (int ch = static_cast<int>(c0); ch < c1; ++ch) {
-    double sum_dy = 0, sum_dy_xhat = 0;
-    for (int b = 0; b < n; ++b)
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) {
-          const double d = dy.at(b, ch, i, j);
-          sum_dy += d;
-          sum_dy_xhat += d * cache.xhat.at(b, ch, i, j);
-        }
-    g.dbeta[ch] = static_cast<float>(sum_dy);
-    g.dgamma[ch] = static_cast<float>(sum_dy_xhat);
-    const double inv = cache.inv_std[ch];
-    const double gam = gamma[ch];
-    for (int b = 0; b < n; ++b)
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) {
-          const double d = dy.at(b, ch, i, j);
-          const double xh = cache.xhat.at(b, ch, i, j);
-          g.dx.at(b, ch, i, j) = static_cast<float>(
-              gam * inv * (d - sum_dy / m - xh * sum_dy_xhat / m));
-        }
-  }
-  });
-  return g;
-}
-
-Tensor groupnorm_forward_legacy(const Tensor& x, const Tensor& gamma,
-                                const Tensor& beta, int groups,
-                                NormCache& cache, float eps) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int cpg = c / groups;
-  const double m = static_cast<double>(cpg) * h * w;
-  Tensor y(x.shape());
-  util::parallel_for(
-      static_cast<std::int64_t>(n) * groups, 1,
-      [&](std::int64_t u0, std::int64_t u1) {
-  for (std::int64_t unit = u0; unit < u1; ++unit) {
-    const int b = static_cast<int>(unit / groups);
-    const int gr = static_cast<int>(unit % groups);
-    {
-      double sum = 0, sq = 0;
-      for (int cc = gr * cpg; cc < (gr + 1) * cpg; ++cc)
-        for (int i = 0; i < h; ++i)
-          for (int j = 0; j < w; ++j) {
-            const double v = x.at(b, cc, i, j);
-            sum += v;
-            sq += v * v;
-          }
-      const double mean = sum / m;
-      const double var = sq / m - mean * mean;
-      const double inv = 1.0 / std::sqrt(var + eps);
-      cache.mean[static_cast<std::int64_t>(b) * groups + gr] =
-          static_cast<float>(mean);
-      cache.inv_std[static_cast<std::int64_t>(b) * groups + gr] =
-          static_cast<float>(inv);
-      for (int cc = gr * cpg; cc < (gr + 1) * cpg; ++cc)
-        for (int i = 0; i < h; ++i)
-          for (int j = 0; j < w; ++j) {
-            const float xh =
-                static_cast<float>((x.at(b, cc, i, j) - mean) * inv);
-            cache.xhat.at(b, cc, i, j) = xh;
-            y.at(b, cc, i, j) = gamma[cc] * xh + beta[cc];
-          }
-    }
-  }
-      });
-  return y;
-}
-
-NormGrads groupnorm_backward_legacy(const Tensor& dy, const Tensor& gamma,
-                                    int groups, const NormCache& cache) {
-  const Tensor& x = cache.x;
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int cpg = c / groups;
-  const double m = static_cast<double>(cpg) * h * w;
-  NormGrads g;
-  g.dx = Tensor(x.shape());
-  g.dgamma = Tensor({c});
-  g.dbeta = Tensor({c});
-  // dgamma/dbeta accumulate across samples, so the fan-out unit is the
-  // group (channels partition by group); samples stay in-order inside.
-  util::parallel_for(groups, 1, [&](std::int64_t g0, std::int64_t g1) {
-  for (int gr = static_cast<int>(g0); gr < g1; ++gr)
-    for (int b = 0; b < n; ++b) {
-      // Sums over the normalization group, with dy scaled by gamma (the
-      // affine transform sits between xhat and the loss).
-      double sum_dyg = 0, sum_dyg_xhat = 0;
-      for (int cc = gr * cpg; cc < (gr + 1) * cpg; ++cc)
-        for (int i = 0; i < h; ++i)
-          for (int j = 0; j < w; ++j) {
-            const double d = dy.at(b, cc, i, j);
-            const double xh = cache.xhat.at(b, cc, i, j);
-            g.dbeta[cc] += static_cast<float>(d);
-            g.dgamma[cc] += static_cast<float>(d * xh);
-            sum_dyg += d * gamma[cc];
-            sum_dyg_xhat += d * gamma[cc] * xh;
-          }
-      const double inv =
-          cache.inv_std[static_cast<std::int64_t>(b) * groups + gr];
-      for (int cc = gr * cpg; cc < (gr + 1) * cpg; ++cc)
-        for (int i = 0; i < h; ++i)
-          for (int j = 0; j < w; ++j) {
-            const double d = dy.at(b, cc, i, j) * gamma[cc];
-            const double xh = cache.xhat.at(b, cc, i, j);
-            g.dx.at(b, cc, i, j) = static_cast<float>(
-                inv * (d - sum_dyg / m - xh * sum_dyg_xhat / m));
-          }
-    }
-  });
-  return g;
-}
-
-}  // namespace
-
-void set_norm_rewrite(bool enabled) { g_norm_rewrite = enabled; }
-
-bool norm_rewrite_enabled() { return g_norm_rewrite; }
-
-// ---------------------------------------------------------------------------
-// Raw-pointer implementations (default). Each (b, ch) pair owns one
-// contiguous [H*W] run of the NCHW layout; walking it with a flat index
-// visits elements in exactly the i-then-j order of the legacy loops.
-// ---------------------------------------------------------------------------
+// Each (b, ch) pair owns one contiguous [H*W] run of the NCHW layout;
+// walking it with a flat index visits elements in exactly the i-then-j order
+// of the Tensor::at() loops.
 
 Tensor batchnorm_forward(const Tensor& x, const Tensor& gamma,
                          const Tensor& beta, NormCache& cache, float eps) {
@@ -210,7 +38,6 @@ Tensor batchnorm_forward(const Tensor& x, const Tensor& gamma,
   cache.mean = Tensor({c});
   cache.inv_std = Tensor({c});
   cache.xhat = Tensor(x.shape());
-  if (!g_norm_rewrite) return batchnorm_forward_legacy(x, gamma, beta, cache, eps);
   Tensor y(x.shape());
   const std::int64_t plane = static_cast<std::int64_t>(h) * w;
   util::parallel_for(c, 1, [&](std::int64_t c0, std::int64_t c1) {
@@ -250,7 +77,6 @@ Tensor batchnorm_forward(const Tensor& x, const Tensor& gamma,
 NormGrads batchnorm_backward(const Tensor& dy, const Tensor& gamma,
                              const NormCache& cache) {
   util::ScopedKernelTimer timer(util::KernelKind::kNorm);
-  if (!g_norm_rewrite) return batchnorm_backward_legacy(dy, gamma, cache);
   const Tensor& x = cache.x;
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const double m = static_cast<double>(n) * h * w;
@@ -276,7 +102,7 @@ NormGrads batchnorm_backward(const Tensor& dy, const Tensor& gamma,
     g.dgamma[ch] = static_cast<float>(sum_dy_xhat);
     const double inv = cache.inv_std[ch];
     const double gam = gamma[ch];
-    // gam * inv and sum_dy / m appear verbatim in the legacy expression
+    // gam * inv and sum_dy / m appear verbatim in the Tensor::at() expression
     // (left-to-right association), so hoisting them is bit-preserving;
     // `xh * sum_dy_xhat / m` associates as (xh*sum)/m and must stay
     // written out.
@@ -311,8 +137,6 @@ Tensor groupnorm_forward(const Tensor& x, const Tensor& gamma,
   cache.mean = Tensor({n, groups});
   cache.inv_std = Tensor({n, groups});
   cache.xhat = Tensor(x.shape());
-  if (!g_norm_rewrite)
-    return groupnorm_forward_legacy(x, gamma, beta, groups, cache, eps);
   Tensor y(x.shape());
   const std::int64_t plane = static_cast<std::int64_t>(h) * w;
   util::parallel_for(
@@ -362,8 +186,6 @@ Tensor groupnorm_forward(const Tensor& x, const Tensor& gamma,
 NormGrads groupnorm_backward(const Tensor& dy, const Tensor& gamma,
                              int groups, const NormCache& cache) {
   util::ScopedKernelTimer timer(util::KernelKind::kNorm);
-  if (!g_norm_rewrite)
-    return groupnorm_backward_legacy(dy, gamma, groups, cache);
   const Tensor& x = cache.x;
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int cpg = c / groups;
@@ -388,7 +210,7 @@ NormGrads groupnorm_backward(const Tensor& dy, const Tensor& gamma,
         const float* pxh = cache.xhat.data() + off;
         const double ga = gamma[cc];
         // Float accumulators across the b loop: read-modify-write through
-        // locals keeps the adds in the legacy order and type.
+        // locals keeps the adds in the Tensor::at() order and type.
         float db = g.dbeta[cc], dg = g.dgamma[cc];
         for (std::int64_t t = 0; t < plane; ++t) {
           const double d = pdy[t];

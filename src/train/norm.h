@@ -45,10 +45,4 @@ Tensor groupnorm_forward(const Tensor& x, const Tensor& gamma,
 NormGrads groupnorm_backward(const Tensor& dy, const Tensor& gamma,
                              int groups, const NormCache& cache);
 
-/// Selects between the raw-pointer norm loops (default) and the legacy
-/// Tensor::at() form. Both are bit-identical — the toggle exists for
-/// tests that prove the identity in-process. The rewrite is on by default.
-void set_norm_rewrite(bool enabled);
-bool norm_rewrite_enabled();
-
 }  // namespace mbs::train

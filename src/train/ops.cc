@@ -1,12 +1,11 @@
 // Training operators on the fast kernel layer.
 //
 // All three convolution passes are im2col + GEMM lowerings (train/
-// im2col.cc) — the equivalence the im2col tests assert is the production
-// path. Bit identity with the original scalar loops is preserved exactly,
-// not approximately: the forward GEMM accumulates in float starting from
-// the bias with K traversed in the original (c, r, s) order
-// (matmul_bt_f32), the weight-gradient GEMM sums rows in the original
-// (b, yh, yw) order (matmul_at), and the data-gradient GEMM runs the
+// im2col.cc). Bit identity with the original scalar loops is preserved
+// exactly, not approximately: the forward GEMM accumulates in float starting
+// from the bias with K traversed in the original (c, r, s) order
+// (matmul_bt_f32_into), the weight-gradient GEMM sums rows in the original
+// (b, yh, yw) order (matmul_at_into), and the data-gradient GEMM runs the
 // forward lowering on dY with flipped weights, whose K order (o, r', s')
 // is the seed scatter's per-element addend sequence (o-major, then
 // (yh, yw) ascending; see conv2d_backward_into). conv2d_forward_into

@@ -96,8 +96,8 @@ void parallel_for(std::int64_t n, std::int64_t grain, RangeBody body);
 // ---------------------------------------------------------------------------
 
 enum class KernelKind {
-  kGemm = 0,   // matmul / matmul_bt / matmul_at (outside a conv)
-  kIm2col,     // im2col / col2im lowering (outside a conv)
+  kGemm = 0,   // matmul_bt_f32_into / matmul_at_into (outside a conv)
+  kIm2col,     // im2col_into / dgrad_cols_into lowering (outside a conv)
   kConvFwd,    // conv2d_forward
   kConvBwd,    // conv2d_backward
   kPool,       // max / global-average pooling, forward and backward
@@ -153,7 +153,7 @@ class ScopedKernelTimer {
 // ---------------------------------------------------------------------------
 
 /// True while the calling thread is inside a conv2d_forward/backward, GEMM
-/// or im2col/col2im timer scope — the paths whose steady-state training
+/// or im2col timer scope — the paths whose steady-state training
 /// steps must not touch the heap (scratch comes from util::Arena, outputs
 /// from step-persistent Tensors).
 bool in_kernel_path();

@@ -80,19 +80,6 @@ TEST(Scenario, KeyDistinguishesEveryScheduleField) {
   EXPECT_NE(s.schedule_key(), base.schedule_key());
 }
 
-TEST(Scenario, GroupingVariantExtendsKeysBackwardCompatibly) {
-  // The variant axis must not perturb existing keys: a default scenario's
-  // schedule key has no var field (the key space stays byte-stable as axes
-  // accrue), while a non-contiguous scenario gets a distinct key.
-  const Scenario base = mbs2_scenario();
-  EXPECT_EQ(base.schedule_key().find("var="), std::string::npos);
-  Scenario relaxed = base;
-  relaxed.params.variant = sched::GroupingVariant::kNonContiguous;
-  EXPECT_NE(relaxed.schedule_key(), base.schedule_key());
-  EXPECT_NE(relaxed.cache_key(), base.cache_key());
-  EXPECT_NE(relaxed.schedule_key().find("var="), std::string::npos);
-}
-
 TEST(Scenario, TransformerNetworksFormDistinctKeys) {
   for (const auto& name : models::transformer_network_names()) {
     Scenario s = mbs2_scenario(name);
@@ -334,6 +321,15 @@ TEST(SweepRunner, ComposesWithKernelPoolBitIdentically) {
 
 // ---- Schedule-group batching ------------------------------------------------
 
+/// The reference SweepRunner is tested against: every scenario evaluated on
+/// its own, in order, with no shared schedule-stage work.
+std::vector<ScenarioResult> serial_reference(const std::vector<Scenario>& grid,
+                                             Evaluator& eval) {
+  std::vector<ScenarioResult> out;
+  for (const Scenario& s : grid) out.push_back(evaluate_scenario(s, eval));
+  return out;
+}
+
 /// A fig12-shaped grid: every config's schedule is shared by three
 /// hardware variants (12 scenarios, 4 schedule keys).
 std::vector<Scenario> schedule_sharing_grid() {
@@ -354,11 +350,8 @@ std::vector<Scenario> schedule_sharing_grid() {
 TEST(ScheduleGroups, GroupedSweepMatchesUngroupedBitForBit) {
   const auto grid = schedule_sharing_grid();
 
-  SweepOptions ungrouped_opts;
-  ungrouped_opts.group_by_schedule = false;
   Evaluator ungrouped_eval;
-  const auto reference =
-      SweepRunner(ungrouped_opts).run(grid, ungrouped_eval);
+  const auto reference = serial_reference(grid, ungrouped_eval);
 
   for (int threads : {1, 4}) {
     SweepOptions opts;
@@ -394,10 +387,8 @@ TEST(ScheduleGroups, GroupingReducesTrafficInvocationsToOnePerGroup) {
   EXPECT_EQ(grouped.schedule_misses, 4);
   EXPECT_EQ(grouped.step_misses, 12);  // per-scenario work is untouched
 
-  SweepOptions off;
-  off.group_by_schedule = false;
   Evaluator ungrouped_eval;
-  SweepRunner(off).run(grid, ungrouped_eval);
+  serial_reference(grid, ungrouped_eval);
   const EvaluatorStats ungrouped = ungrouped_eval.stats();
   EXPECT_EQ(ungrouped.traffic_misses, 4);
   // One lookup per scenario (4 misses, 8 hits) plus one per step.
@@ -430,7 +421,7 @@ TEST(ScheduleGroups, ComposesWithShardingAndWarmCacheByteIdentically) {
   const std::string path = dir + "/evaluator.mbscache";
   std::remove(path.c_str());
 
-  const auto render = [&](const SweepResults& results, const ShardPlan& plan,
+  const auto render = [&](const auto& results, const ShardPlan& plan,
                           std::ostringstream& csv, std::ostringstream& json) {
     ResultSink sink("groups x shards", {"config", "memory", "time", "dram"});
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -445,12 +436,9 @@ TEST(ScheduleGroups, ComposesWithShardingAndWarmCacheByteIdentically) {
   };
 
   // Ungrouped, unsharded reference documents.
-  SweepOptions off;
-  off.group_by_schedule = false;
   Evaluator ref_eval;
   std::ostringstream ref_csv, ref_json;
-  render(SweepRunner(off).run_sharded(grid, ref_eval, ShardPlan{}),
-         ShardPlan{}, ref_csv, ref_json);
+  render(serial_reference(grid, ref_eval), ShardPlan{}, ref_csv, ref_json);
 
   // Grouped + sharded runs against one disk cache (cold shard 0 of 2, then
   // warm shard 1 of 2 in a fresh store), merged back.
@@ -488,20 +476,19 @@ TEST(ScheduleGroups, ComposesWithShardingAndWarmCacheByteIdentically) {
   std::remove(path.c_str());
 }
 
-// ---- Workload axes (PR 5: transformers x variants x memory configs) ---------
+// ---- Workload axes (transformers x grouping search x memory configs) -------
 
-/// The pareto_sweep-shaped grid: a Transformer network swept over grouping
-/// variants x buffer sizes, sharing schedules across two bandwidths each.
+/// The pareto_sweep-shaped grid: a Transformer network swept over greedy vs
+/// DP grouping x buffer sizes, sharing schedules across two bandwidths each.
 std::vector<Scenario> workload_axis_grid() {
   std::vector<Scenario> grid;
-  for (auto variant : {sched::GroupingVariant::kContiguous,
-                       sched::GroupingVariant::kNonContiguous})
+  for (bool optimal : {false, true})
     for (double mib : {5.0, 10.0})
       for (double bw_scale : {0.5, 1.0}) {
         Scenario s;
         s.network = "transformer_base";
         s.config = sched::ExecConfig::kMbs2;
-        s.params.variant = variant;
+        s.params.optimal_grouping = optimal;
         s.params.buffer_bytes =
             static_cast<std::int64_t>(mib * 1024 * 1024);
         s.hw.global_buffer_bytes = s.params.buffer_bytes;
@@ -511,7 +498,7 @@ std::vector<Scenario> workload_axis_grid() {
   return grid;
 }
 
-TEST(WorkloadAxes, VariantAxisShardsAndWarmCachesByteIdentically) {
+TEST(WorkloadAxes, GroupingAxisShardsAndWarmCachesByteIdentically) {
   // The new axes must compose with every engine feature at once: the grid
   // runs grouped + sharded against a disk cache (cold shard 0, warm shard
   // 1), and the merged CSV/JSON documents must be byte-identical to an
@@ -522,14 +509,14 @@ TEST(WorkloadAxes, VariantAxisShardsAndWarmCachesByteIdentically) {
   const std::string path = dir + "/evaluator.mbscache";
   std::remove(path.c_str());
 
-  const auto render = [&](const SweepResults& results, const ShardPlan& plan,
+  const auto render = [&](const auto& results, const ShardPlan& plan,
                           std::ostringstream& csv, std::ostringstream& json) {
     ResultSink sink("workload axes",
-                    {"variant", "buffer", "bw", "time", "dram", "groups"});
+                    {"grouping", "buffer", "bw", "time", "dram", "groups"});
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (!plan.owns(i)) continue;
       const ScenarioResult& r = results[i];
-      sink.add_row({sched::to_string(r.scenario.params.variant),
+      sink.add_row({r.scenario.params.optimal_grouping ? "dp" : "greedy",
                     std::to_string(r.scenario.params.buffer_bytes),
                     std::to_string(r.scenario.hw.memory.bandwidth_bytes_per_s),
                     std::to_string(r.step.time_s),
@@ -540,13 +527,10 @@ TEST(WorkloadAxes, VariantAxisShardsAndWarmCachesByteIdentically) {
     sink.write_json(json);
   };
 
-  SweepOptions off;
-  off.group_by_schedule = false;
   Evaluator ref_eval;
   std::ostringstream ref_csv, ref_json;
-  render(SweepRunner(off).run_sharded(grid, ref_eval, ShardPlan{}),
-         ShardPlan{}, ref_csv, ref_json);
-  // Per variant: one network build, two schedules (buffer sizes), four
+  render(serial_reference(grid, ref_eval), ShardPlan{}, ref_csv, ref_json);
+  // Per grouping search: one network build, two schedules (buffer sizes), four
   // simulations (x bandwidth) — the axes share all upstream stages.
   EXPECT_EQ(ref_eval.stats().network_misses, 1);
   EXPECT_EQ(ref_eval.stats().schedule_misses, 4);
@@ -564,9 +548,7 @@ TEST(WorkloadAxes, VariantAxisShardsAndWarmCachesByteIdentically) {
     json_shards.push_back(ResultSink::parse_json(json.str()));
     ASSERT_TRUE(store.save());
     if (index == 1) {
-      // The second shard's schedule phase was served from disk — including
-      // the non-contiguous schedules, whose member lists round-trip through
-      // the sched2 serde record.
+      // The second shard's schedule phase was served from disk.
       EXPECT_GT(eval.stats().schedule_disk_hits, 0);
     }
   }
@@ -584,14 +566,13 @@ TEST(WorkloadAxes, VariantAxisShardsAndWarmCachesByteIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(WorkloadAxes, NonContiguousScheduleRoundTripsThroughDiskStore) {
-  const std::string dir = testing::TempDir() + "mbs_variant_store_" +
+TEST(WorkloadAxes, ScheduleRoundTripsThroughDiskStore) {
+  const std::string dir = testing::TempDir() + "mbs_schedule_store_" +
                           std::to_string(static_cast<long>(::getpid()));
   const std::string path = dir + "/evaluator.mbscache";
   std::remove(path.c_str());
 
-  Scenario s = mbs2_scenario("alexnet");
-  s.params.variant = sched::GroupingVariant::kNonContiguous;
+  const Scenario s = mbs2_scenario("alexnet");
   sched::Schedule computed;
   {
     CacheStore store(path);
@@ -604,10 +585,13 @@ TEST(WorkloadAxes, NonContiguousScheduleRoundTripsThroughDiskStore) {
   ASSERT_TRUE(reloaded.load_schedule(s.schedule_key(), &from_disk));
   ASSERT_EQ(from_disk.groups.size(), computed.groups.size());
   for (std::size_t g = 0; g < computed.groups.size(); ++g) {
-    EXPECT_EQ(from_disk.groups[g].members, computed.groups[g].members);
-    EXPECT_FALSE(from_disk.groups[g].members.empty());
+    EXPECT_EQ(from_disk.groups[g].first, computed.groups[g].first);
+    EXPECT_EQ(from_disk.groups[g].last, computed.groups[g].last);
     EXPECT_EQ(from_disk.groups[g].sub_batch, computed.groups[g].sub_batch);
+    EXPECT_EQ(from_disk.groups[g].iterations, computed.groups[g].iterations);
   }
+  EXPECT_EQ(from_disk.block_footprint, computed.block_footprint);
+  EXPECT_EQ(from_disk.block_max_sub, computed.block_max_sub);
   std::remove(path.c_str());
 }
 
@@ -885,6 +869,19 @@ TEST(CacheStore, VersionStampMismatchStartsCold) {
          w.put_string(e.stage);
          w.put_string(e.key);
          return w.str() + e.body + "\n";
+       }},
+      // The current framing under the stamp of the layout whose groups
+      // carried member lists.
+      {"sched2", [](const Entry& e) {
+         util::serde::Writer w;
+         w.put_string("mbs-entry");
+         w.put_int(e.version);
+         w.put_string("net2;sched2;traffic1;step1;gpu1;sys1;svc2");
+         w.put_string(e.stage);
+         w.put_string(e.key);
+         w.put_int(static_cast<std::int64_t>(util::fnv1a64(e.body)));
+         w.put_string(e.body);
+         return w.str() + "\n";
        }},
       // The current framing under a stamp this binary has never seen.
       {"unknown", [](const Entry& e) {

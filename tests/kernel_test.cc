@@ -12,14 +12,15 @@
 // the portable and AVX2 microkernel families must be bit-identical to
 // each other and to the naive references on remainder-heavy shapes, an
 // MBS_KERNEL=avx2 request on a host without AVX2 must fall back cleanly,
-// and the raw-pointer norm-loop rewrite must equal the legacy Tensor::at()
-// form bit for bit. The conv data gradient (a GEMM over flipped weights)
-// must equal the seed's scatter loop across dY densities and the
-// geometries its lowering special-cases, on both ISA families at every
-// budget.
+// and the raw-pointer norm loops must equal the seed's Tensor::at() form
+// (kept here as the oracle) bit for bit. The conv data gradient (a GEMM
+// over flipped weights) must equal the seed's scatter loop across dY
+// densities and the geometries its lowering special-cases, on both ISA
+// families at every budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -83,32 +84,21 @@ void expect_budget_invariant(const std::function<std::vector<Tensor>()>& make,
   }
 }
 
-// ---- Naive references (the seed's scalar loops, kept verbatim) --------------
+// ---- Naive references (scalar loops in the seed's accumulation order) ------
 
-Tensor naive_matmul(const Tensor& a, const Tensor& b) {
-  const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
-  for (int i = 0; i < m; ++i)
-    for (int p = 0; p < k; ++p) {
-      const float av = a[static_cast<std::int64_t>(i) * k + p];
-      if (av == 0.0f) continue;
-      for (int j = 0; j < n; ++j)
-        c[static_cast<std::int64_t>(i) * n + j] +=
-            av * b[static_cast<std::int64_t>(p) * n + j];
-    }
-  return c;
-}
-
-Tensor naive_matmul_bt(const Tensor& a, const Tensor& b) {
+/// C = A * B^T accumulated in float from init[j] (0 when `init` is empty):
+/// the direct-convolution accumulation the forward and dgrad GEMMs keep.
+Tensor naive_matmul_bt_f32(const Tensor& a, const Tensor& b,
+                           const Tensor& init) {
   const int m = a.dim(0), k = a.dim(1), n = b.dim(0);
   Tensor c({m, n});
   for (int i = 0; i < m; ++i)
     for (int j = 0; j < n; ++j) {
-      double acc = 0;
+      float acc = init.empty() ? 0.0f : init[j];
       for (int p = 0; p < k; ++p)
-        acc += static_cast<double>(a[static_cast<std::int64_t>(i) * k + p]) *
+        acc += a[static_cast<std::int64_t>(i) * k + p] *
                b[static_cast<std::int64_t>(j) * k + p];
-      c[static_cast<std::int64_t>(i) * n + j] = static_cast<float>(acc);
+      c[static_cast<std::int64_t>(i) * n + j] = acc;
     }
   return c;
 }
@@ -125,6 +115,31 @@ Tensor naive_matmul_at(const Tensor& a, const Tensor& b) {
             av * b[static_cast<std::int64_t>(p) * n + j];
     }
   return c;
+}
+
+/// matmul_bt_f32_into / matmul_at_into into fresh [M, N] tensors.
+Tensor run_matmul_bt_f32(const Tensor& a, const Tensor& b, const Tensor& init) {
+  Tensor c({a.dim(0), b.dim(0)});
+  matmul_bt_f32_into(a.data(), a.dim(0), b.data(), b.dim(0), a.dim(1),
+                     init.empty() ? nullptr : init.data(), c.data());
+  return c;
+}
+
+Tensor run_matmul_at(const Tensor& a, const Tensor& b) {
+  Tensor c({a.dim(1), b.dim(1)});
+  matmul_at_into(a.data(), a.dim(1), b.data(), b.dim(1), a.dim(0), c.data());
+  return c;
+}
+
+/// The transpose of a row-major [rows, cols] matrix.
+Tensor transposed(const Tensor& m) {
+  const int rows = m.dim(0), cols = m.dim(1);
+  Tensor t({cols, rows});
+  for (int i = 0; i < rows; ++i)
+    for (int j = 0; j < cols; ++j)
+      t[static_cast<std::int64_t>(j) * rows + i] =
+          m[static_cast<std::int64_t>(i) * cols + j];
+  return t;
 }
 
 int ref_out_dim(int in, int kernel, int stride, int pad) {
@@ -200,32 +215,37 @@ struct GemmShapeCase {
 
 class BlockedGemm : public ::testing::TestWithParam<GemmShapeCase> {};
 
-TEST_P(BlockedGemm, MatchesNaiveLoopsBitForBit) {
-  const GemmShapeCase p = GetParam();
-  util::Rng rng(17);
+/// The production GEMM entry points against the naive loops, bit for bit:
+/// matmul_bt_f32_into with and without a per-column init, and
+/// matmul_at_into, each at every budget in `budgets`.
+void expect_gemms_match_naive(const GemmShapeCase& p, std::uint64_t seed,
+                              const std::vector<int>& budgets,
+                              const std::string& tag) {
+  util::Rng rng(seed);
   const Tensor a = Tensor::randn({p.m, p.k}, rng);
   const Tensor b = Tensor::randn({p.k, p.n}, rng);
-  Tensor bt({p.n, p.k});
-  for (int i = 0; i < p.k; ++i)
-    for (int j = 0; j < p.n; ++j)
-      bt[static_cast<std::int64_t>(j) * p.k + i] =
-          b[static_cast<std::int64_t>(i) * p.n + j];
-  Tensor at({p.k, p.m});
-  for (int i = 0; i < p.m; ++i)
-    for (int j = 0; j < p.k; ++j)
-      at[static_cast<std::int64_t>(j) * p.m + i] =
-          a[static_cast<std::int64_t>(i) * p.k + j];
+  const Tensor init = Tensor::randn({p.n}, rng, 0.2);
+  const Tensor bt = transposed(b);
+  const Tensor at = transposed(a);
 
-  const Tensor ref = naive_matmul(a, b);
-  const Tensor ref_bt = naive_matmul_bt(a, bt);
+  const Tensor ref_bt = naive_matmul_bt_f32(a, bt, Tensor());
+  const Tensor ref_bt_init = naive_matmul_bt_f32(a, bt, init);
   const Tensor ref_at = naive_matmul_at(at, b);
   BudgetGuard guard;
-  for (int budget : kBudgets) {
+  for (int budget : budgets) {
     util::set_thread_budget(budget);
-    expect_bits_equal(matmul(a, b), ref, "matmul");
-    expect_bits_equal(matmul_bt(a, bt), ref_bt, "matmul_bt");
-    expect_bits_equal(matmul_at(at, b), ref_at, "matmul_at");
+    const std::string where = tag + " budget " + std::to_string(budget);
+    expect_bits_equal(run_matmul_bt_f32(a, bt, Tensor()), ref_bt,
+                      (where + " matmul_bt_f32_into").c_str());
+    expect_bits_equal(run_matmul_bt_f32(a, bt, init), ref_bt_init,
+                      (where + " matmul_bt_f32_into+init").c_str());
+    expect_bits_equal(run_matmul_at(at, b), ref_at,
+                      (where + " matmul_at_into").c_str());
   }
+}
+
+TEST_P(BlockedGemm, MatchesNaiveLoopsBitForBit) {
+  expect_gemms_match_naive(GetParam(), 17, kBudgets, "blocked");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -238,22 +258,21 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShapeCase{64, 1, 9}));   // K = 1
 
 TEST(BlockedGemm, SparseInputsMatchTheSkippingNaiveLoop) {
-  // The naive loops skipped zero multiplicands; the blocked kernels do not.
-  // Equality on zero-rich inputs (exactly what im2col padding produces) is
-  // the regression test for that dropped skip.
+  // The naive matmul_at loop skipped zero multiplicands; the blocked
+  // kernels do not. Equality on zero-rich inputs (exactly what im2col
+  // padding produces) is the regression test for that dropped skip.
   util::Rng rng(18);
   Tensor a = Tensor::randn({33, 31}, rng);
   Tensor b = Tensor::randn({31, 21}, rng);
   for (std::int64_t i = 0; i < a.size(); i += 2) a[i] = 0.0f;
   for (std::int64_t i = 0; i < b.size(); i += 3) b[i] = 0.0f;
-  expect_bits_equal(matmul(a, b), naive_matmul(a, b), "sparse matmul");
-  Tensor at({31, 33});
-  for (int i = 0; i < 33; ++i)
-    for (int j = 0; j < 31; ++j)
-      at[static_cast<std::int64_t>(j) * 33 + i] =
-          a[static_cast<std::int64_t>(i) * 31 + j];
-  expect_bits_equal(matmul_at(at, b), naive_matmul_at(at, b),
-                    "sparse matmul_at");
+  const Tensor at = transposed(a);
+  expect_bits_equal(run_matmul_at(at, b), naive_matmul_at(at, b),
+                    "sparse matmul_at_into");
+  const Tensor bt = transposed(b);
+  expect_bits_equal(run_matmul_bt_f32(a, bt, Tensor()),
+                    naive_matmul_bt_f32(a, bt, Tensor()),
+                    "sparse matmul_bt_f32_into");
 }
 
 // ---- Convolution: the GEMM production path == the seed's direct loops -------
@@ -297,7 +316,9 @@ INSTANTIATE_TEST_SUITE_P(
         ConvShapeCase{2, 2, 9, 11, 3, 3, 2, 1, false},  // stride 2, H != W
         ConvShapeCase{1, 2, 13, 13, 2, 7, 1, 3, true},  // 7x7, heavy padding
         ConvShapeCase{1, 3, 10, 6, 2, 5, 2, 2, false},  // stride 2, 5x5
-        ConvShapeCase{3, 1, 6, 6, 2, 3, 1, 0, true}));  // valid padding
+        ConvShapeCase{1, 3, 11, 11, 2, 5, 1, 2, true},  // 5x5 (AlexNet-style)
+        ConvShapeCase{3, 1, 6, 6, 2, 3, 1, 0, true},    // valid padding
+        ConvShapeCase{1, 2, 8, 8, 2, 3, 2, 0, false})); // strided valid
 
 TEST(FastConv, ReluSparsifiedGradientsMatchTheSkippingNaiveLoop) {
   // The seed's backward skipped whole receptive fields when dy == 0 (the
@@ -416,16 +437,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- im2col with asymmetric padding stays thread-invariant ------------------
 
-TEST(KernelThreading, Im2colAndCol2imAreBudgetInvariant) {
+TEST(KernelThreading, Im2colIsBudgetInvariant) {
   util::Rng rng(37);
   const Tensor x = Tensor::randn({3, 2, 9, 7}, rng);
+  // 3x2 kernel, stride 2, pad (2, 1): Ho = 6, Wo = 4, K = 2*3*2.
   expect_budget_invariant(
       [&] {
-        const Tensor cols = im2col(x, 3, 2, 2, /*pad_h=*/2, /*pad_w=*/1);
-        const Tensor back = col2im(cols, x.shape(), 3, 2, 2, 2, 1);
-        return std::vector<Tensor>{cols, back};
+        Tensor cols({3 * 6 * 4, 2 * 3 * 2});
+        im2col_into(x, 3, 2, 2, /*pad_h=*/2, /*pad_w=*/1, cols.data());
+        return std::vector<Tensor>{cols};
       },
-      "im2col/col2im asymmetric");
+      "im2col asymmetric");
 }
 
 // ---- Pool/norm/linear/sgd kernels across budgets ----------------------------
@@ -815,52 +837,12 @@ TEST(ZeroAllocContract, SteadyStateResNetStepIsAllocationFree) {
 class KernelDispatch : public ::testing::TestWithParam<GemmShapeCase> {};
 
 TEST_P(KernelDispatch, BothIsaFamiliesMatchNaiveBitForBit) {
-  const GemmShapeCase p = GetParam();
-  util::Rng rng(101);
-  const Tensor a = Tensor::randn({p.m, p.k}, rng);
-  const Tensor b = Tensor::randn({p.k, p.n}, rng);
-  const Tensor init = Tensor::randn({p.n}, rng, 0.2);
-  Tensor bt({p.n, p.k});
-  for (int i = 0; i < p.k; ++i)
-    for (int j = 0; j < p.n; ++j)
-      bt[static_cast<std::int64_t>(j) * p.k + i] =
-          b[static_cast<std::int64_t>(i) * p.n + j];
-  Tensor at({p.k, p.m});
-  for (int i = 0; i < p.m; ++i)
-    for (int j = 0; j < p.k; ++j)
-      at[static_cast<std::int64_t>(j) * p.m + i] =
-          a[static_cast<std::int64_t>(i) * p.k + j];
-
-  const Tensor ref = naive_matmul(a, b);
-  const Tensor ref_bt = naive_matmul_bt(a, bt);
-  const Tensor ref_at = naive_matmul_at(at, b);
-  Tensor ref_btf({p.m, p.n});
-  for (int i = 0; i < p.m; ++i)
-    for (int j = 0; j < p.n; ++j) {
-      float acc = init[j];
-      for (int kk = 0; kk < p.k; ++kk)
-        acc += a[static_cast<std::int64_t>(i) * p.k + kk] *
-               bt[static_cast<std::int64_t>(j) * p.k + kk];
-      ref_btf[static_cast<std::int64_t>(i) * p.n + j] = acc;
-    }
-
   IsaGuard guard;
-  BudgetGuard budget;
   for (const char* isa : {"portable", "avx2"}) {
     if (std::strcmp(isa, "avx2") == 0 && !avx2_available()) continue;
     guard.force(isa);
     ASSERT_EQ(util::to_string(active_gemm_isa()), std::string(isa));
-    for (int budget_n : {1, 3}) {
-      util::set_thread_budget(budget_n);
-      const std::string tag = std::string(isa) + " matmul";
-      expect_bits_equal(matmul(a, b), ref, tag.c_str());
-      expect_bits_equal(matmul_bt(a, bt), ref_bt,
-                        (std::string(isa) + " matmul_bt").c_str());
-      expect_bits_equal(matmul_at(at, b), ref_at,
-                        (std::string(isa) + " matmul_at").c_str());
-      expect_bits_equal(matmul_bt_f32(a, bt, init), ref_btf,
-                        (std::string(isa) + " matmul_bt_f32").c_str());
-    }
+    expect_gemms_match_naive(GetParam(), 101, kBudgets, isa);
   }
 }
 
@@ -887,8 +869,10 @@ TEST(KernelDispatch, Avx2RequestWithoutCpuSupportFallsBackCleanly) {
   // ...and GEMMs keep working on the fallback path.
   util::Rng rng(103);
   const Tensor a = Tensor::randn({9, 130}, rng);
-  const Tensor b = Tensor::randn({130, 11}, rng);
-  expect_bits_equal(matmul(a, b), naive_matmul(a, b), "fallback matmul");
+  const Tensor bt = Tensor::randn({11, 130}, rng);
+  expect_bits_equal(run_matmul_bt_f32(a, bt, Tensor()),
+                    naive_matmul_bt_f32(a, bt, Tensor()),
+                    "fallback matmul_bt_f32_into");
 }
 
 TEST(KernelDispatch, DefaultResolutionPrefersAvx2WhenSupported) {
@@ -901,45 +885,208 @@ TEST(KernelDispatch, DefaultResolutionPrefersAvx2WhenSupported) {
     EXPECT_EQ(active_gemm_isa(), util::KernelIsa::kPortable);
 }
 
-// ---- Norm rewrite: raw-pointer loops == legacy Tensor::at() loops -----------
+// ---- Norm oracle: the seed's Tensor::at() loops -----------------------------
+//
+// The library's norm kernels walk raw pointers and hoist loop-invariant
+// scalars without changing any floating-point expression; these are the
+// loops they were rewritten from, allocating their own NormCache fields.
+
+Tensor oracle_batchnorm_forward(const Tensor& x, const Tensor& gamma,
+                                const Tensor& beta, NormCache& cache,
+                                float eps = 1e-5f) {
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::int64_t m = static_cast<std::int64_t>(n) * h * w;
+  cache.x = x;
+  cache.mean = Tensor({c});
+  cache.inv_std = Tensor({c});
+  cache.xhat = Tensor(x.shape());
+  Tensor y(x.shape());
+  util::parallel_for(c, 1, [&](std::int64_t c0, std::int64_t c1) {
+  for (int ch = static_cast<int>(c0); ch < c1; ++ch) {
+    double sum = 0, sq = 0;
+    for (int b = 0; b < n; ++b)
+      for (int i = 0; i < h; ++i)
+        for (int j = 0; j < w; ++j) {
+          const double v = x.at(b, ch, i, j);
+          sum += v;
+          sq += v * v;
+        }
+    const double mean = sum / static_cast<double>(m);
+    const double var = sq / static_cast<double>(m) - mean * mean;
+    const double inv = 1.0 / std::sqrt(var + eps);
+    cache.mean[ch] = static_cast<float>(mean);
+    cache.inv_std[ch] = static_cast<float>(inv);
+    for (int b = 0; b < n; ++b)
+      for (int i = 0; i < h; ++i)
+        for (int j = 0; j < w; ++j) {
+          const float xh = static_cast<float>((x.at(b, ch, i, j) - mean) * inv);
+          cache.xhat.at(b, ch, i, j) = xh;
+          y.at(b, ch, i, j) = gamma[ch] * xh + beta[ch];
+        }
+  }
+  });
+  return y;
+}
+
+NormGrads oracle_batchnorm_backward(const Tensor& dy, const Tensor& gamma,
+                                    const NormCache& cache) {
+  const Tensor& x = cache.x;
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const double m = static_cast<double>(n) * h * w;
+  NormGrads g;
+  g.dx = Tensor(x.shape());
+  g.dgamma = Tensor({c});
+  g.dbeta = Tensor({c});
+  util::parallel_for(c, 1, [&](std::int64_t c0, std::int64_t c1) {
+  for (int ch = static_cast<int>(c0); ch < c1; ++ch) {
+    double sum_dy = 0, sum_dy_xhat = 0;
+    for (int b = 0; b < n; ++b)
+      for (int i = 0; i < h; ++i)
+        for (int j = 0; j < w; ++j) {
+          const double d = dy.at(b, ch, i, j);
+          sum_dy += d;
+          sum_dy_xhat += d * cache.xhat.at(b, ch, i, j);
+        }
+    g.dbeta[ch] = static_cast<float>(sum_dy);
+    g.dgamma[ch] = static_cast<float>(sum_dy_xhat);
+    const double inv = cache.inv_std[ch];
+    const double gam = gamma[ch];
+    for (int b = 0; b < n; ++b)
+      for (int i = 0; i < h; ++i)
+        for (int j = 0; j < w; ++j) {
+          const double d = dy.at(b, ch, i, j);
+          const double xh = cache.xhat.at(b, ch, i, j);
+          g.dx.at(b, ch, i, j) = static_cast<float>(
+              gam * inv * (d - sum_dy / m - xh * sum_dy_xhat / m));
+        }
+  }
+  });
+  return g;
+}
+
+Tensor oracle_groupnorm_forward(const Tensor& x, const Tensor& gamma,
+                                const Tensor& beta, int groups,
+                                NormCache& cache, float eps = 1e-5f) {
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int cpg = c / groups;
+  const double m = static_cast<double>(cpg) * h * w;
+  cache.x = x;
+  cache.mean = Tensor({n, groups});
+  cache.inv_std = Tensor({n, groups});
+  cache.xhat = Tensor(x.shape());
+  Tensor y(x.shape());
+  util::parallel_for(
+      static_cast<std::int64_t>(n) * groups, 1,
+      [&](std::int64_t u0, std::int64_t u1) {
+  for (std::int64_t unit = u0; unit < u1; ++unit) {
+    const int b = static_cast<int>(unit / groups);
+    const int gr = static_cast<int>(unit % groups);
+    {
+      double sum = 0, sq = 0;
+      for (int cc = gr * cpg; cc < (gr + 1) * cpg; ++cc)
+        for (int i = 0; i < h; ++i)
+          for (int j = 0; j < w; ++j) {
+            const double v = x.at(b, cc, i, j);
+            sum += v;
+            sq += v * v;
+          }
+      const double mean = sum / m;
+      const double var = sq / m - mean * mean;
+      const double inv = 1.0 / std::sqrt(var + eps);
+      cache.mean[static_cast<std::int64_t>(b) * groups + gr] =
+          static_cast<float>(mean);
+      cache.inv_std[static_cast<std::int64_t>(b) * groups + gr] =
+          static_cast<float>(inv);
+      for (int cc = gr * cpg; cc < (gr + 1) * cpg; ++cc)
+        for (int i = 0; i < h; ++i)
+          for (int j = 0; j < w; ++j) {
+            const float xh =
+                static_cast<float>((x.at(b, cc, i, j) - mean) * inv);
+            cache.xhat.at(b, cc, i, j) = xh;
+            y.at(b, cc, i, j) = gamma[cc] * xh + beta[cc];
+          }
+    }
+  }
+      });
+  return y;
+}
+
+NormGrads oracle_groupnorm_backward(const Tensor& dy, const Tensor& gamma,
+                                    int groups, const NormCache& cache) {
+  const Tensor& x = cache.x;
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int cpg = c / groups;
+  const double m = static_cast<double>(cpg) * h * w;
+  NormGrads g;
+  g.dx = Tensor(x.shape());
+  g.dgamma = Tensor({c});
+  g.dbeta = Tensor({c});
+  // dgamma/dbeta accumulate across samples, so the fan-out unit is the
+  // group (channels partition by group); samples stay in-order inside.
+  util::parallel_for(groups, 1, [&](std::int64_t g0, std::int64_t g1) {
+  for (int gr = static_cast<int>(g0); gr < g1; ++gr)
+    for (int b = 0; b < n; ++b) {
+      // Sums over the normalization group, with dy scaled by gamma (the
+      // affine transform sits between xhat and the loss).
+      double sum_dyg = 0, sum_dyg_xhat = 0;
+      for (int cc = gr * cpg; cc < (gr + 1) * cpg; ++cc)
+        for (int i = 0; i < h; ++i)
+          for (int j = 0; j < w; ++j) {
+            const double d = dy.at(b, cc, i, j);
+            const double xh = cache.xhat.at(b, cc, i, j);
+            g.dbeta[cc] += static_cast<float>(d);
+            g.dgamma[cc] += static_cast<float>(d * xh);
+            sum_dyg += d * gamma[cc];
+            sum_dyg_xhat += d * gamma[cc] * xh;
+          }
+      const double inv =
+          cache.inv_std[static_cast<std::int64_t>(b) * groups + gr];
+      for (int cc = gr * cpg; cc < (gr + 1) * cpg; ++cc)
+        for (int i = 0; i < h; ++i)
+          for (int j = 0; j < w; ++j) {
+            const double d = dy.at(b, cc, i, j) * gamma[cc];
+            const double xh = cache.xhat.at(b, cc, i, j);
+            g.dx.at(b, cc, i, j) = static_cast<float>(
+                inv * (d - sum_dyg / m - xh * sum_dyg_xhat / m));
+          }
+    }
+  });
+  return g;
+}
+
 
 TEST(NormRewrite, PointerAndLegacyFormsAreBitIdentical) {
-  const bool saved = norm_rewrite_enabled();
   util::Rng rng(107);
   const Tensor x = Tensor::randn({3, 4, 9, 7}, rng);  // odd H/W planes
   const Tensor gamma = Tensor::randn({4}, rng, 0.3);
   const Tensor beta = Tensor::randn({4}, rng, 0.3);
   Tensor dy = Tensor::randn(x.shape(), rng);
 
-  auto run_all = [&] {
-    std::vector<Tensor> out;
-    NormCache bc;
-    out.push_back(batchnorm_forward(x, gamma, beta, bc));
-    out.push_back(bc.mean);
-    out.push_back(bc.inv_std);
-    out.push_back(bc.xhat);
-    NormGrads bg = batchnorm_backward(dy, gamma, bc);
-    out.push_back(bg.dx);
-    out.push_back(bg.dgamma);
-    out.push_back(bg.dbeta);
-    NormCache gc;
-    out.push_back(groupnorm_forward(x, gamma, beta, 2, gc));
-    out.push_back(gc.mean);
-    out.push_back(gc.inv_std);
-    NormGrads gg = groupnorm_backward(dy, gamma, 2, gc);
-    out.push_back(gg.dx);
-    out.push_back(gg.dgamma);
-    out.push_back(gg.dbeta);
-    return out;
+  /// Every output and cache tensor of BN and GN forward + backward.
+  auto collect = [](const Tensor& by, const NormCache& bc, const NormGrads& bg,
+                    const Tensor& gy, const NormCache& gc,
+                    const NormGrads& gg) {
+    return std::vector<Tensor>{by,      bc.mean,   bc.inv_std, bc.xhat,
+                               bg.dx,   bg.dgamma, bg.dbeta,   gy,
+                               gc.mean, gc.inv_std, gg.dx,     gg.dgamma,
+                               gg.dbeta};
   };
+  NormCache obc, ogc;
+  const Tensor oby = oracle_batchnorm_forward(x, gamma, beta, obc);
+  const NormGrads obg = oracle_batchnorm_backward(dy, gamma, obc);
+  const Tensor ogy = oracle_groupnorm_forward(x, gamma, beta, 2, ogc);
+  const NormGrads ogg = oracle_groupnorm_backward(dy, gamma, 2, ogc);
+  const std::vector<Tensor> legacy = collect(oby, obc, obg, ogy, ogc, ogg);
 
   BudgetGuard budget;
   for (int budget_n : {1, 3}) {
     util::set_thread_budget(budget_n);
-    set_norm_rewrite(true);
-    const std::vector<Tensor> fast = run_all();
-    set_norm_rewrite(false);
-    const std::vector<Tensor> legacy = run_all();
+    NormCache bc, gc;
+    const Tensor by = batchnorm_forward(x, gamma, beta, bc);
+    const NormGrads bg = batchnorm_backward(dy, gamma, bc);
+    const Tensor gy = groupnorm_forward(x, gamma, beta, 2, gc);
+    const NormGrads gg = groupnorm_backward(dy, gamma, 2, gc);
+    const std::vector<Tensor> fast = collect(by, bc, bg, gy, gc, gg);
     ASSERT_EQ(fast.size(), legacy.size());
     for (std::size_t i = 0; i < fast.size(); ++i)
       expect_bits_equal(fast[i], legacy[i],
@@ -947,7 +1094,6 @@ TEST(NormRewrite, PointerAndLegacyFormsAreBitIdentical) {
                          " budget " + std::to_string(budget_n))
                             .c_str());
   }
-  set_norm_rewrite(saved);
 }
 
 // ---- Tensor::count overflow guard -------------------------------------------

@@ -120,11 +120,12 @@ TEST_P(RandomBlockProperties, InceptionFootprintOrdering) {
     const int n_branches = 2 + static_cast<int>(rng.uniform_int(3));
     for (int b = 0; b < n_branches; ++b) {
       std::vector<Layer> chain;
-      chain.push_back(core::make_conv("b" + std::to_string(b), in,
-                                      16 << rng.uniform_int(3), 1, 1, 0));
+      std::string name = "b";  // += avoids a GCC 12 false -Wrestrict
+      name += std::to_string(b);
+      chain.push_back(
+          core::make_conv(name, in, 16 << rng.uniform_int(3), 1, 1, 0));
       if (rng.uniform() < 0.5)
-        chain.push_back(core::make_conv("b" + std::to_string(b) + "x",
-                                        chain.back().out,
+        chain.push_back(core::make_conv(name + "x", chain.back().out,
                                         16 << rng.uniform_int(3), 3, 1, 1));
       branches.push_back(std::move(chain));
     }
@@ -349,16 +350,20 @@ TEST(CycleBackendDeterminism, SweepInvariantUnderThreadsAndShards) {
         grid.push_back(std::move(s));
       }
 
+  engine::SweepOptions opts;
   engine::Evaluator serial_eval;
-  engine::SweepRunner serial(engine::SweepOptions{1, true});
+  opts.threads = 1;
+  engine::SweepRunner serial(opts);
   const auto reference = serial.run(grid, serial_eval);
 
   engine::Evaluator threaded_eval;
-  engine::SweepRunner threaded(engine::SweepOptions{8, true});
+  opts.threads = 8;
+  engine::SweepRunner threaded(opts);
   const auto parallel = threaded.run(grid, threaded_eval);
 
   engine::Evaluator shard_evals[2];
-  engine::SweepRunner runner{engine::SweepOptions{2, true}};
+  opts.threads = 2;
+  engine::SweepRunner runner(opts);
   const auto shard0 =
       runner.run_sharded(grid, shard_evals[0], engine::ShardPlan{0, 2});
   const auto shard1 =
@@ -521,16 +526,20 @@ TEST(AttentionTraffic, SweepInvariantUnderThreadsAndShardsWithSeq) {
       grid.push_back(std::move(s));
     }
 
+  engine::SweepOptions opts;
   engine::Evaluator serial_eval;
-  engine::SweepRunner serial(engine::SweepOptions{1, true});
+  opts.threads = 1;
+  engine::SweepRunner serial(opts);
   const auto reference = serial.run(grid, serial_eval);
 
   engine::Evaluator threaded_eval;
-  engine::SweepRunner threaded(engine::SweepOptions{8, true});
+  opts.threads = 8;
+  engine::SweepRunner threaded(opts);
   const auto parallel = threaded.run(grid, threaded_eval);
 
   engine::Evaluator shard_evals[2];
-  engine::SweepRunner runner{engine::SweepOptions{2, true}};
+  opts.threads = 2;
+  engine::SweepRunner runner(opts);
   const auto shard0 =
       runner.run_sharded(grid, shard_evals[0], engine::ShardPlan{0, 2});
   const auto shard1 =

@@ -272,7 +272,7 @@ TEST(Grouping, BufferSizeMonotonicity) {
   }
 }
 
-// ---- Grouping variants (non-contiguous search space) ------------------------
+// ---- Group structure --------------------------------------------------------
 
 /// Field-by-field equality of two schedules, down to the bit pattern of
 /// every group and footprint entry.
@@ -286,66 +286,14 @@ void expect_bitwise_equal(const Schedule& a, const Schedule& b) {
     EXPECT_EQ(a.groups[g].last, b.groups[g].last) << "group " << g;
     EXPECT_EQ(a.groups[g].sub_batch, b.groups[g].sub_batch) << "group " << g;
     EXPECT_EQ(a.groups[g].iterations, b.groups[g].iterations) << "group " << g;
-    EXPECT_EQ(a.groups[g].members, b.groups[g].members) << "group " << g;
   }
   EXPECT_EQ(a.block_footprint, b.block_footprint);
   EXPECT_EQ(a.block_max_sub, b.block_max_sub);
 }
 
-TEST(GroupingVariants, VariantOffIsBitwiseIdenticalToCurrentSchedules) {
-  // The kContiguous default must be indistinguishable from a pre-variant
-  // build: explicit kContiguous == default-constructed params, groups carry
-  // no member lists, and the modeled traffic agrees to the last bit.
-  for (const auto& name : models::evaluated_network_names()) {
-    const Network net = models::make_network(name);
-    for (ExecConfig cfg : kAllConfigs) {
-      const Schedule def = build_schedule(net, cfg);
-      ScheduleParams p;
-      p.variant = GroupingVariant::kContiguous;
-      const Schedule explicit_off = build_schedule(net, cfg, p);
-      expect_bitwise_equal(def, explicit_off);
-      for (const Group& g : def.groups) EXPECT_TRUE(g.members.empty());
-      EXPECT_EQ(dram_traffic_bytes(net, def),
-                dram_traffic_bytes(net, explicit_off))
-          << name << " " << to_string(cfg);
-    }
-  }
-}
-
-TEST(GroupingVariants, NonContiguousSchedulesValidate) {
-  ScheduleParams p;
-  p.variant = GroupingVariant::kNonContiguous;
-  for (const auto& name : {"resnet50", "alexnet", "vit_base"}) {
-    const Network net = models::make_network(name);
-    for (ExecConfig cfg : {ExecConfig::kMbs1, ExecConfig::kMbs2}) {
-      const Schedule s = build_schedule(net, cfg, p);
-      EXPECT_EQ(s.validate(net), "") << name << " " << to_string(cfg);
-      // Every block owned by exactly one group, via the member lists.
-      for (int b = 0; b < static_cast<int>(net.blocks.size()); ++b)
-        EXPECT_GE(s.group_of_block(b), 0) << name << " block " << b;
-    }
-  }
-}
-
-TEST(GroupingVariants, NonContiguousNeverImprovesTraffic) {
-  // All tensor edges connect adjacent blocks, so merging non-adjacent
-  // groups keeps no extra data on chip while tightening the sub-batch:
-  // the wider search must land exactly on the contiguous greedy's result.
-  ScheduleParams noncontig;
-  noncontig.variant = GroupingVariant::kNonContiguous;
-  for (const auto& name : models::evaluated_network_names()) {
-    const Network net = models::make_network(name);
-    const double contiguous =
-        dram_traffic_bytes(net, build_schedule(net, ExecConfig::kMbs2));
-    const double relaxed = dram_traffic_bytes(
-        net, build_schedule(net, ExecConfig::kMbs2, noncontig));
-    EXPECT_DOUBLE_EQ(relaxed, contiguous) << name;
-  }
-}
-
-TEST(GroupingVariants, BoundaryPredicateMatchesFirstBlockRule) {
-  // For contiguous schedules the generalized predecessor-based boundary
-  // rule must coincide with the historical "block is some group's first".
+TEST(Grouping, BoundaryPredicateMatchesFirstBlockRule) {
+  // The predecessor-based boundary rule must coincide with "block is some
+  // group's first".
   const Network net = models::make_network("resnet50");
   for (ExecConfig cfg : kAllConfigs) {
     const Schedule s = build_schedule(net, cfg);
@@ -358,39 +306,22 @@ TEST(GroupingVariants, BoundaryPredicateMatchesFirstBlockRule) {
   }
 }
 
-TEST(GroupingVariants, NonContiguousGroupAccessors) {
-  // A hand-built non-contiguous schedule: membership, boundaries, and the
-  // validate() partition check all follow the member lists.
-  Group a;
-  a.members = {0, 2};
-  a.first = 0;
-  a.last = 2;
-  Group b;
-  b.members = {1};
-  b.first = b.last = 1;
-  EXPECT_TRUE(a.contains(0));
-  EXPECT_FALSE(a.contains(1));
-  EXPECT_TRUE(a.contains(2));
-  EXPECT_EQ(a.blocks(), (std::vector<int>{0, 2}));
-
+TEST(Grouping, HandBuiltScheduleAccessorsAndValidation) {
+  // A hand-built schedule: membership, boundaries, and the validate()
+  // cover/ordering checks follow the [first, last] ranges.
   Schedule s;
   s.config = ExecConfig::kMbs1;
   s.mini_batch = 4;
   s.buffer_bytes = 1 << 20;
-  s.groups = {a, b};
-  for (Group& g : s.groups) {
-    g.sub_batch = 4;
-    g.iterations = 1;
-  }
+  s.groups = {Group{0, 1, 4, 1}, Group{2, 2, 4, 1}};
   s.block_footprint = {1, 1, 1};
   s.block_max_sub = {4, 4, 4};
   EXPECT_EQ(s.group_of_block(0), 0);
-  EXPECT_EQ(s.group_of_block(1), 1);
-  EXPECT_EQ(s.group_of_block(2), 0);
-  // Blocks 1 and 2 both start boundary runs (their predecessors belong to
-  // the other group).
+  EXPECT_EQ(s.group_of_block(1), 0);
+  EXPECT_EQ(s.group_of_block(2), 1);
+  EXPECT_EQ(s.group_of_block(3), -1);
   EXPECT_TRUE(s.is_group_boundary(0));
-  EXPECT_TRUE(s.is_group_boundary(1));
+  EXPECT_FALSE(s.is_group_boundary(1));
   EXPECT_TRUE(s.is_group_boundary(2));
 
   core::Network net;
@@ -401,28 +332,17 @@ TEST(GroupingVariants, NonContiguousGroupAccessors) {
         "b" + std::to_string(i),
         {core::make_act("act" + std::to_string(i), net.input)}));
   EXPECT_EQ(s.validate(net), "");
-  // Dropping a block from the partition is caught.
-  s.groups[1].members = {};
-  s.groups[1].first = s.groups[1].last = 2;  // now 1 is unowned, 2 doubly
+  // A gap between groups is caught.
+  s.groups[0].last = 0;
   EXPECT_NE(s.validate(net), "");
-  // A member-less first > last group mixed into a non-contiguous schedule
-  // is reported as an error, not expanded into a bogus block range
-  // (regression: validate must range-check before calling blocks()).
+  // So is an overlap.
+  s.groups[0].last = 2;
+  EXPECT_NE(s.validate(net), "");
+  // And a first > last group.
+  s.groups[0].last = 1;
   s.groups[1].first = 2;
   s.groups[1].last = 1;
   EXPECT_NE(s.validate(net), "");
-}
-
-TEST(GroupingVariants, MiniBatchAndBufferComposeWithVariant) {
-  const Network net = models::make_network("transformer_base");
-  ScheduleParams p;
-  p.variant = GroupingVariant::kNonContiguous;
-  p.mini_batch = 64;
-  p.buffer_bytes = 5ll * 1024 * 1024;
-  const Schedule s = build_schedule(net, ExecConfig::kMbs2, p);
-  EXPECT_EQ(s.mini_batch, 64);
-  EXPECT_EQ(s.validate(net), "");
-  EXPECT_GT(dram_traffic_bytes(net, s), 0);
 }
 
 TEST(Grouping, MiniBatchOverrideRespected) {
@@ -448,7 +368,7 @@ double full_model_traffic(const Network& net, const Schedule& s) {
 void oracle_refresh_groups(Schedule& s) {
   for (Group& g : s.groups) {
     int sub = s.mini_batch;
-    for (int b : g.blocks())
+    for (int b = g.first; b <= g.last; ++b)
       sub = std::min(sub, s.block_max_sub[static_cast<std::size_t>(b)]);
     g.sub_batch = sub;
     g.iterations = iterations_for(s.mini_batch, sub);
@@ -474,7 +394,7 @@ Schedule oracle_initial_schedule(const Network& net, ExecConfig cfg,
   int start = 0;
   for (int b = 1; b <= n; ++b) {
     if (b == n || iters(b) != iters(start)) {
-      s.groups.push_back(Group{start, b - 1, 1, 1, {}});
+      s.groups.push_back(Group{start, b - 1, 1, 1});
       start = b;
     }
   }
@@ -508,44 +428,6 @@ Schedule oracle_greedy(const Network& net, Schedule s) {
   return s;
 }
 
-Schedule oracle_noncontig(const Network& net, Schedule s) {
-  for (Group& g : s.groups) g.members = g.blocks();
-  double best = full_model_traffic(net, s);
-  auto merge_into = [](Schedule& sched, std::size_t a, std::size_t b) {
-    Group& ga = sched.groups[a];
-    Group& gb = sched.groups[b];
-    std::vector<int> merged;
-    std::merge(ga.members.begin(), ga.members.end(), gb.members.begin(),
-               gb.members.end(), std::back_inserter(merged));
-    ga.members = std::move(merged);
-    ga.first = ga.members.front();
-    ga.last = ga.members.back();
-    sched.groups.erase(sched.groups.begin() + static_cast<std::ptrdiff_t>(b));
-    std::sort(sched.groups.begin(), sched.groups.end(),
-              [](const Group& x, const Group& y) { return x.first < y.first; });
-    oracle_refresh_groups(sched);
-  };
-  while (s.groups.size() > 1) {
-    std::size_t best_a = 0, best_b = 0;
-    double best_traffic = best;
-    for (std::size_t a = 0; a < s.groups.size(); ++a)
-      for (std::size_t b = a + 1; b < s.groups.size(); ++b) {
-        Schedule cand = s;
-        merge_into(cand, a, b);
-        const double traffic = full_model_traffic(net, cand);
-        if (traffic < best_traffic) {
-          best_traffic = traffic;
-          best_a = a;
-          best_b = b;
-        }
-      }
-    if (best_a == best_b) break;
-    merge_into(s, best_a, best_b);
-    best = best_traffic;
-  }
-  return s;
-}
-
 /// Schedule `base` regrouped as `groups` (sub-batches and iterations
 /// recomputed from the per-block limits).
 Schedule regrouped(Schedule base, std::vector<Group> groups) {
@@ -557,9 +439,9 @@ Schedule regrouped(Schedule base, std::vector<Group> groups) {
 /// Groups [i, j] merged, every other block of `n` a singleton.
 std::vector<Group> merged_among_singletons(int n, int i, int j) {
   std::vector<Group> groups;
-  for (int b = 0; b < i; ++b) groups.push_back(Group{b, b, 1, 1, {}});
-  groups.push_back(Group{i, j, 1, 1, {}});
-  for (int b = j + 1; b < n; ++b) groups.push_back(Group{b, b, 1, 1, {}});
+  for (int b = 0; b < i; ++b) groups.push_back(Group{b, b, 1, 1});
+  groups.push_back(Group{i, j, 1, 1});
+  for (int b = j + 1; b < n; ++b) groups.push_back(Group{b, b, 1, 1});
   return groups;
 }
 
@@ -583,7 +465,7 @@ Schedule oracle_dp(const Network& net, const Schedule& s) {
     }
   std::vector<Group> groups;
   for (int j = n; j > 0; j = cut[static_cast<std::size_t>(j)])
-    groups.push_back(Group{cut[static_cast<std::size_t>(j)], j - 1, 1, 1, {}});
+    groups.push_back(Group{cut[static_cast<std::size_t>(j)], j - 1, 1, 1});
   std::reverse(groups.begin(), groups.end());
   return regrouped(s, std::move(groups));
 }
@@ -611,10 +493,9 @@ std::vector<SearchCase> search_grid() {
   return cases;
 }
 
-/// `per_network` seeded random cells of search_grid() per network. The
-/// non-contiguous greedy (O(groups^3) candidates per schedule) and the DP
-/// (O(blocks^2)) need too many full-model evaluations for their oracles to
-/// cover the whole grid in a unit test.
+/// `per_network` seeded random cells of search_grid() per network. The DP
+/// (O(blocks^2) candidates per schedule) needs too many full-model
+/// evaluations for its oracle to cover the whole grid in a unit test.
 std::vector<SearchCase> sampled_search_grid(int per_network) {
   const std::vector<SearchCase> grid = search_grid();
   const auto cells = static_cast<std::ptrdiff_t>(
@@ -627,7 +508,6 @@ std::vector<SearchCase> sampled_search_grid(int per_network) {
   return sample;
 }
 
-constexpr int kNonContiguousSample = 2;
 constexpr int kDpSample = 1;
 
 std::string describe(const SearchCase& c) {
@@ -643,17 +523,6 @@ TEST(SearchOracles, GreedyMatchesFullModelOracle) {
     expect_bitwise_equal(
         build_schedule(net, c.cfg, c.params),
         oracle_greedy(net, oracle_initial_schedule(net, c.cfg, c.params)));
-  }
-}
-
-TEST(SearchOracles, NonContiguousMatchesFullModelOracle) {
-  for (SearchCase c : sampled_search_grid(kNonContiguousSample)) {
-    SCOPED_TRACE(describe(c));
-    c.params.variant = GroupingVariant::kNonContiguous;
-    const Network net = models::make_network(c.net);
-    expect_bitwise_equal(
-        build_schedule(net, c.cfg, c.params),
-        oracle_noncontig(net, oracle_initial_schedule(net, c.cfg, c.params)));
   }
 }
 
@@ -771,30 +640,9 @@ std::vector<Group> random_contiguous(int n, std::mt19937& rng) {
   int start = 0;
   for (int b = 1; b <= n; ++b)
     if (b == n || cut(rng)) {
-      groups.push_back(Group{start, b - 1, 1, 1, {}});
+      groups.push_back(Group{start, b - 1, 1, 1});
       start = b;
     }
-  return groups;
-}
-
-/// A random partition of `n` blocks into up to six groups with explicit
-/// member lists, ordered by first block (the kNonContiguous shape).
-std::vector<Group> random_noncontiguous(int n, std::mt19937& rng) {
-  const int k = std::uniform_int_distribution<>(1, std::min(n, 6))(rng);
-  std::vector<Group> groups(static_cast<std::size_t>(k));
-  for (int b = 0; b < n; ++b)
-    groups[static_cast<std::size_t>(
-               std::uniform_int_distribution<>(0, k - 1)(rng))]
-        .members.push_back(b);
-  groups.erase(std::remove_if(groups.begin(), groups.end(),
-                              [](const Group& g) { return g.members.empty(); }),
-               groups.end());
-  for (Group& g : groups) {
-    g.first = g.members.front();
-    g.last = g.members.back();
-  }
-  std::sort(groups.begin(), groups.end(),
-            [](const Group& x, const Group& y) { return x.first < y.first; });
   return groups;
 }
 
@@ -818,13 +666,10 @@ TEST(GroupingObjective, EqualsFullModelOnRandomPartitions) {
     for (ExecConfig cfg : kAllConfigs)
       for (int trial = 0; trial < 4; ++trial) {
         const Schedule base = build_schedule(net, cfg, random_params(rng));
-        for (const Schedule& s :
-             {regrouped(base, random_contiguous(n, rng)),
-              regrouped(base, random_noncontiguous(n, rng))}) {
-          const double full = compute_traffic(net, s).dram_bytes();
-          EXPECT_EQ(objective(s), full) << name << " " << to_string(cfg);
-          EXPECT_EQ(dram_traffic_bytes(net, s), full) << name;
-        }
+        const Schedule s = regrouped(base, random_contiguous(n, rng));
+        const double full = compute_traffic(net, s).dram_bytes();
+        EXPECT_EQ(objective(s), full) << name << " " << to_string(cfg);
+        EXPECT_EQ(dram_traffic_bytes(net, s), full) << name;
       }
   }
 }
@@ -857,7 +702,7 @@ TEST(GroupingObjective, DramBytesAreExactIntegers) {
 /// DRAM bytes attributed to the blocks of `g`.
 double group_dram_bytes(const Traffic& t, const Group& g) {
   double total = 0;
-  for (int b : g.blocks()) total += t.dram_bytes_for_block(b);
+  for (int b = g.first; b <= g.last; ++b) total += t.dram_bytes_for_block(b);
   return total;
 }
 
@@ -894,7 +739,7 @@ TEST(DpAdditivity, FailsForPreNormResidualStacks) {
   ScheduleParams p;
   p.buffer_bytes = 5ll * 1024 * 1024;
   const Schedule greedy = build_schedule(net, ExecConfig::kMbs2, p);
-  const Group g{10, 10, 1, 1, {}};
+  const Group g{10, 10, 1, 1};
   ASSERT_EQ(greedy.group_of_block(10),
             greedy.group_of_block(9) + 1);  // [10, 10] is a greedy group
   ASSERT_NE(greedy.group_of_block(10), greedy.group_of_block(11));
