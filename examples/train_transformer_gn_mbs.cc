@@ -24,8 +24,8 @@
 
 #include "engine/engine.h"
 #include "train/data.h"
-#include "train/loss.h"
 #include "train/optim.h"
+#include "train/trainer.h"
 #include "train/transformer_model.h"
 
 namespace {
@@ -40,30 +40,6 @@ Tensor tokens_from_images(const Tensor& images) {
   std::memcpy(t.data(), images.data(),
               static_cast<std::size_t>(images.size()) * sizeof(float));
   return t;
-}
-
-/// Forward+backward over a chunk partition with gradient accumulation
-/// scaled by 1/mini-batch (the trainer's accumulate_gradients, for the
-/// transformer model). Returns the mean loss.
-double accumulate(TinyTransformer& model, const Tensor& x,
-                  const std::vector<int>& labels,
-                  const std::vector<int>& chunks) {
-  const int n = x.dim(0);
-  model.zero_grad();
-  double loss = 0;
-  int offset = 0;
-  for (int c : chunks) {
-    const Tensor xc = x.slice_batch(offset, c);
-    const std::vector<int> yc(labels.begin() + offset,
-                              labels.begin() + offset + c);
-    const Tensor logits = model.forward(xc);
-    LossResult lr = softmax_cross_entropy(logits, yc);
-    lr.dlogits.scale(1.0f / static_cast<float>(n));
-    model.backward(lr.dlogits);
-    loss += lr.loss_sum;
-    offset += c;
-  }
-  return loss / n;
 }
 
 /// Largest absolute gradient difference between two models after one
@@ -110,8 +86,8 @@ int main(int argc, char** argv) {
     TinyTransformerConfig c = cfg;
     c.norm = norm;
     TinyTransformer a(c), b(c);
-    accumulate(a, x, labels, full);
-    accumulate(b, x, labels, serial);
+    compute_gradients(a, x, labels, full);
+    compute_gradients(b, x, labels, serial);
     return max_grad_diff(a, b);
   };
   const double gn_abs = grad_diff(NormMode::kGroup);
@@ -137,8 +113,7 @@ int main(int argc, char** argv) {
           const Tensor xb = tokens.slice_batch(off, batch);
           const std::vector<int> yb(train_set.labels.begin() + off,
                                     train_set.labels.begin() + off + batch);
-          sum += accumulate(model, xb, yb, chunks);
-          opt.step(model.parameters(), model.gradients());
+          sum += train_step(model, opt, xb, yb, chunks).loss;
           ++steps;
         }
         losses.push_back(sum / steps);

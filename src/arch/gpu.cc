@@ -45,7 +45,7 @@ void add_gemm(const GpuModel& gpu, const Layer& l, int n, GemmPass pass,
 
   r.compute_time_s += compute;
   r.memory_time_s += memory;
-  r.overhead_s += gpu.kernel_overhead_s * (gpu.materialize_im2col ? 2 : 1);
+  r.overhead_s += gpu.kernel_overhead_s;
   r.dram_bytes += bytes;
   r.time_s += std::max(compute, memory) + gpu.kernel_overhead_s;
 }

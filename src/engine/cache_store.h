@@ -62,8 +62,9 @@ class CacheStore {
   /// sched3: Group lost it again; groups are plain [first, last] ranges.
   /// sys1: the cycle-level systolic-step stage joined the store.
   /// svc2: entries carry an fnv1a64 checksum over a length-prefixed body.
+  /// gpu2: overhead_s charges one launch per GEMM, the launch time_s adds.
   static constexpr const char* kSchemaStamp =
-      "net2;sched3;traffic1;step1;gpu1;sys1;svc2";
+      "net2;sched3;traffic1;step1;gpu2;sys1;svc2";
 
   explicit CacheStore(std::string path);
 

@@ -1,38 +1,18 @@
 #include "train/model.h"
 
-#include <cassert>
 #include <cmath>
 #include <utility>
 
-#include "util/parallel.h"
-
 namespace mbs::train {
-
-const char* to_string(NormMode m) {
-  switch (m) {
-    case NormMode::kNone: return "none";
-    case NormMode::kBatch: return "BN";
-    case NormMode::kGroup: return "GN";
-  }
-  return "?";
-}
 
 SmallCnn::SmallCnn(const SmallCnnConfig& config) : config_(config) {
   util::Rng rng(config.seed);
   int c_in = config.in_channels;
   for (int c_out : config.stage_channels) {
     Stage s;
-    const double fan_in = static_cast<double>(c_in) * 3 * 3;
-    s.w = Tensor::randn({c_out, c_in, 3, 3}, rng, std::sqrt(2.0 / fan_in));
-    s.b = Tensor({c_out});
-    s.dw = Tensor(s.w.shape());
-    s.db = Tensor({c_out});
-    s.gamma = Tensor::full({c_out}, 1.0f);
-    s.beta = Tensor({c_out});
-    s.dgamma = Tensor({c_out});
-    s.dbeta = Tensor({c_out});
-    if (config.norm == NormMode::kGroup)
-      assert(c_out % config.gn_groups == 0);
+    s.conv = ConvLayer(rng, c_out, c_in, 3, /*stride=*/1, /*pad=*/1,
+                       /*bias=*/true);
+    s.norm = NormLayer(c_out, config.norm, config.gn_groups);
     stages_.push_back(std::move(s));
     c_in = c_out;
   }
@@ -48,20 +28,8 @@ Tensor SmallCnn::forward(const Tensor& x) {
   for (std::size_t si = 0; si < stages_.size(); ++si) {
     Stage& s = stages_[si];
     s.x_in = cur;
-    conv2d_forward_into(cur, s.w, s.b, /*stride=*/1, /*pad=*/1, &s.ccache,
-                        s.conv_out);
-    switch (config_.norm) {
-      case NormMode::kNone:
-        s.norm_out = s.conv_out;
-        break;
-      case NormMode::kBatch:
-        s.norm_out = batchnorm_forward(s.conv_out, s.gamma, s.beta, s.ncache);
-        break;
-      case NormMode::kGroup:
-        s.norm_out = groupnorm_forward(s.conv_out, s.gamma, s.beta,
-                                       config_.gn_groups, s.ncache);
-        break;
-    }
+    s.conv.forward(cur, s.conv_out);
+    s.norm_out = s.norm.forward(s.conv_out);
     if (si == 0) first_preact_mean_ = s.norm_out.mean();
     if (si + 1 == stages_.size()) last_preact_mean_ = s.norm_out.mean();
     relu_forward_into(s.norm_out, s.relu_out);
@@ -83,82 +51,23 @@ void SmallCnn::backward(const Tensor& dlogits) {
     Stage& s = stages_[i];
     d = maxpool_backward(d, s.pool, s.relu_out.shape());
     relu_backward_inplace(d, s.relu_out);
-    switch (config_.norm) {
-      case NormMode::kNone:
-        break;
-      case NormMode::kBatch: {
-        NormGrads ng = batchnorm_backward(d, s.gamma, s.ncache);
-        s.dgamma.axpy(1.0f, ng.dgamma);
-        s.dbeta.axpy(1.0f, ng.dbeta);
-        d = std::move(ng.dx);
-        break;
-      }
-      case NormMode::kGroup: {
-        NormGrads ng = groupnorm_backward(d, s.gamma, config_.gn_groups,
-                                          s.ncache);
-        s.dgamma.axpy(1.0f, ng.dgamma);
-        s.dbeta.axpy(1.0f, ng.dbeta);
-        d = std::move(ng.dx);
-        break;
-      }
-    }
-    conv2d_backward_into(s.x_in, s.w, d, /*stride=*/1, /*pad=*/1,
-                         /*need_dx=*/i > 0, &s.ccache, s.gscratch);
-    s.dw.axpy(1.0f, s.gscratch.dw);
-    s.db.axpy(1.0f, s.gscratch.dbias);
+    d = s.norm.backward(d);
+    s.conv.backward(s.x_in, d, /*need_dx=*/i > 0);
     // Swap rather than move: the scratch keeps a buffer (the old d) whose
     // capacity it reuses next step, so the backward stays allocation-free.
-    if (i > 0) std::swap(d, s.gscratch.dx);
+    if (i > 0) std::swap(d, s.conv.g.dx);
   }
 }
 
-void SmallCnn::zero_grad() {
-  // One pool dispatch for all gradient buffers (they are disjoint, so the
-  // partition is bit-irrelevant) instead of one per tensor.
-  std::vector<Tensor*> gs;
+ParamList SmallCnn::param_list() {
+  ParamList l;
   for (Stage& s : stages_) {
-    gs.push_back(&s.dw);
-    gs.push_back(&s.db);
-    gs.push_back(&s.dgamma);
-    gs.push_back(&s.dbeta);
+    l.add(s.conv);
+    l.add(s.norm);
   }
-  gs.push_back(&fc_dw);
-  gs.push_back(&fc_db);
-  util::parallel_for(static_cast<std::int64_t>(gs.size()), 1,
-                     [&](std::int64_t i0, std::int64_t i1) {
-                       for (std::int64_t i = i0; i < i1; ++i)
-                         gs[static_cast<std::size_t>(i)]->zero();
-                     });
-}
-
-std::vector<Tensor*> SmallCnn::parameters() {
-  std::vector<Tensor*> out;
-  for (Stage& s : stages_) {
-    out.push_back(&s.w);
-    out.push_back(&s.b);
-    if (config_.norm != NormMode::kNone) {
-      out.push_back(&s.gamma);
-      out.push_back(&s.beta);
-    }
-  }
-  out.push_back(&fc_w);
-  out.push_back(&fc_b);
-  return out;
-}
-
-std::vector<Tensor*> SmallCnn::gradients() {
-  std::vector<Tensor*> out;
-  for (Stage& s : stages_) {
-    out.push_back(&s.dw);
-    out.push_back(&s.db);
-    if (config_.norm != NormMode::kNone) {
-      out.push_back(&s.dgamma);
-      out.push_back(&s.dbeta);
-    }
-  }
-  out.push_back(&fc_dw);
-  out.push_back(&fc_db);
-  return out;
+  l.add(fc_w, fc_dw);
+  l.add(fc_b, fc_db);
+  return l;
 }
 
 }  // namespace mbs::train

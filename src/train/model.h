@@ -14,13 +14,10 @@
 
 #include "train/norm.h"
 #include "train/ops.h"
+#include "train/params.h"
 #include "train/tensor.h"
 
 namespace mbs::train {
-
-enum class NormMode { kNone, kBatch, kGroup };
-
-const char* to_string(NormMode m);
 
 struct SmallCnnConfig {
   int in_channels = 1;
@@ -43,12 +40,12 @@ class SmallCnn {
   /// Backpropagates d(loss)/d(logits), *accumulating* parameter gradients.
   void backward(const Tensor& dlogits);
 
-  void zero_grad();
+  void zero_grad() { param_list().zero_grads(); }
 
   /// Parameter and gradient tensors in matching order (for the optimizer
   /// and for gradient-equivalence tests).
-  std::vector<Tensor*> parameters();
-  std::vector<Tensor*> gradients();
+  std::vector<Tensor*> parameters() { return param_list().params; }
+  std::vector<Tensor*> gradients() { return param_list().grads; }
 
   /// Mean of the first/last normalization layer's output (pre-activation)
   /// from the most recent forward pass — the quantity Fig. 6 (right) plots.
@@ -60,16 +57,14 @@ class SmallCnn {
 
  private:
   struct Stage {
-    // Parameters and gradients.
-    Tensor w, b, dw, db;
-    Tensor gamma, beta, dgamma, dbeta;
+    ConvLayer conv;
+    NormLayer norm;
     // Forward caches.
     Tensor x_in, conv_out, norm_out, relu_out;
-    NormCache ncache;
-    ConvCache ccache;  ///< forward's im2col lowering, reused by backward
     MaxPoolResult pool;
-    Conv2dGrads gscratch;  ///< step-persistent conv-gradient staging
   };
+
+  ParamList param_list();
 
   SmallCnnConfig config_;
   std::vector<Stage> stages_;

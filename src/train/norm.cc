@@ -19,10 +19,20 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "util/parallel.h"
 
 namespace mbs::train {
+
+const char* to_string(NormMode m) {
+  switch (m) {
+    case NormMode::kNone: return "none";
+    case NormMode::kBatch: return "BN";
+    case NormMode::kGroup: return "GN";
+  }
+  return "?";
+}
 
 // Each (b, ch) pair owns one contiguous [H*W] run of the NCHW layout;
 // walking it with a flat index visits elements in exactly the i-then-j order
@@ -243,6 +253,36 @@ NormGrads groupnorm_backward(const Tensor& dy, const Tensor& gamma,
     }
   });
   return g;
+}
+
+NormLayer::NormLayer(int channels, NormMode mode, int groups)
+    : mode(mode), groups(groups) {
+  assert(mode != NormMode::kGroup || channels % groups == 0);
+  if (mode == NormMode::kNone) return;
+  gamma = Tensor::full({channels}, 1.0f);
+  beta = Tensor({channels});
+  dgamma = Tensor({channels});
+  dbeta = Tensor({channels});
+}
+
+Tensor NormLayer::forward(const Tensor& x) {
+  switch (mode) {
+    case NormMode::kNone: return x;
+    case NormMode::kBatch: return batchnorm_forward(x, gamma, beta, cache);
+    case NormMode::kGroup:
+      return groupnorm_forward(x, gamma, beta, groups, cache);
+  }
+  return x;
+}
+
+Tensor NormLayer::backward(const Tensor& dy) {
+  if (mode == NormMode::kNone) return dy;
+  NormGrads g = mode == NormMode::kBatch
+                    ? batchnorm_backward(dy, gamma, cache)
+                    : groupnorm_backward(dy, gamma, groups, cache);
+  dgamma.axpy(1.0f, g.dgamma);
+  dbeta.axpy(1.0f, g.dbeta);
+  return std::move(g.dx);
 }
 
 }  // namespace mbs::train

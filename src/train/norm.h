@@ -13,6 +13,10 @@
 
 namespace mbs::train {
 
+enum class NormMode { kNone, kBatch, kGroup };
+
+const char* to_string(NormMode m);
+
 /// Cache produced by a normalization forward pass, consumed by backward.
 struct NormCache {
   Tensor x;      ///< forward input
@@ -44,5 +48,24 @@ Tensor groupnorm_forward(const Tensor& x, const Tensor& gamma,
 
 NormGrads groupnorm_backward(const Tensor& dy, const Tensor& gamma,
                              int groups, const NormCache& cache);
+
+/// One normalization layer of a model: affine parameters, their gradients
+/// and the forward cache. forward() and backward() hold the models' only
+/// NormMode switch; kNone passes tensors through and owns no parameters
+/// (gamma, beta and their gradients stay empty).
+struct NormLayer {
+  NormLayer() = default;
+  /// `groups` must divide `channels` when `mode` is kGroup.
+  NormLayer(int channels, NormMode mode, int groups);
+
+  Tensor forward(const Tensor& x);
+  /// Returns dx and *adds* into dgamma/dbeta.
+  Tensor backward(const Tensor& dy);
+
+  Tensor gamma, beta, dgamma, dbeta;
+  NormCache cache;
+  NormMode mode = NormMode::kNone;
+  int groups = 1;
+};
 
 }  // namespace mbs::train

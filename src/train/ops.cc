@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -158,6 +159,29 @@ void conv2d_backward_into(const Tensor& x, const Tensor& w, const Tensor& dy,
   matmul_bt_f32_into(dcols, xrows, wf, ci, kd, nullptr, dxrows);
   g.dx.ensure_shape({n, ci, ih, iw});
   rows_to_nchw_into(dxrows, g.dx);
+}
+
+ConvLayer::ConvLayer(util::Rng& rng, int co, int ci, int k, int stride,
+                     int pad, bool bias)
+    : w(Tensor::randn({co, ci, k, k}, rng,
+                      std::sqrt(2.0 / (static_cast<double>(ci) * k * k)))),
+      dw(w.shape()),
+      stride(stride),
+      pad(pad) {
+  if (bias) {
+    b = Tensor({co});
+    db = Tensor({co});
+  }
+}
+
+void ConvLayer::forward(const Tensor& x, Tensor& y) {
+  conv2d_forward_into(x, w, b, stride, pad, &cache, y);
+}
+
+void ConvLayer::backward(const Tensor& x, const Tensor& dy, bool need_dx) {
+  conv2d_backward_into(x, w, dy, stride, pad, need_dx, &cache, g);
+  dw.axpy(1.0f, g.dw);
+  if (!db.empty()) db.axpy(1.0f, g.dbias);
 }
 
 MaxPoolResult maxpool_forward(const Tensor& x, int kernel, int stride) {

@@ -63,6 +63,28 @@ void conv2d_backward_into(const Tensor& x, const Tensor& w, const Tensor& dy,
                           int stride, int pad, bool need_dx, ConvCache* cache,
                           Conv2dGrads& g);
 
+/// One convolution layer of a model: weights, an optional bias, their
+/// gradients, and the step-persistent ConvCache and gradient scratch that
+/// keep its steady-state forward and backward allocation-free.
+struct ConvLayer {
+  ConvLayer() = default;
+  /// He-initialized [co, ci, k, k] weights: one randn draw with std
+  /// sqrt(2 / (ci*k*k)). The bias, when present, starts at zero.
+  ConvLayer(util::Rng& rng, int co, int ci, int k, int stride, int pad,
+            bool bias = false);
+
+  /// y = conv(x), through the layer's cache.
+  void forward(const Tensor& x, Tensor& y);
+  /// Adds into dw (and db); the data gradient lands in g.dx when
+  /// `need_dx`. `x` must be the tensor forward() saw.
+  void backward(const Tensor& x, const Tensor& dy, bool need_dx);
+
+  Tensor w, dw, b, db;  ///< b/db empty when the layer has no bias
+  int stride = 1, pad = 0;
+  ConvCache cache;
+  Conv2dGrads g;
+};
+
 // ---- Pooling ---------------------------------------------------------------
 
 struct MaxPoolResult {

@@ -1,59 +1,30 @@
 #include "train/resnet_model.h"
 
-#include <cassert>
 #include <cmath>
 #include <utility>
 
-#include "util/parallel.h"
-
 namespace mbs::train {
-
-namespace {
-
-Tensor he_conv(util::Rng& rng, int co, int ci, int k) {
-  const double fan_in = static_cast<double>(ci) * k * k;
-  return Tensor::randn({co, ci, k, k}, rng, std::sqrt(2.0 / fan_in));
-}
-
-NormCache empty_cache() { return {}; }
-
-}  // namespace
 
 SmallResNet::SmallResNet(const SmallResNetConfig& config) : config_(config) {
   util::Rng rng(config.seed);
-  auto make_norm_params = [&](int c) {
-    NormParams np;
-    np.gamma = Tensor::full({c}, 1.0f);
-    np.beta = Tensor({c});
-    np.dgamma = Tensor({c});
-    np.dbeta = Tensor({c});
-    np.cache = empty_cache();
-    return np;
-  };
-
-  stem_.w = he_conv(rng, config.stem_channels, config.in_channels, 3);
-  stem_.dw = Tensor(stem_.w.shape());
-  stem_.stride = 1;
-  stem_norm_ = make_norm_params(config.stem_channels);
+  const NormMode norm = config.norm;
+  const int groups = config.gn_groups;
+  stem_ = ConvLayer(rng, config.stem_channels, config.in_channels, 3,
+                    /*stride=*/1, /*pad=*/1);
+  stem_norm_ = NormLayer(config.stem_channels, norm, groups);
 
   int c_in = config.stem_channels;
   for (std::size_t s = 0; s < config.stage_channels.size(); ++s) {
     const int c_out = config.stage_channels[s];
     const int stride = s == 0 ? 1 : 2;
     ResBlock b;
-    b.conv1.w = he_conv(rng, c_out, c_in, 3);
-    b.conv1.dw = Tensor(b.conv1.w.shape());
-    b.conv1.stride = stride;
-    b.norm1 = make_norm_params(c_out);
-    b.conv2.w = he_conv(rng, c_out, c_out, 3);
-    b.conv2.dw = Tensor(b.conv2.w.shape());
-    b.conv2.stride = 1;
-    b.norm2 = make_norm_params(c_out);
+    b.conv1 = ConvLayer(rng, c_out, c_in, 3, stride, /*pad=*/1);
+    b.norm1 = NormLayer(c_out, norm, groups);
+    b.conv2 = ConvLayer(rng, c_out, c_out, 3, /*stride=*/1, /*pad=*/1);
+    b.norm2 = NormLayer(c_out, norm, groups);
     if (stride != 1 || c_in != c_out) {
-      b.proj.w = he_conv(rng, c_out, c_in, 1);
-      b.proj.dw = Tensor(b.proj.w.shape());
-      b.proj.stride = stride;
-      b.norm_proj = make_norm_params(c_out);
+      b.proj = ConvLayer(rng, c_out, c_in, 1, stride, /*pad=*/0);
+      b.norm_proj = NormLayer(c_out, norm, groups);
     }
     blocks_.push_back(std::move(b));
     c_in = c_out;
@@ -65,59 +36,23 @@ SmallResNet::SmallResNet(const SmallResNetConfig& config) : config_(config) {
   fc_db = Tensor({config.classes});
 }
 
-Tensor SmallResNet::norm_forward(NormParams& np, const Tensor& x) {
-  switch (config_.norm) {
-    case NormMode::kNone: return x;
-    case NormMode::kBatch:
-      return batchnorm_forward(x, np.gamma, np.beta, np.cache);
-    case NormMode::kGroup:
-      return groupnorm_forward(x, np.gamma, np.beta, config_.gn_groups,
-                               np.cache);
-  }
-  return x;
-}
-
-Tensor SmallResNet::norm_backward(NormParams& np, const Tensor& dy) {
-  switch (config_.norm) {
-    case NormMode::kNone: return dy;
-    case NormMode::kBatch: {
-      NormGrads g = batchnorm_backward(dy, np.gamma, np.cache);
-      np.dgamma.axpy(1.0f, g.dgamma);
-      np.dbeta.axpy(1.0f, g.dbeta);
-      return std::move(g.dx);
-    }
-    case NormMode::kGroup: {
-      NormGrads g = groupnorm_backward(dy, np.gamma, config_.gn_groups,
-                                       np.cache);
-      np.dgamma.axpy(1.0f, g.dgamma);
-      np.dbeta.axpy(1.0f, g.dbeta);
-      return std::move(g.dx);
-    }
-  }
-  return dy;
-}
-
 Tensor SmallResNet::forward(const Tensor& x) {
   stem_in_ = x;
-  conv2d_forward_into(x, stem_.w, Tensor(), 1, 1, &stem_.cache,
-                      stem_conv_out_);
-  stem_norm_out_ = norm_forward(stem_norm_, stem_conv_out_);
+  stem_.forward(x, stem_conv_out_);
+  stem_norm_out_ = stem_norm_.forward(stem_conv_out_);
   relu_forward_into(stem_norm_out_, stem_relu_out_);
 
   Tensor cur = stem_relu_out_;
   for (ResBlock& b : blocks_) {
     b.x_in = cur;
-    conv2d_forward_into(cur, b.conv1.w, Tensor(), b.conv1.stride, 1,
-                        &b.conv1.cache, b.c1_out);
-    b.n1_out = norm_forward(b.norm1, b.c1_out);
+    b.conv1.forward(cur, b.c1_out);
+    b.n1_out = b.norm1.forward(b.c1_out);
     relu_forward_into(b.n1_out, b.r1_out);
-    conv2d_forward_into(b.r1_out, b.conv2.w, Tensor(), 1, 1, &b.conv2.cache,
-                        b.c2_out);
-    b.n2_out = norm_forward(b.norm2, b.c2_out);
+    b.conv2.forward(b.r1_out, b.c2_out);
+    b.n2_out = b.norm2.forward(b.c2_out);
     if (!b.proj.w.empty()) {
-      conv2d_forward_into(cur, b.proj.w, Tensor(), b.proj.stride, 0,
-                          &b.proj.cache, b.proj_out);
-      b.shortcut_out = norm_forward(b.norm_proj, b.proj_out);
+      b.proj.forward(cur, b.proj_out);
+      b.shortcut_out = b.norm_proj.forward(b.proj_out);
     } else {
       b.shortcut_out = cur;
     }
@@ -143,121 +78,54 @@ void SmallResNet::backward(const Tensor& dlogits) {
     relu_backward_inplace(d, b.relu_out);
     // Add backward: the gradient flows unchanged to both branches — the
     // routing MBS exploits (Sec. 3 "Back Propagation").
-    Tensor d_main = d;
-    Tensor d_short = d;
-
-    d_main = norm_backward(b.norm2, d_main);
-    conv2d_backward_into(b.r1_out, b.conv2.w, d_main, 1, 1, /*need_dx=*/true,
-                         &b.conv2.cache, b.conv2.gscratch);
-    b.conv2.dw.axpy(1.0f, b.conv2.gscratch.dw);
+    Tensor d_main = b.norm2.backward(d);
+    b.conv2.backward(b.r1_out, d_main, /*need_dx=*/true);
     // Swap rather than copy: d_main's old buffer (conv2's dy, same size
     // as its dx) circulates into the scratch, keeping the step
     // allocation-free; the in-place mask equals relu_backward exactly.
-    std::swap(d_main, b.conv2.gscratch.dx);
+    std::swap(d_main, b.conv2.g.dx);
     relu_backward_inplace(d_main, b.r1_out);
-    d_main = norm_backward(b.norm1, d_main);
-    conv2d_backward_into(b.x_in, b.conv1.w, d_main, b.conv1.stride, 1,
-                         /*need_dx=*/true, &b.conv1.cache, b.conv1.gscratch);
-    b.conv1.dw.axpy(1.0f, b.conv1.gscratch.dw);
+    d_main = b.norm1.backward(d_main);
+    b.conv1.backward(b.x_in, d_main, /*need_dx=*/true);
 
     // Copy rather than move or swap: moving would leave the scratch
     // empty, and swapping would hand it d_main's buffer, which for
     // stride-2 blocks is half dx's size — the scratch would then regrow
     // inside the conv path every step. The copy itself allocates outside
     // the kernel timers (and only until d_in's capacity stabilizes).
-    Tensor d_in = b.conv1.gscratch.dx;
+    Tensor d_in = b.conv1.g.dx;
     if (!b.proj.w.empty()) {
-      d_short = norm_backward(b.norm_proj, d_short);
-      conv2d_backward_into(b.x_in, b.proj.w, d_short, b.proj.stride, 0,
-                           /*need_dx=*/true, &b.proj.cache, b.proj.gscratch);
-      b.proj.dw.axpy(1.0f, b.proj.gscratch.dw);
-      d_in.axpy(1.0f, b.proj.gscratch.dx);
+      const Tensor d_short = b.norm_proj.backward(d);
+      b.proj.backward(b.x_in, d_short, /*need_dx=*/true);
+      d_in.axpy(1.0f, b.proj.g.dx);
     } else {
-      d_in.axpy(1.0f, d_short);
+      d_in.axpy(1.0f, d);
     }
     d = std::move(d_in);
   }
 
   relu_backward_inplace(d, stem_relu_out_);
-  d = norm_backward(stem_norm_, d);
-  conv2d_backward_into(stem_in_, stem_.w, d, 1, 1, /*need_dx=*/false,
-                       &stem_.cache, stem_.gscratch);
-  stem_.dw.axpy(1.0f, stem_.gscratch.dw);
+  d = stem_norm_.backward(d);
+  stem_.backward(stem_in_, d, /*need_dx=*/false);
 }
 
-void SmallResNet::zero_grad() {
-  // One pool dispatch for all gradient buffers (disjoint, so the partition
-  // is bit-irrelevant) instead of one per tensor.
-  std::vector<Tensor*> gs;
-  auto add_norm = [&](NormParams& np) {
-    gs.push_back(&np.dgamma);
-    gs.push_back(&np.dbeta);
-  };
-  gs.push_back(&stem_.dw);
-  add_norm(stem_norm_);
+ParamList SmallResNet::param_list() {
+  ParamList l;
+  l.add(stem_);
+  l.add(stem_norm_);
   for (ResBlock& b : blocks_) {
-    gs.push_back(&b.conv1.dw);
-    gs.push_back(&b.conv2.dw);
-    if (!b.proj.w.empty()) gs.push_back(&b.proj.dw);
-    add_norm(b.norm1);
-    add_norm(b.norm2);
-    if (!b.proj.w.empty()) add_norm(b.norm_proj);
-  }
-  gs.push_back(&fc_dw);
-  gs.push_back(&fc_db);
-  util::parallel_for(static_cast<std::int64_t>(gs.size()), 1,
-                     [&](std::int64_t i0, std::int64_t i1) {
-                       for (std::int64_t i = i0; i < i1; ++i)
-                         gs[static_cast<std::size_t>(i)]->zero();
-                     });
-}
-
-std::vector<Tensor*> SmallResNet::parameters() {
-  std::vector<Tensor*> out{&stem_.w};
-  auto add_norm = [&](NormParams& np) {
-    if (config_.norm != NormMode::kNone) {
-      out.push_back(&np.gamma);
-      out.push_back(&np.beta);
-    }
-  };
-  add_norm(stem_norm_);
-  for (ResBlock& b : blocks_) {
-    out.push_back(&b.conv1.w);
-    add_norm(b.norm1);
-    out.push_back(&b.conv2.w);
-    add_norm(b.norm2);
+    l.add(b.conv1);
+    l.add(b.norm1);
+    l.add(b.conv2);
+    l.add(b.norm2);
     if (!b.proj.w.empty()) {
-      out.push_back(&b.proj.w);
-      add_norm(b.norm_proj);
+      l.add(b.proj);
+      l.add(b.norm_proj);
     }
   }
-  out.push_back(&fc_w);
-  out.push_back(&fc_b);
-  return out;
-}
-
-std::vector<Tensor*> SmallResNet::gradients() {
-  std::vector<Tensor*> out{&stem_.dw};
-  auto add_norm = [&](NormParams& np) {
-    if (config_.norm != NormMode::kNone) {
-      out.push_back(&np.dgamma);
-      out.push_back(&np.dbeta);
-    }
-  };
-  add_norm(stem_norm_);
-  for (ResBlock& b : blocks_) {
-    out.push_back(&b.conv1.dw);
-    add_norm(b.norm1);
-    out.push_back(&b.conv2.dw);
-    add_norm(b.norm2);
-    if (!b.proj.w.empty()) {
-      out.push_back(&b.proj.dw);
-      add_norm(b.norm_proj);
-    }
-  }
-  out.push_back(&fc_dw);
-  out.push_back(&fc_db);
-  return out;
+  l.add(fc_w, fc_dw);
+  l.add(fc_b, fc_db);
+  return l;
 }
 
 }  // namespace mbs::train

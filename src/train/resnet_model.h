@@ -10,9 +10,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "train/model.h"
 #include "train/norm.h"
 #include "train/ops.h"
+#include "train/params.h"
 #include "train/tensor.h"
 
 namespace mbs::train {
@@ -42,37 +42,26 @@ class SmallResNet {
   /// Accumulates parameter gradients (zero_grad() resets).
   void backward(const Tensor& dlogits);
 
-  void zero_grad();
-  std::vector<Tensor*> parameters();
-  std::vector<Tensor*> gradients();
+  void zero_grad() { param_list().zero_grads(); }
+  std::vector<Tensor*> parameters() { return param_list().params; }
+  std::vector<Tensor*> gradients() { return param_list().grads; }
 
   const SmallResNetConfig& config() const { return config_; }
 
  private:
-  struct NormParams {
-    Tensor gamma, beta, dgamma, dbeta;
-    NormCache cache;
-  };
-  struct ConvParams {
-    Tensor w, dw;
-    int stride = 1;
-    ConvCache cache;       ///< forward's im2col lowering, reused by backward
-    Conv2dGrads gscratch;  ///< step-persistent conv-gradient staging
-  };
   struct ResBlock {
-    ConvParams conv1, conv2, proj;  ///< proj.w empty for identity shortcut
-    NormParams norm1, norm2, norm_proj;
+    ConvLayer conv1, conv2, proj;  ///< proj.w empty for identity shortcut
+    NormLayer norm1, norm2, norm_proj;
     // Forward caches.
     Tensor x_in, c1_out, n1_out, r1_out, c2_out, n2_out, proj_out,
         shortcut_out, add_out, relu_out;
   };
 
-  Tensor norm_forward(NormParams& np, const Tensor& x);
-  Tensor norm_backward(NormParams& np, const Tensor& dy);
+  ParamList param_list();
 
   SmallResNetConfig config_;
-  ConvParams stem_;
-  NormParams stem_norm_;
+  ConvLayer stem_;
+  NormLayer stem_norm_;
   Tensor stem_in_, stem_conv_out_, stem_norm_out_, stem_relu_out_;
   std::vector<ResBlock> blocks_;
   Tensor fc_w, fc_b, fc_dw, fc_db;

@@ -1,7 +1,6 @@
 #include "train/trainer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <numeric>
 
@@ -9,54 +8,6 @@
 #include "util/parallel.h"
 
 namespace mbs::train {
-
-namespace {
-
-/// Runs forward+backward over the given chunk partition, accumulating
-/// gradients scaled by 1 / mini-batch.
-StepMetrics accumulate_gradients(SmallCnn& model, const Tensor& x,
-                                 const std::vector<int>& labels,
-                                 const std::vector<int>& chunks) {
-  const int n = x.dim(0);
-  model.zero_grad();
-  StepMetrics m;
-  int offset = 0;
-  for (int c : chunks) {
-    assert(c > 0 && offset + c <= n);
-    const Tensor xc = x.slice_batch(offset, c);
-    const std::vector<int> yc(labels.begin() + offset,
-                              labels.begin() + offset + c);
-    const Tensor logits = model.forward(xc);
-    LossResult lr = softmax_cross_entropy(logits, yc);
-    // Scale so the accumulated gradient equals the full-batch mean-loss
-    // gradient regardless of the chunking.
-    lr.dlogits.scale(1.0f / static_cast<float>(n));
-    model.backward(lr.dlogits);
-    m.loss += lr.loss_sum;
-    m.accuracy += lr.correct;
-    offset += c;
-  }
-  assert(offset == n);
-  m.loss /= n;
-  m.accuracy /= n;
-  return m;
-}
-
-}  // namespace
-
-StepMetrics compute_gradients(SmallCnn& model, const Tensor& x,
-                              const std::vector<int>& labels,
-                              const std::vector<int>& chunks) {
-  return accumulate_gradients(model, x, labels, chunks);
-}
-
-StepMetrics train_step(SmallCnn& model, Sgd& opt, const Tensor& x,
-                       const std::vector<int>& labels,
-                       const std::vector<int>& chunks) {
-  const StepMetrics m = accumulate_gradients(model, x, labels, chunks);
-  opt.step(model.parameters(), model.gradients());
-  return m;
-}
 
 EvalMetrics evaluate(SmallCnn& model, const Dataset& data, int batch) {
   EvalMetrics e;

@@ -1,11 +1,18 @@
 // Training loops: conventional full-mini-batch steps and MBS-serialized
 // steps (sub-batches with gradient accumulation and one parameter update
 // per mini-batch — Sec. 3's synchronization contract).
+//
+// compute_gradients and train_step are the one accumulation loop for every
+// model (SmallCnn, SmallResNet, TinyTransformer): anything with forward(),
+// backward(), zero_grad(), parameters() and gradients(). evaluate and
+// train_model drive SmallCnn's Fig. 6 runs.
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "train/data.h"
+#include "train/loss.h"
 #include "train/model.h"
 #include "train/optim.h"
 
@@ -16,20 +23,48 @@ struct StepMetrics {
   double accuracy = 0;  ///< top-1 accuracy over the mini-batch
 };
 
-/// One optimizer step over (x, labels). `chunks` partitions the mini-batch
-/// into sub-batches processed sequentially with gradient accumulation;
-/// pass {N} for conventional (unserialized) execution. The parameter update
-/// happens exactly once, after all chunks — MBS keeps the original
-/// mini-batch synchronization points.
-StepMetrics train_step(SmallCnn& model, Sgd& opt, const Tensor& x,
-                       const std::vector<int>& labels,
-                       const std::vector<int>& chunks);
-
-/// Computes gradients only (no optimizer step); used by the equivalence
-/// tests comparing serialized and unserialized execution.
-StepMetrics compute_gradients(SmallCnn& model, const Tensor& x,
+/// Computes gradients only (no optimizer step): forward+backward over the
+/// chunk partition, accumulating gradients scaled by 1 / mini-batch so the
+/// sum equals the full-batch mean-loss gradient regardless of the
+/// chunking. Pass {N} for conventional (unserialized) execution.
+template <class Model>
+StepMetrics compute_gradients(Model& model, const Tensor& x,
                               const std::vector<int>& labels,
-                              const std::vector<int>& chunks);
+                              const std::vector<int>& chunks) {
+  const int n = x.dim(0);
+  model.zero_grad();
+  StepMetrics m;
+  int offset = 0;
+  for (int c : chunks) {
+    assert(c > 0 && offset + c <= n);
+    const Tensor xc = x.slice_batch(offset, c);
+    const std::vector<int> yc(labels.begin() + offset,
+                              labels.begin() + offset + c);
+    const Tensor logits = model.forward(xc);
+    LossResult lr = softmax_cross_entropy(logits, yc);
+    lr.dlogits.scale(1.0f / static_cast<float>(n));
+    model.backward(lr.dlogits);
+    m.loss += lr.loss_sum;
+    m.accuracy += lr.correct;
+    offset += c;
+  }
+  assert(offset == n);
+  m.loss /= n;
+  m.accuracy /= n;
+  return m;
+}
+
+/// One optimizer step over (x, labels): compute_gradients, then exactly
+/// one parameter update after all chunks — MBS keeps the original
+/// mini-batch synchronization points.
+template <class Model>
+StepMetrics train_step(Model& model, Sgd& opt, const Tensor& x,
+                       const std::vector<int>& labels,
+                       const std::vector<int>& chunks) {
+  const StepMetrics m = compute_gradients(model, x, labels, chunks);
+  opt.step(model.parameters(), model.gradients());
+  return m;
+}
 
 struct EvalMetrics {
   double loss = 0;

@@ -4,50 +4,29 @@
 #include <cmath>
 #include <utility>
 
-#include "util/parallel.h"
-
 namespace mbs::train {
-
-namespace {
-
-/// 1x1 conv weights = a per-token linear projection, He-initialized on
-/// the channel fan-in.
-Tensor token_proj(util::Rng& rng, int co, int ci) {
-  return Tensor::randn({co, ci, 1, 1}, rng, std::sqrt(2.0 / ci));
-}
-
-}  // namespace
 
 TinyTransformer::TinyTransformer(const TinyTransformerConfig& config)
     : config_(config) {
   assert(config.heads > 0 && config.d_model % config.heads == 0);
   assert(config.d_model % config.gn_groups == 0);
   util::Rng rng(config.seed);
-  auto make_norm_params = [&](int c) {
-    NormParams np;
-    np.gamma = Tensor::full({c}, 1.0f);
-    np.beta = Tensor({c});
-    np.dgamma = Tensor({c});
-    np.dbeta = Tensor({c});
-    return np;
+  // Every projection is a 1x1 conv over the token axis: a per-token linear
+  // map, He-initialized on the channel fan-in.
+  auto token_proj = [&](int co, int ci) {
+    return ConvLayer(rng, co, ci, 1, /*stride=*/1, /*pad=*/0);
   };
-
   const int d = config.d_model;
   const int m = config.mlp_ratio * d;
-  embed_w = token_proj(rng, d, config.in_channels);
-  embed_dw = Tensor(embed_w.shape());
+  embed_ = token_proj(d, config.in_channels);
   for (int i = 0; i < config.depth; ++i) {
     Block b;
-    b.norm1 = make_norm_params(d);
-    b.qkv_w = token_proj(rng, 3 * d, d);
-    b.qkv_dw = Tensor(b.qkv_w.shape());
-    b.proj_w = token_proj(rng, d, d);
-    b.proj_dw = Tensor(b.proj_w.shape());
-    b.norm2 = make_norm_params(d);
-    b.fc1_w = token_proj(rng, m, d);
-    b.fc1_dw = Tensor(b.fc1_w.shape());
-    b.fc2_w = token_proj(rng, d, m);
-    b.fc2_dw = Tensor(b.fc2_w.shape());
+    b.norm1 = NormLayer(d, config.norm, config.gn_groups);
+    b.qkv = token_proj(3 * d, d);
+    b.proj = token_proj(d, d);
+    b.norm2 = NormLayer(d, config.norm, config.gn_groups);
+    b.fc1 = token_proj(m, d);
+    b.fc2 = token_proj(d, m);
     blocks_.push_back(std::move(b));
   }
   fc_w = Tensor::randn({config.classes, d}, rng, std::sqrt(2.0 / d));
@@ -56,63 +35,30 @@ TinyTransformer::TinyTransformer(const TinyTransformerConfig& config)
   fc_db = Tensor({config.classes});
 }
 
-Tensor TinyTransformer::norm_forward(NormParams& np, const Tensor& x) {
-  switch (config_.norm) {
-    case NormMode::kNone: return x;
-    case NormMode::kBatch:
-      return batchnorm_forward(x, np.gamma, np.beta, np.cache);
-    case NormMode::kGroup:
-      return groupnorm_forward(x, np.gamma, np.beta, config_.gn_groups,
-                               np.cache);
-  }
-  return x;
-}
-
-Tensor TinyTransformer::norm_backward(NormParams& np, const Tensor& dy) {
-  switch (config_.norm) {
-    case NormMode::kNone: return dy;
-    case NormMode::kBatch: {
-      NormGrads g = batchnorm_backward(dy, np.gamma, np.cache);
-      np.dgamma.axpy(1.0f, g.dgamma);
-      np.dbeta.axpy(1.0f, g.dbeta);
-      return std::move(g.dx);
-    }
-    case NormMode::kGroup: {
-      NormGrads g = groupnorm_backward(dy, np.gamma, config_.gn_groups,
-                                       np.cache);
-      np.dgamma.axpy(1.0f, g.dgamma);
-      np.dbeta.axpy(1.0f, g.dbeta);
-      return std::move(g.dx);
-    }
-  }
-  return dy;
-}
-
 Tensor TinyTransformer::forward(const Tensor& x) {
   assert(x.ndim() == 4 && x.dim(1) == config_.in_channels &&
          x.dim(2) == config_.seq && x.dim(3) == 1);
   embed_in_ = x;
-  embed_out_ = conv2d_forward(x, embed_w, Tensor(), 1, 0);
+  embed_.forward(x, embed_out_);
 
-  Tensor cur = embed_out_;
+  const Tensor* cur = &embed_out_;
   for (Block& b : blocks_) {
-    b.x_in = cur;
-    b.n1_out = norm_forward(b.norm1, cur);
-    b.qkv_out = conv2d_forward(b.n1_out, b.qkv_w, Tensor(), 1, 0);
+    b.n1_out = b.norm1.forward(*cur);
+    b.qkv.forward(b.n1_out, b.qkv_out);
     b.attn_out = attention_forward(b.qkv_out, config_.heads, b.attn);
-    b.add1 = conv2d_forward(b.attn_out, b.proj_w, Tensor(), 1, 0);
-    b.add1.axpy(1.0f, b.x_in);
+    b.proj.forward(b.attn_out, b.add1);
+    b.add1.axpy(1.0f, *cur);
 
-    b.n2_out = norm_forward(b.norm2, b.add1);
-    b.f1_out = conv2d_forward(b.n2_out, b.fc1_w, Tensor(), 1, 0);
+    b.n2_out = b.norm2.forward(b.add1);
+    b.fc1.forward(b.n2_out, b.f1_out);
     relu_forward_into(b.f1_out, b.relu_out);
-    Tensor out = conv2d_forward(b.relu_out, b.fc2_w, Tensor(), 1, 0);
-    out.axpy(1.0f, b.add1);
-    cur = std::move(out);
+    b.fc2.forward(b.relu_out, b.out);
+    b.out.axpy(1.0f, b.add1);
+    cur = &b.out;
   }
 
-  gap_in_shape_ = cur.shape();
-  gap_out_ = global_avg_pool_forward(cur);
+  gap_in_shape_ = cur->shape();
+  gap_out_ = global_avg_pool_forward(*cur);
   return linear_forward(gap_out_, fc_w, fc_b);
 }
 
@@ -126,92 +72,38 @@ void TinyTransformer::backward(const Tensor& dlogits) {
     Block& b = blocks_[i];
     // MLP residual: the incoming gradient feeds both the branch and the
     // skip path (which continues as the gradient at add1).
-    Conv2dGrads f2 = conv2d_backward(b.relu_out, b.fc2_w, d, 1, 0);
-    b.fc2_dw.axpy(1.0f, f2.dw);
-    relu_backward_inplace(f2.dx, b.relu_out);
-    Conv2dGrads f1 = conv2d_backward(b.n2_out, b.fc1_w, f2.dx, 1, 0);
-    b.fc1_dw.axpy(1.0f, f1.dw);
-    Tensor d_add1 = norm_backward(b.norm2, f1.dx);
+    b.fc2.backward(b.relu_out, d, /*need_dx=*/true);
+    relu_backward_inplace(b.fc2.g.dx, b.relu_out);
+    b.fc1.backward(b.n2_out, b.fc2.g.dx, /*need_dx=*/true);
+    Tensor d_add1 = b.norm2.backward(b.fc1.g.dx);
     d_add1.axpy(1.0f, d);
 
     // Attention residual, mirrored: proj -> attention -> qkv -> norm.
-    Conv2dGrads pg = conv2d_backward(b.attn_out, b.proj_w, d_add1, 1, 0);
-    b.proj_dw.axpy(1.0f, pg.dw);
-    Tensor d_qkv =
-        attention_backward(pg.dx, b.qkv_out, config_.heads, b.attn);
-    Conv2dGrads qg = conv2d_backward(b.n1_out, b.qkv_w, d_qkv, 1, 0);
-    b.qkv_dw.axpy(1.0f, qg.dw);
-    Tensor d_x = norm_backward(b.norm1, qg.dx);
-    d_x.axpy(1.0f, d_add1);
-    d = std::move(d_x);
+    b.proj.backward(b.attn_out, d_add1, /*need_dx=*/true);
+    const Tensor d_qkv =
+        attention_backward(b.proj.g.dx, b.qkv_out, config_.heads, b.attn);
+    b.qkv.backward(b.n1_out, d_qkv, /*need_dx=*/true);
+    d = b.norm1.backward(b.qkv.g.dx);
+    d.axpy(1.0f, d_add1);
   }
 
-  Conv2dGrads eg = conv2d_backward(embed_in_, embed_w, d, 1, 0,
-                                   /*need_dx=*/false);
-  embed_dw.axpy(1.0f, eg.dw);
+  embed_.backward(embed_in_, d, /*need_dx=*/false);
 }
 
-void TinyTransformer::zero_grad() {
-  std::vector<Tensor*> gs{&embed_dw};
+ParamList TinyTransformer::param_list() {
+  ParamList l;
+  l.add(embed_);
   for (Block& b : blocks_) {
-    gs.push_back(&b.qkv_dw);
-    gs.push_back(&b.proj_dw);
-    gs.push_back(&b.fc1_dw);
-    gs.push_back(&b.fc2_dw);
-    gs.push_back(&b.norm1.dgamma);
-    gs.push_back(&b.norm1.dbeta);
-    gs.push_back(&b.norm2.dgamma);
-    gs.push_back(&b.norm2.dbeta);
+    l.add(b.norm1);
+    l.add(b.qkv);
+    l.add(b.proj);
+    l.add(b.norm2);
+    l.add(b.fc1);
+    l.add(b.fc2);
   }
-  gs.push_back(&fc_dw);
-  gs.push_back(&fc_db);
-  util::parallel_for(static_cast<std::int64_t>(gs.size()), 1,
-                     [&](std::int64_t i0, std::int64_t i1) {
-                       for (std::int64_t i = i0; i < i1; ++i)
-                         gs[static_cast<std::size_t>(i)]->zero();
-                     });
-}
-
-std::vector<Tensor*> TinyTransformer::parameters() {
-  std::vector<Tensor*> out{&embed_w};
-  auto add_norm = [&](NormParams& np) {
-    if (config_.norm != NormMode::kNone) {
-      out.push_back(&np.gamma);
-      out.push_back(&np.beta);
-    }
-  };
-  for (Block& b : blocks_) {
-    add_norm(b.norm1);
-    out.push_back(&b.qkv_w);
-    out.push_back(&b.proj_w);
-    add_norm(b.norm2);
-    out.push_back(&b.fc1_w);
-    out.push_back(&b.fc2_w);
-  }
-  out.push_back(&fc_w);
-  out.push_back(&fc_b);
-  return out;
-}
-
-std::vector<Tensor*> TinyTransformer::gradients() {
-  std::vector<Tensor*> out{&embed_dw};
-  auto add_norm = [&](NormParams& np) {
-    if (config_.norm != NormMode::kNone) {
-      out.push_back(&np.dgamma);
-      out.push_back(&np.dbeta);
-    }
-  };
-  for (Block& b : blocks_) {
-    add_norm(b.norm1);
-    out.push_back(&b.qkv_dw);
-    out.push_back(&b.proj_dw);
-    add_norm(b.norm2);
-    out.push_back(&b.fc1_dw);
-    out.push_back(&b.fc2_dw);
-  }
-  out.push_back(&fc_dw);
-  out.push_back(&fc_db);
-  return out;
+  l.add(fc_w, fc_dw);
+  l.add(fc_b, fc_db);
+  return l;
 }
 
 }  // namespace mbs::train

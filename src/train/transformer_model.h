@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "train/attention.h"
-#include "train/model.h"
 #include "train/norm.h"
 #include "train/ops.h"
+#include "train/params.h"
 #include "train/tensor.h"
 
 namespace mbs::train {
@@ -57,30 +57,25 @@ class TinyTransformer {
   /// Backpropagates d(loss)/d(logits), accumulating parameter gradients.
   void backward(const Tensor& dlogits);
 
-  void zero_grad();
-  std::vector<Tensor*> parameters();
-  std::vector<Tensor*> gradients();
+  void zero_grad() { param_list().zero_grads(); }
+  std::vector<Tensor*> parameters() { return param_list().params; }
+  std::vector<Tensor*> gradients() { return param_list().grads; }
 
   const TinyTransformerConfig& config() const { return config_; }
 
  private:
-  struct NormParams {
-    Tensor gamma, beta, dgamma, dbeta;
-    NormCache cache;
-  };
   struct Block {
-    Tensor qkv_w, qkv_dw, proj_w, proj_dw, fc1_w, fc1_dw, fc2_w, fc2_dw;
-    NormParams norm1, norm2;
+    NormLayer norm1, norm2;
+    ConvLayer qkv, proj, fc1, fc2;  ///< 1x1 token projections
     AttentionCache attn;
-    // Forward caches.
-    Tensor x_in, n1_out, qkv_out, attn_out, add1, n2_out, f1_out, relu_out;
+    // Forward caches; `out` is the block output.
+    Tensor n1_out, qkv_out, attn_out, add1, n2_out, f1_out, relu_out, out;
   };
 
-  Tensor norm_forward(NormParams& np, const Tensor& x);
-  Tensor norm_backward(NormParams& np, const Tensor& dy);
+  ParamList param_list();
 
   TinyTransformerConfig config_;
-  Tensor embed_w, embed_dw;
+  ConvLayer embed_;
   Tensor embed_in_, embed_out_;
   std::vector<Block> blocks_;
   Tensor fc_w, fc_b, fc_dw, fc_db;

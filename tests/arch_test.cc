@@ -260,6 +260,23 @@ TEST(Gpu, Im2colMaterializationCostsTrafficAndTime) {
   EXPECT_GE(a.time_s, b.time_s);
 }
 
+TEST(Gpu, OverheadEqualsTheLaunchTimeCharged) {
+  // overhead_s must report exactly the launch time time_s includes: the
+  // step time with launches minus the step time without them.
+  const core::Network net = models::make_network("resnet50");
+  for (const bool im2col : {true, false}) {
+    GpuModel gpu;
+    gpu.materialize_im2col = im2col;
+    GpuModel free_launch = gpu;
+    free_launch.kernel_overhead_s = 0;
+    const auto r = simulate_gpu_step(gpu, net, 64);
+    const auto r0 = simulate_gpu_step(free_launch, net, 64);
+    EXPECT_NEAR(r.time_s - r0.time_s, r.overhead_s, 1e-9 * r.overhead_s)
+        << "materialize_im2col=" << im2col;
+    EXPECT_EQ(r0.overhead_s, 0.0);
+  }
+}
+
 TEST(Gpu, V100StepTimeInMeasuredBallpark) {
   // Fig. 13 reports ~200 ms per 64-sample ResNet50 step for Caffe on V100.
   const auto r = simulate_gpu_step(GpuModel{}, models::make_network("resnet50"), 64);

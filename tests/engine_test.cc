@@ -883,6 +883,19 @@ TEST(CacheStore, VersionStampMismatchStartsCold) {
          w.put_string(e.body);
          return w.str() + "\n";
        }},
+      // The current framing under the stamp of the GPU records whose
+      // overhead_s double-charged im2col launches.
+      {"gpu1", [](const Entry& e) {
+         util::serde::Writer w;
+         w.put_string("mbs-entry");
+         w.put_int(e.version);
+         w.put_string("net2;sched3;traffic1;step1;gpu1;sys1;svc2");
+         w.put_string(e.stage);
+         w.put_string(e.key);
+         w.put_int(static_cast<std::int64_t>(util::fnv1a64(e.body)));
+         w.put_string(e.body);
+         return w.str() + "\n";
+       }},
       // The current framing under a stamp this binary has never seen.
       {"unknown", [](const Entry& e) {
          util::serde::Writer w;

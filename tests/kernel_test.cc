@@ -42,6 +42,7 @@
 #include "train/optim.h"
 #include "train/resnet_model.h"
 #include "train/trainer.h"
+#include "train/transformer_model.h"
 #include "util/cpu.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -830,6 +831,28 @@ TEST(ZeroAllocContract, SteadyStateResNetStepIsAllocationFree) {
   for (int i = 0; i < 2; ++i) step();
   EXPECT_EQ(util::kernel_path_allocs(), before)
       << "steady-state residual conv/GEMM path touched the heap";
+}
+
+TEST(ZeroAllocContract, SteadyStateTransformerStepIsAllocationFree) {
+  if (!util::alloc_hook_active())
+    GTEST_SKIP() << "allocation hook only active in Debug builds";
+  // 4x4 images read as 16-token sequences; every projection is a 1x1 conv
+  // on the production (cached, scratch-backed) conv path.
+  const Dataset data = make_synthetic_dataset(16, 4, 3, 4, /*seed=*/13);
+  Tensor x({16, 3, 16, 1});
+  std::memcpy(x.data(), data.images.data(),
+              static_cast<std::size_t>(x.size()) * sizeof(float));
+  TinyTransformerConfig cfg;
+  cfg.seq = 16;
+  TinyTransformer model(cfg);
+  Sgd opt({/*lr=*/0.05, /*momentum=*/0.9, /*weight_decay=*/0.0});
+  for (int i = 0; i < 3; ++i)
+    train_step(model, opt, x, data.labels, {4, 4, 4, 4});
+  const std::int64_t before = util::kernel_path_allocs();
+  for (int i = 0; i < 2; ++i)
+    train_step(model, opt, x, data.labels, {4, 4, 4, 4});
+  EXPECT_EQ(util::kernel_path_allocs(), before)
+      << "steady-state transformer conv/GEMM path touched the heap";
 }
 
 // ---- Kernel-ISA dispatch: portable and AVX2 families are bit-identical ------

@@ -15,6 +15,7 @@
 #include "train/norm.h"
 #include "train/ops.h"
 #include "train/optim.h"
+#include "train/resnet_model.h"
 #include "train/trainer.h"
 #include "train/transformer_model.h"
 
@@ -429,25 +430,6 @@ Tensor tokens_from_images(const Tensor& images) {
   return t;
 }
 
-/// One accumulation pass over a chunk partition, gradients scaled by
-/// 1/mini-batch — the transformer analogue of compute_gradients().
-void transformer_gradients(TinyTransformer& model, const Tensor& x,
-                           const std::vector<int>& labels,
-                           const std::vector<int>& chunks) {
-  const int n = x.dim(0);
-  model.zero_grad();
-  int offset = 0;
-  for (int c : chunks) {
-    const Tensor xc = x.slice_batch(offset, c);
-    const std::vector<int> yc(labels.begin() + offset,
-                              labels.begin() + offset + c);
-    LossResult lr = softmax_cross_entropy(model.forward(xc), yc);
-    lr.dlogits.scale(1.0f / static_cast<float>(n));
-    model.backward(lr.dlogits);
-    offset += c;
-  }
-}
-
 class TransformerSerializationEquivalence
     : public ::testing::TestWithParam<std::vector<int>> {};
 
@@ -457,14 +439,15 @@ TEST_P(TransformerSerializationEquivalence, GnGradientsMatchFullBatch) {
   // attention under any chunk partition reproduces full-batch gradients to
   // float32 rounding.
   TinyTransformerConfig cfg;  // norm defaults to kGroup
+  cfg.seq = 16;
   cfg.seed = 7;
   const Dataset data = make_synthetic_dataset(16, 3, 3, 4, /*seed=*/21);
-  const Tensor x = tokens_from_images(data.images);  // 9 tokens = cfg.seq
+  const Tensor x = tokens_from_images(data.images);  // 4x4 = 16 tokens
 
   TinyTransformer full(cfg);
-  transformer_gradients(full, x, data.labels, {16});
+  compute_gradients(full, x, data.labels, {16});
   TinyTransformer serial(cfg);  // identical init (same seed)
-  transformer_gradients(serial, x, data.labels, GetParam());
+  compute_gradients(serial, x, data.labels, GetParam());
 
   auto gf = full.gradients();
   auto gs = serial.gradients();
@@ -488,14 +471,15 @@ TEST(TransformerSerializationDivergence, BnGradientsDifferUnderSerialization) {
   // exactly as it does on the CNN.
   TinyTransformerConfig cfg;
   cfg.norm = NormMode::kBatch;
+  cfg.seq = 16;
   cfg.seed = 7;
   const Dataset data = make_synthetic_dataset(16, 3, 3, 4, 21);
   const Tensor x = tokens_from_images(data.images);
 
   TinyTransformer full(cfg);
-  transformer_gradients(full, x, data.labels, {16});
+  compute_gradients(full, x, data.labels, {16});
   TinyTransformer serial(cfg);
-  transformer_gradients(serial, x, data.labels, {4, 4, 4, 4});
+  compute_gradients(serial, x, data.labels, {4, 4, 4, 4});
 
   auto gf = full.gradients();
   auto gs = serial.gradients();
@@ -511,6 +495,7 @@ TEST(TransformerSerializationDivergence, BnGradientsDifferUnderSerialization) {
 
 TEST(Transformer, ForwardShapesAndDeterminism) {
   TinyTransformerConfig cfg;
+  cfg.seq = 16;
   cfg.seed = 5;
   TinyTransformer a(cfg), b(cfg);
   const Dataset data = make_synthetic_dataset(8, 3, 3, 4, 3);
@@ -559,6 +544,76 @@ TEST(Model, ZeroGradClears) {
   for (Tensor* g : m.gradients())
     for (std::int64_t i = 0; i < g->size(); ++i) EXPECT_EQ((*g)[i], 0.0f);
 }
+
+// ---- Parameter order ---------------------------------------------------------
+//
+// The optimizer keys its velocity buffers by list position, so each model's
+// (parameter, gradient) order is pinned here as literal shapes. norm(c) is
+// one norm layer's gamma and beta: absent without normalization.
+
+using Shapes = std::vector<std::vector<int>>;
+
+Shapes concat(std::initializer_list<Shapes> parts) {
+  Shapes out;
+  for (const Shapes& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
+template <class Model>
+void expect_layout(Model& model, const Shapes& want, std::size_t count) {
+  const std::vector<Tensor*> ps = model.parameters();
+  const std::vector<Tensor*> gs = model.gradients();
+  ASSERT_EQ(ps.size(), count);
+  ASSERT_EQ(gs.size(), count);
+  ASSERT_EQ(want.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(ps[i]->shape(), want[i]) << "parameter " << i;
+    EXPECT_EQ(gs[i]->shape(), want[i]) << "gradient " << i;
+    EXPECT_NE(ps[i], gs[i]) << "pair " << i;
+  }
+}
+
+class ParameterOrder : public ::testing::TestWithParam<NormMode> {
+ protected:
+  bool normed() const { return GetParam() != NormMode::kNone; }
+  Shapes norm(int c) const { return normed() ? Shapes{{c}, {c}} : Shapes{}; }
+};
+
+TEST_P(ParameterOrder, AllModelsMatchTheRecordedLayout) {
+  SmallCnnConfig cnn_cfg;
+  cnn_cfg.norm = GetParam();
+  SmallCnn cnn(cnn_cfg);
+  expect_layout(cnn,
+                concat({{{8, 1, 3, 3}, {8}}, norm(8),
+                        {{16, 8, 3, 3}, {16}}, norm(16),
+                        {{4, 16}, {4}}}),
+                normed() ? 10 : 6);
+
+  // Block 1 keeps 8 channels (identity shortcut: 2 convs, 2 norms);
+  // block 2 strides to 16 and projects its shortcut (3 convs, 3 norms).
+  SmallResNetConfig res_cfg;
+  res_cfg.norm = GetParam();
+  SmallResNet res(res_cfg);
+  expect_layout(res,
+                concat({{{8, 1, 3, 3}}, norm(8),
+                        {{8, 8, 3, 3}}, norm(8), {{8, 8, 3, 3}}, norm(8),
+                        {{16, 8, 3, 3}}, norm(16), {{16, 16, 3, 3}}, norm(16),
+                        {{16, 8, 1, 1}}, norm(16),
+                        {{4, 16}, {4}}}),
+                normed() ? 20 : 8);
+
+  TinyTransformerConfig tf_cfg;
+  tf_cfg.norm = GetParam();
+  TinyTransformer tf(tf_cfg);
+  const Shapes block = concat({norm(16), {{48, 16, 1, 1}, {16, 16, 1, 1}},
+                               norm(16), {{32, 16, 1, 1}, {16, 32, 1, 1}}});
+  expect_layout(tf, concat({{{16, 3, 1, 1}}, block, block, {{4, 16}, {4}}}),
+                normed() ? 19 : 11);
+}
+
+INSTANTIATE_TEST_SUITE_P(NormModes, ParameterOrder,
+                         ::testing::Values(NormMode::kNone, NormMode::kBatch,
+                                           NormMode::kGroup));
 
 TEST(Optim, SgdStepMovesAgainstGradient) {
   Tensor p({2});
