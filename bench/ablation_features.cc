@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   using namespace mbs;
   using sched::TrafficClass;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   const std::vector<std::string> all_nets = models::evaluated_network_names();
   const auto grid = engine::scenario_grid(
@@ -25,8 +24,7 @@ int main(int argc, char** argv) {
       engine::Stage::kTraffic);
   // Tables (1) and (2) emit one row per network; row ni reads the MBS1/MBS2
   // pair at scenarios 2*ni and 2*ni+1.
-  const auto results =
-      driver.run(grid, [&](std::size_t i) { return shard.owns(i / 2); });
+  const auto results = driver.run(grid);
 
   std::printf("=== Ablation: MBS feature contributions ===\n\n");
 
@@ -35,7 +33,6 @@ int main(int argc, char** argv) {
       "(paper: ~1.2x without it)",
       {"network", "MBS1 [GiB]", "MBS2 [GiB]", "MBS1/MBS2"});
   for (std::size_t ni = 0; ni < all_nets.size(); ++ni) {
-    if (!shard.owns(ni)) continue;  // one output row per network
     const double m1 = results[ni * 2].traffic->dram_bytes();
     const double m2 = results[ni * 2 + 1].traffic->dram_bytes();
     t1.add_row({results[ni * 2].network->name,
@@ -51,7 +48,6 @@ int main(int argc, char** argv) {
       "they replace",
       {"network", "mask traffic [MiB]", "16b equivalent [MiB]", "savings"});
   for (std::size_t ni = 0; ni < all_nets.size(); ++ni) {
-    if (!shard.owns(ni)) continue;  // one output row per network
     const sched::Traffic& traffic = *results[ni * 2 + 1].traffic;  // MBS2
     const double mask = traffic.dram_bytes_by_class(TrafficClass::kMask);
     const double equivalent = mask * 16.0;  // 1b vs 16b per element
@@ -78,7 +74,6 @@ int main(int argc, char** argv) {
       {"network", "config", "iterations", "wgrad traffic [MiB]",
        "share of total"});
   for (std::size_t i = 0; i < wgrad_results.size(); ++i) {
-    if (!shard.owns(i)) continue;  // one output row per scenario
     const engine::ScenarioResult& r = wgrad_results[i];
     const double wg =
         r.traffic->dram_bytes_by_class(TrafficClass::kWgradPartial);

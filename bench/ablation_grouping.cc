@@ -13,7 +13,6 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   std::printf("=== Ablation: greedy vs optimal (DP) layer grouping "
               "(paper footnote 1: optimal is ~1%% better) ===\n\n");
@@ -34,14 +33,12 @@ int main(int argc, char** argv) {
 
   // One output row per (network, config): row r reads the greedy/DP pair at
   // scenarios 2*r and 2*r+1.
-  const auto results =
-      driver.run(grid, [&](std::size_t i) { return shard.owns(i / 2); });
+  const auto results = driver.run(grid);
 
   engine::ResultSink sink(
       "", {"network", "config", "greedy groups", "DP groups",
            "greedy DRAM [GiB]", "DP DRAM [GiB]", "DP gain"});
   for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
-    if (!shard.owns(i / 2)) continue;  // one output row per greedy/DP pair
     const engine::ScenarioResult& greedy = results[i];
     const engine::ScenarioResult& dp = results[i + 1];
     const double tg = greedy.traffic->dram_bytes();

@@ -17,9 +17,9 @@
 //   MBS_SYSTOLIC_DATAFLOW=os|ws|is  cycle-backend dataflow (default os)
 //   MBS_SYSTOLIC_SPAD=<bytes>       PE-array scratchpad (default 524288)
 //
-// Composes with the engine plumbing like every bench: --shard=i/N gates
-// output rows, --cache-dir warm-starts repeated runs byte-identically, and
-// --threads bounds the sweep pool.
+// Composes with the engine plumbing like every bench: --cache-dir
+// warm-starts repeated runs byte-identically, and --threads bounds the
+// sweep pool.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -35,7 +35,6 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   arch::Dataflow dataflow = arch::Dataflow::kOutputStationary;
   if (const char* env = std::getenv("MBS_SYSTOLIC_DATAFLOW"); env && *env) {
@@ -53,8 +52,8 @@ int main(int argc, char** argv) {
   const double buffers_mib[] = {2, 10, 40};
 
   // Four scenarios per (network, buffer) comparison point, so row index ==
-  // scenario index / 4 (the sharding unit): analytic and cycle backends,
-  // each bandwidth-constrained and in the unconstrained limit. All four
+  // scenario index / 4: analytic and cycle backends, each
+  // bandwidth-constrained and in the unconstrained limit. All four
   // share one schedule cache key per point — the sweep batches them.
   std::vector<engine::Scenario> grid;
   for (const std::string& net : networks)
@@ -73,8 +72,7 @@ int main(int argc, char** argv) {
         grid.push_back(std::move(s));
       }
 
-  const auto results =
-      driver.run(grid, [&](std::size_t i) { return shard.owns(i / 4); });
+  const auto results = driver.run(grid);
 
   std::printf("=== Backend comparison: analytic (WaveCore) vs cycle-level "
               "(systolic, %s dataflow, %s scratchpad) under MBS2 ===\n\n",
@@ -98,7 +96,6 @@ int main(int argc, char** argv) {
         analytic_nobw.step.dram_bytes == cycle_nobw.systolic.dram_bytes &&
         cycle_nobw.systolic.stats.stall_cycles == 0;
     if (agree) ++bytes_agree;
-    if (!shard.owns(i / 4)) continue;
     const double t_a = analytic.step.time_s;
     const double t_c = cycle.systolic.time_s;
     sink.add_row({analytic.scenario.network,

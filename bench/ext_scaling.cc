@@ -14,37 +14,23 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   std::printf("=== Extension: multi-accelerator weak scaling of MBS2 "
               "training ===\n\n");
 
   const auto grid = engine::scenario_grid({"resnet50", "inception_v3"},
                                           {sched::ExecConfig::kMbs2});
-  // Each scenario fans out into six device-count rows: scenario r feeds
-  // rows 6*r .. 6*r+5, so it is needed when the shard owns any of them.
-  const std::size_t kDeviceCounts = 6;
-  auto scenario_needed = [&](std::size_t r) {
-    for (std::size_t d = 0; d < kDeviceCounts; ++d)
-      if (shard.owns(r * kDeviceCounts + d)) return true;
-    return false;
-  };
-  const auto results = driver.run(grid, scenario_needed);
+  const auto results = driver.run(grid);
 
   engine::ResultSink sink(
       "", {"network", "devices", "step [ms]", "all-reduce [ms]", "efficiency",
            "samples/s"});
-  for (std::size_t ri = 0; ri < results.size(); ++ri) {
-    if (!scenario_needed(ri)) continue;
-    const engine::ScenarioResult& r = results[ri];
+  for (const engine::ScenarioResult& r : results) {
     const double grad_bytes =
         2.0 * static_cast<double>(r.network->param_count());  // 16b gradients
 
-    std::size_t di = 0;
     for (const auto& sr : arch::weak_scaling_sweep(
              r.step.time_s, grad_bytes, {1, 2, 4, 8, 16, 32})) {
-      const std::size_t row = ri * kDeviceCounts + di++;
-      if (!shard.owns(row)) continue;  // one output row per device count
       const double samples =
           static_cast<double>(r.network->mini_batch_per_core) * 2 * sr.devices;
       sink.add_row({r.network->name, std::to_string(sr.devices),

@@ -13,13 +13,11 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   engine::Scenario scenario;
   scenario.network = "resnet50";
   scenario.stage = engine::Stage::kNetwork;  // layer walk only, no scheduling
-  // Every output row comes from the single scenario, so each shard needs it.
-  const auto results = driver.run({scenario}, [](std::size_t) { return true; });
+  const auto results = driver.run({scenario});
   const core::Network& net = *results[0].network;
   const int n = net.mini_batch_per_core;
 
@@ -48,7 +46,6 @@ int main(int argc, char** argv) {
   engine::ResultSink sink(
       "", {"rank", "layer", "inter-layer data [MB]", "params [MB]"});
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (!shard.owns(i)) continue;  // one output row per ranked layer
     sink.add_row({std::to_string(i + 1), rows[i].name,
                   util::fmt(rows[i].inter_layer_mb, 2),
                   util::fmt(rows[i].params_mb, 3)});

@@ -10,13 +10,11 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   const auto grid = engine::scenario_grid(
       {"resnet50"}, {sched::ExecConfig::kMbs1, sched::ExecConfig::kMbs2}, {},
       {}, engine::Stage::kSchedule);
-  // Every per-block row reads both schedules, so each shard needs both.
-  const auto results = driver.run(grid, [](std::size_t) { return true; });
+  const auto results = driver.run(grid);
 
   const core::Network& net = *results[0].network;
   const sched::Schedule& s1 = *results[0].schedule;
@@ -29,7 +27,6 @@ int main(int argc, char** argv) {
       "", {"block", "kind", "data/sample [MB]", "MBS2 data/sample [MB]",
            "max sub-batch", "MIN iterations", "MBS1 group", "MBS2 group"});
   for (std::size_t b = 0; b < net.blocks.size(); ++b) {
-    if (!shard.owns(b)) continue;  // one output row per block
     const int bi = static_cast<int>(b);
     sink.add_row(
         {net.blocks[b].name, core::to_string(net.blocks[b].kind),

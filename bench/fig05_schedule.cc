@@ -9,21 +9,17 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   const auto grid = engine::scenario_grid(
       {"resnet50"}, {sched::ExecConfig::kMbs1, sched::ExecConfig::kMbs2}, {},
       {}, engine::Stage::kTraffic);
-  // Console-only bench: shard by printed config section (= scenario index).
   const auto results = driver.run(grid);
   const core::Network& net = *results[0].network;
 
   std::printf("=== Fig. 5: MBS serialized training flow for ResNet50 "
               "(mini-batch %d per core) ===\n\n", net.mini_batch_per_core);
 
-  for (std::size_t ri = 0; ri < results.size(); ++ri) {
-    if (!shard.owns(ri)) continue;  // one printed section per config
-    const engine::ScenarioResult& r = results[ri];
+  for (const engine::ScenarioResult& r : results) {
     const sched::Schedule& s = *r.schedule;
     std::printf("%s (%zu groups, %d total sub-batch iterations, "
                 "%.2f GiB DRAM/step/core):\n",

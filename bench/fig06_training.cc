@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   using namespace mbs;
   using namespace mbs::train;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   // Noise level chosen so the task is learnable but not saturated — the
   // curves separate the way Fig. 6's ImageNet curves do.
@@ -52,8 +51,6 @@ int main(int argc, char** argv) {
 
   std::printf("=== Fig. 6: BN vs GN+MBS training (synthetic ImageNet "
               "stand-in; see DESIGN.md) ===\n\n");
-  // Every epoch row compares all three training runs, so sharding cannot
-  // subdivide the training work — only the emitted rows.
   const auto runs = driver.runner().map<std::vector<EpochLog>>(
       {run(NormMode::kBatch, /*serialize=*/false),
        run(NormMode::kGroup, /*serialize=*/true),
@@ -67,7 +64,6 @@ int main(int argc, char** argv) {
            "no-norm val err [%]", "BN preact mean (last)",
            "GN+MBS preact mean (last)", "no-norm preact mean (last)"});
   for (std::size_t e = 0; e < bn.size(); ++e) {
-    if (!shard.owns(e)) continue;  // one output row per epoch
     sink.add_row({std::to_string(e), util::fmt(bn[e].val_error, 1),
                   util::fmt(gn_mbs[e].val_error, 1),
                   util::fmt(none[e].val_error, 1),

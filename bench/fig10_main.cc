@@ -16,7 +16,6 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   const std::vector<sched::ExecConfig> configs = sched::paper_tab3_configs();
   const std::vector<engine::Scenario> grid =
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
 
   const std::size_t ncfg = configs.size();
   for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!shard.owns(i)) continue;  // un-owned rows belong to other shards
     const engine::ScenarioResult& r = results[i];
     // Rows are network-major: the network's Baseline and ArchOpt rows sit at
     // the start of its stripe.

@@ -11,7 +11,6 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   const std::vector<sched::ExecConfig> configs =
       sched::serialized_configs_with_il();
@@ -28,10 +27,7 @@ int main(int argc, char** argv) {
       grid.push_back(std::move(s));
     }
 
-  // One output row per buffer size: row si aggregates the ncfg scenarios
-  // si*ncfg .. si*ncfg+ncfg-1.
-  const auto results = driver.run(
-      grid, [&](std::size_t i) { return shard.owns(i / configs.size()); });
+  const auto results = driver.run(grid);
 
   std::printf("=== Fig. 11: ResNet50 sensitivity to global buffer size "
               "(normalized to IL @ 5 MiB) ===\n\n");
@@ -46,7 +42,6 @@ int main(int argc, char** argv) {
                                   {"buffer", "IL", "MBS-FS", "MBS1", "MBS2"});
   const std::size_t ncfg = configs.size();
   for (std::size_t si = 0; si < std::size(sizes_mib); ++si) {
-    if (!shard.owns(si)) continue;  // one output row per buffer size
     std::vector<std::string> trow{util::fmt(sizes_mib[si], 0) + " MiB"};
     std::vector<std::string> drow{util::fmt(sizes_mib[si], 0) + " MiB"};
     for (std::size_t ci = 0; ci < ncfg; ++ci) {

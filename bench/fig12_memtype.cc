@@ -13,7 +13,6 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   const sched::ExecConfig configs[] = {
       sched::ExecConfig::kBaseline, sched::ExecConfig::kArchOpt,
@@ -39,19 +38,13 @@ int main(int argc, char** argv) {
   engine::ResultSink mem_sink(
       "Tab. 4 memory configurations",
       {"memory", "total BW [GiB/s]", "capacity [GiB]", "channels"});
-  {
-    const auto mems = arch::all_memory_configs();
-    for (std::size_t mi = 0; mi < mems.size(); ++mi) {
-      if (!shard.owns(mi)) continue;  // one output row per memory config
-      const auto& m = mems[mi];
-      mem_sink.add_row(
-          {m.name,
-           util::fmt(m.bandwidth_bytes_per_s / (1024.0 * 1024 * 1024), 1),
-           util::fmt(static_cast<double>(m.capacity_bytes) /
-                     (1024.0 * 1024 * 1024), 0),
-           std::to_string(m.channels)});
-    }
-  }
+  for (const arch::MemoryConfig& m : arch::all_memory_configs())
+    mem_sink.add_row(
+        {m.name,
+         util::fmt(m.bandwidth_bytes_per_s / (1024.0 * 1024 * 1024), 1),
+         util::fmt(static_cast<double>(m.capacity_bytes) /
+                   (1024.0 * 1024 * 1024), 0),
+         std::to_string(m.channels)});
   mem_sink.print(std::cout);
 
   // Reference: Baseline with HBM2x2 — the first scenario of the grid.
@@ -60,9 +53,7 @@ int main(int argc, char** argv) {
       "per-step time breakdown by layer type [ms]",
       {"config", "memory", "time [ms]", "conv", "fc", "norm", "pool", "sum",
        "speedup"});
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!shard.owns(i)) continue;  // one output row per scenario
-    const engine::ScenarioResult& r = results[i];
+  for (const engine::ScenarioResult& r : results) {
     auto ms = [](double s) { return util::fmt(s * 1e3, 1); };
     sink.add_row({sched::to_string(r.scenario.config), r.scenario.hw.memory.name,
                   ms(r.step.time_s), ms(r.step.time_by_type.conv),

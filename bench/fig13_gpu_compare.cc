@@ -15,7 +15,6 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   const char* nets[] = {"resnet50", "resnet101", "resnet152", "inception_v3"};
   const arch::MemoryConfig memories[] = {arch::hbm2_x2(), arch::gddr5(),
@@ -40,8 +39,7 @@ int main(int argc, char** argv) {
 
   // One output row per network: row ni aggregates its GPU scenario and the
   // four WaveCore memory variants.
-  const auto results = driver.run(
-      grid, [&](std::size_t i) { return shard.owns(i / per_net); });
+  const auto results = driver.run(grid);
 
   std::printf("=== Fig. 13: V100 (Caffe model) vs WaveCore + MBS2 ===\n");
   std::printf("(single WaveCore has ~30%% of V100 peak compute and 27%% of "
@@ -51,7 +49,6 @@ int main(int argc, char** argv) {
       "", {"network", "V100 [ms]", "HBM2x2 [ms]", "speedup", "GDDR5 [ms]",
            "speedup", "HBM2 [ms]", "speedup", "LPDDR4 [ms]", "speedup"});
   for (std::size_t ni = 0; ni < std::size(nets); ++ni) {
-    if (!shard.owns(ni)) continue;  // one output row per network
     const engine::ScenarioResult& gpu = results[ni * per_net];
     std::vector<std::string> row{gpu.network->name,
                                  util::fmt(gpu.step.time_s * 1e3, 1)};

@@ -11,14 +11,12 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   std::printf("=== Tab. 1: im2col GEMM dimensions per training phase ===\n");
   engine::ResultSink tab1("", {"phase", "Gh", "Gw", "K"});
-  engine::add_rows(tab1, shard,
-                   {{"Forward", "N x Ho x Wo", "Co", "Ci x R x S"},
-                    {"Data Gradient", "N x Hi x Wi", "Ci", "Co x R x S"},
-                    {"Weight Gradient", "Ci x R x S", "Co", "N x Ho x Wo"}});
+  tab1.add_row({"Forward", "N x Ho x Wo", "Co", "Ci x R x S"});
+  tab1.add_row({"Data Gradient", "N x Hi x Wi", "Ci", "Co x R x S"});
+  tab1.add_row({"Weight Gradient", "Ci x R x S", "Co", "N x Ho x Wo"});
   tab1.print(std::cout);
 
   std::printf("\n=== Fig. 14: systolic array utilization (conv + FC, "
@@ -33,9 +31,7 @@ int main(int argc, char** argv) {
   hw.unlimited_dram_bw = true;
   const auto grid = engine::scenario_grid(models::evaluated_network_names(),
                                           configs, {}, hw);
-  // The AVG row aggregates every network, so each shard needs the full
-  // grid regardless of which rows it owns.
-  const auto results = driver.run(grid, [](std::size_t) { return true; });
+  const auto results = driver.run(grid);
 
   engine::ResultSink sink(
       "", {"network", "Baseline", "ArchOpt", "MBS-FS", "MBS1", "MBS2"});
@@ -49,12 +45,12 @@ int main(int argc, char** argv) {
       row.push_back(util::fmt(u, 3));
       sums[ci] += u;
     }
-    if (shard.owns(count)) sink.add_row(row);  // one output row per network
+    sink.add_row(row);
     ++count;
   }
   std::vector<std::string> avg{"AVG"};
   for (double s : sums) avg.push_back(util::fmt(s / static_cast<double>(count), 3));
-  if (shard.owns(count)) sink.add_row(avg);  // the final AVG row
+  sink.add_row(avg);
   sink.print(std::cout);
   sink.export_files("fig14_utilization");
 

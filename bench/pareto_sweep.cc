@@ -16,10 +16,9 @@
 //            moves with seq because the attention score matrix B*H*S*S
 //            scales quadratically where every other footprint is linear.
 //
-// Composes with the engine plumbing like every bench: --shard=i/N gates
-// output rows (frontier dominance is computed over the full grid via lazy
-// materialization), --cache-dir warm-starts repeated runs byte-identically,
-// and --threads bounds the sweep pool.
+// Composes with the engine plumbing like every bench: --cache-dir
+// warm-starts repeated runs byte-identically, and --threads bounds the
+// sweep pool.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -34,7 +33,6 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   const auto& args = driver.args();
   const std::string net_name = !args.empty() ? args[0] : "resnet50";
@@ -58,8 +56,7 @@ int main(int argc, char** argv) {
   const double bw_scales[] = {0.25, 0.5, 1.0, 2.0};
   const arch::MemoryConfig base_mem = arch::hbm2();
 
-  // Row-major: buffer, then bandwidth — one output row per scenario, so
-  // scenario index == row index (the default sharding unit).
+  // Row-major: buffer, then bandwidth — one output row per scenario.
   std::vector<engine::Scenario> grid;
   for (double mib : buffers_mib)
     for (double scale : bw_scales) {
@@ -78,8 +75,8 @@ int main(int argc, char** argv) {
 
   const auto results = driver.run(grid);
 
-  // Dominance is decided over the whole grid (lazy materialization fills
-  // rows this shard does not own), minimizing (buffer, bandwidth, time).
+  // Dominance is decided over the whole grid, minimizing (buffer,
+  // bandwidth, time).
   const std::size_t n_bws = std::size(bw_scales);
   auto coords = [&](std::size_t i) {
     struct {
@@ -119,7 +116,6 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const bool frontier = !dominated(i);
     if (frontier) ++frontier_points;
-    if (!shard.owns(i)) continue;  // one output row per scenario
     const auto c = coords(i);
     const engine::ScenarioResult& r = results[i];
     sink.add_row({util::fmt(c.buffer_mib, 0) + " MiB",

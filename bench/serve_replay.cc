@@ -114,8 +114,7 @@ int main(int argc, char** argv) {
   // ---- Warm phase: batch-evaluate the warm grid through the driver (the
   // normal sweep path: schedule groups, thread pool, cache store), then
   // flush so the serve tiers below start from a genuinely warm store.
-  engine::SweepResults warm = driver.run(grid);
-  (void)warm;
+  driver.run(grid);
   if (driver.store()) driver.store()->save();
 
   // ---- Expected answers: an INDEPENDENT in-memory batch Evaluator (no

@@ -12,7 +12,6 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
   const arch::AreaModel model;
 
   const auto parts = driver.runner().map<std::vector<arch::AcceleratorSpec>>(
@@ -23,9 +22,7 @@ int main(int argc, char** argv) {
   engine::ResultSink sink(
       "", {"", "technology [nm]", "die area [mm^2]", "clock [GHz]", "TOPS/die",
            "peak power [W]", "on-chip buffers [MiB]"});
-  for (std::size_t si = 0; si < specs.size(); ++si) {
-    if (!shard.owns(si)) continue;  // one output row per accelerator
-    const auto& s = specs[si];
+  for (const arch::AcceleratorSpec& s : specs) {
     sink.add_row({s.name, s.technology,
                   s.die_area_mm2 > 0 ? util::fmt(s.die_area_mm2, 1) : "N/A",
                   util::fmt(s.clock_ghz, 2),
@@ -40,15 +37,14 @@ int main(int argc, char** argv) {
 
   engine::ResultSink roll("WaveCore area roll-up (Sec. 4.2)",
                           {"component", "area"});
-  engine::add_rows(
-      roll, shard,
-      {{"one PE", util::fmt(model.pe_area_um2, 0) + " um^2"},
-       {"128x128 PE array", util::fmt(model.array_mm2(), 2) + " mm^2"},
-       {"global buffer / core",
-        util::fmt(model.global_buffer_mm2_per_core, 2) + " mm^2"},
-       {"vector units / core",
-        util::fmt(model.vector_units_mm2_per_core, 2) + " mm^2"},
-       {"total (2 cores)", util::fmt(model.total_mm2(), 1) + " mm^2"}});
+  roll.add_row({"one PE", util::fmt(model.pe_area_um2, 0) + " um^2"});
+  roll.add_row(
+      {"128x128 PE array", util::fmt(model.array_mm2(), 2) + " mm^2"});
+  roll.add_row({"global buffer / core",
+                util::fmt(model.global_buffer_mm2_per_core, 2) + " mm^2"});
+  roll.add_row({"vector units / core",
+                util::fmt(model.vector_units_mm2_per_core, 2) + " mm^2"});
+  roll.add_row({"total (2 cores)", util::fmt(model.total_mm2(), 1) + " mm^2"});
   std::printf("\n");
   roll.print(std::cout);
   roll.export_files("tab02_area");

@@ -19,7 +19,6 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
   const std::string name =
       !driver.args().empty() ? driver.args()[0] : "resnet50";
 
@@ -44,8 +43,7 @@ int main(int argc, char** argv) {
 
   // One output row per (buffer, memory): row r reads the Baseline/MBS2
   // pair at scenarios 2*r and 2*r+1.
-  const auto results =
-      driver.run(grid, [&](std::size_t i) { return shard.owns(i / 2); });
+  const auto results = driver.run(grid);
 
   std::printf("=== Design-space sweep: %s, MBS2 vs Baseline ===\n\n",
               results[0].network->name.c_str());
@@ -60,7 +58,6 @@ int main(int argc, char** argv) {
       "", {"buffer", "memory", "Baseline [ms]", "MBS2 [ms]",
            "MBS2 slowdown vs best", "MBS2 advantage"});
   for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
-    if (!shard.owns(i / 2)) continue;  // one output row per design point
     const sim::StepResult& base = results[i].step;
     const sim::StepResult& mbs = results[i + 1].step;
     const engine::Scenario& sc = results[i].scenario;

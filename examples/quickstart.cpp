@@ -14,7 +14,8 @@ int main(int argc, char** argv) {
   using namespace mbs;
 
   // 0. The shared driver parses the engine flags/env every binary supports
-  //    (--threads, --cache-dir for warm starts, --shard for grid sharding).
+  //    (--threads, --cache-dir for warm starts, --spool-dir to share the
+  //    sweep with other processes).
   engine::Driver driver(argc, argv);
 
   // 1. Two scenarios: conventional training vs MBS with inter-branch reuse,
@@ -24,10 +25,8 @@ int main(int argc, char** argv) {
       {sched::ExecConfig::kBaseline, sched::ExecConfig::kMbs2});
 
   // 2. One engine sweep. The evaluator builds ResNet50 once and shares it;
-  //    with more scenarios the runner fans out across a thread pool. This
-  //    comparative demo reads both results, so it runs them on every shard.
-  const auto results =
-      driver.run(scenarios, [](std::size_t) { return true; });
+  //    with more scenarios the runner fans out across a thread pool.
+  const auto results = driver.run(scenarios);
   const engine::ScenarioResult& rb = results[0];  // Baseline
   const engine::ScenarioResult& rm = results[1];  // MBS2
 

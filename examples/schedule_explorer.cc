@@ -19,7 +19,6 @@
 int main(int argc, char** argv) {
   using namespace mbs;
   engine::Driver driver(argc, argv);
-  const engine::ShardPlan shard = driver.shard();
 
   const auto& args = driver.args();
   const std::string net_name = !args.empty() ? args[0] : "resnet50";
@@ -32,8 +31,7 @@ int main(int argc, char** argv) {
   const auto grid = engine::scenario_grid(
       {net_name}, sched::paper_tab3_configs(), params, {},
       engine::Stage::kTraffic);
-  // One summary row (and printed group listing) per configuration, which
-  // is the scenario index — the default sharding unit.
+  // One summary row (and printed group listing) per configuration.
   const auto results = driver.run(grid);
   const core::Network& net = *results[0].network;
 
@@ -47,9 +45,7 @@ int main(int argc, char** argv) {
   engine::ResultSink summary(
       "", {"config", "groups", "iterations", "DRAM/step", "weights", "wgrad",
            "features", "gradients", "stash"});
-  for (std::size_t ri = 0; ri < results.size(); ++ri) {
-    if (!shard.owns(ri)) continue;  // one output row per configuration
-    const engine::ScenarioResult& r = results[ri];
+  for (const engine::ScenarioResult& r : results) {
     const sched::Schedule& s = *r.schedule;
     const std::string err = s.validate(net);
     if (!err.empty()) {

@@ -1,5 +1,6 @@
 #include "engine/driver.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,12 +22,15 @@ const char* flag_value(const char* arg, const char* name) {
   return arg + prefix.size();
 }
 
-int parse_int_flag(const char* value, const char* name) {
+/// `value` as an integer in [lo, hi]; aborts with a message otherwise.
+int parse_int_flag(const char* value, const char* name, int lo, int hi) {
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "bad --%s value '%s': expected an integer\n", name,
-                 value);
+  if (end == value || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    std::fprintf(stderr,
+                 "bad --%s value '%s': expected an integer in [%d, %d]\n",
+                 name, value, lo, hi);
     std::abort();
   }
   return static_cast<int>(v);
@@ -41,55 +45,32 @@ void print_stage(const char* name, std::int64_t misses, std::int64_t disk) {
 }  // namespace
 
 Driver::Driver(int argc, char** argv) {
-  int shard_index = -1, shard_count = -1;
   SweepOptions sweep;
   std::string cache_dir;
-  bool have_shard_flag = false;
 
   sweep.threads = static_cast<int>(
       util::env_int("MBS_THREADS", sweep.threads, 0, 65536));
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (const char* v = flag_value(arg, "shard")) {
-      shard_ = ShardPlan::parse(v);
-      have_shard_flag = true;
-    } else if (const char* v2 = flag_value(arg, "shard-index")) {
-      shard_index = parse_int_flag(v2, "shard-index");
-    } else if (const char* v3 = flag_value(arg, "shard-count")) {
-      shard_count = parse_int_flag(v3, "shard-count");
-    } else if (const char* v4 = flag_value(arg, "threads")) {
-      sweep.threads = parse_int_flag(v4, "threads");
-    } else if (const char* v5 = flag_value(arg, "cache-dir")) {
-      cache_dir = v5;
-    } else if (const char* v6 = flag_value(arg, "spool-dir")) {
-      sweep.spool_dir = v6;
+    if (const char* v = flag_value(arg, "threads")) {
+      sweep.threads = parse_int_flag(v, "threads", 0, 65536);
+    } else if (const char* v2 = flag_value(arg, "cache-dir")) {
+      cache_dir = v2;
+    } else if (const char* v3 = flag_value(arg, "spool-dir")) {
+      sweep.spool_dir = v3;
     } else if (arg[0] == '-' && arg[1] == '-') {
       // A typo'd engine flag silently falling through to args() would make
       // the run quietly ignore what the user asked for.
       std::fprintf(stderr,
-                   "unknown flag '%s' (expected --shard=I/N, --shard-index=I, "
-                   "--shard-count=N, --threads=T, --cache-dir=DIR, or "
-                   "--spool-dir=DIR)\n",
+                   "unknown flag '%s' (expected --threads=T, "
+                   "--cache-dir=DIR, or --spool-dir=DIR)\n",
                    arg);
       std::abort();
     } else {
       args_.emplace_back(arg);
     }
   }
-
-  if (shard_index >= 0 || shard_count >= 0) {
-    if (shard_index < 0 || shard_count < 1 || shard_index >= shard_count) {
-      std::fprintf(stderr,
-                   "--shard-index=%d --shard-count=%d: need both, with "
-                   "0 <= index < count\n",
-                   shard_index, shard_count);
-      std::abort();
-    }
-    shard_ = ShardPlan{shard_index, shard_count};
-    have_shard_flag = true;
-  }
-  if (!have_shard_flag) shard_ = ShardPlan::from_env();
 
   if (sweep.spool_dir.empty())
     if (const char* env = std::getenv("MBS_SPOOL_DIR"); env && *env)
@@ -112,7 +93,6 @@ Driver::Driver(int argc, char** argv) {
   // sweep workers runs inline, see util/parallel.h).
   util::set_thread_budget(sweep.threads);
   runner_ = SweepRunner(sweep);
-  ResultSink::set_export_suffix(shard_.suffix());
 }
 
 Driver::~Driver() {
@@ -169,13 +149,8 @@ Driver::~Driver() {
   }
 }
 
-SweepResults Driver::run(const std::vector<Scenario>& grid) {
-  return runner_.run_sharded(grid, *eval_, shard_);
-}
-
-SweepResults Driver::run(const std::vector<Scenario>& grid,
-                         const std::function<bool(std::size_t)>& needed) {
-  return runner_.run_sharded(grid, *eval_, needed);
+std::vector<ScenarioResult> Driver::run(const std::vector<Scenario>& grid) {
+  return runner_.run(grid, *eval_);
 }
 
 }  // namespace mbs::engine

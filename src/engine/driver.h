@@ -1,17 +1,14 @@
 // Driver: the shared command-line front end of every bench and example.
 //
-// One object owns the engine plumbing a sweep binary needs — shard plan,
-// disk cache store, evaluator, thread pool — and parses the flags/env vars
-// that configure them, so the 18 mains stay declarative (grid + rows) and
-// pick up new engine features without per-binary changes.
+// One object owns the engine plumbing a sweep binary needs — disk cache
+// store, evaluator, thread pool — and parses the flags/env vars that
+// configure them, so the 18 mains stay declarative (grid + rows) and pick
+// up new engine features without per-binary changes.
 //
 // Flags (all optional; unrecognized arguments stay available via args()
 // for binaries with positional parameters):
-//   --shard=I/N | --shard-index=I --shard-count=N
-//       run shard I of N (env: MBS_SHARD=I/N). Benches gate their output
-//       rows with shard().owns(row); ResultSink exports gain a
-//       ".shardIofN" infix and merge byte-identically via merge_results.
-//   --threads=T     sweep worker threads (env: MBS_THREADS; 0 = hardware)
+//   --threads=T     sweep worker threads, 0 <= T <= 65536
+//                   (env: MBS_THREADS; 0 = hardware)
 //   --cache-dir=D   persist the evaluator cache under D
 //                   (env: MBS_CACHE_DIR); repeated runs start warm
 //   --spool-dir=D   drain sweeps through a work-queue spool rooted at D
@@ -31,15 +28,12 @@
 // computed for the next (warm) run.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "engine/cache_store.h"
 #include "engine/evaluator.h"
-#include "engine/result_sink.h"
 #include "engine/sweep_runner.h"
 
 namespace mbs::engine {
@@ -54,7 +48,6 @@ class Driver {
   Driver(const Driver&) = delete;
   Driver& operator=(const Driver&) = delete;
 
-  const ShardPlan& shard() const { return shard_; }
   Evaluator& evaluator() { return *eval_; }
   /// The disk cache store (nullptr when neither --cache-dir, MBS_CACHE_DIR,
   /// nor a spool directory is configured).
@@ -63,32 +56,15 @@ class Driver {
   /// Positional arguments, in order (flags stripped).
   const std::vector<std::string>& args() const { return args_; }
 
-  /// Sharded sweep over this driver's evaluator and pool: scenarios the
-  /// shard owns are evaluated eagerly in parallel, the rest materialize
-  /// lazily on access (see SweepResults).
-  SweepResults run(const std::vector<Scenario>& grid);
-
-  /// As run(), for benches whose output rows aggregate several scenarios:
-  /// `needed(i)` says whether scenario i feeds a row this shard owns and
-  /// should therefore be evaluated eagerly.
-  SweepResults run(const std::vector<Scenario>& grid,
-                   const std::function<bool(std::size_t)>& needed);
+  /// Sweep over this driver's evaluator and pool; results come back in
+  /// grid order (see SweepRunner::run).
+  std::vector<ScenarioResult> run(const std::vector<Scenario>& grid);
 
  private:
-  ShardPlan shard_;
   std::unique_ptr<CacheStore> store_;
   std::unique_ptr<Evaluator> eval_;
   SweepRunner runner_;
   std::vector<std::string> args_;
 };
-
-/// Adds `rows` to `sink`, keeping the ones `plan` owns (ordinal = position
-/// in `rows`). The row-gating idiom for fixed tables whose contents don't
-/// come out of a results loop.
-inline void add_rows(ResultSink& sink, const ShardPlan& plan,
-                     std::vector<std::vector<std::string>> rows) {
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    if (plan.owns(i)) sink.add_row(std::move(rows[i]));
-}
 
 }  // namespace mbs::engine

@@ -1,7 +1,7 @@
 // Umbrella header for the parallel experiment engine: Scenario descriptors,
 // the memoizing Evaluator with its disk-persistent CacheStore, the threaded
-// (and process-shardable) SweepRunner, the ResultSink, and the shared
-// command-line Driver. Every bench/ and examples/ binary drives its sweep
+// SweepRunner (whose spool drain spreads a sweep over processes), the
+// ResultSink, and the shared command-line Driver. Every bench/ and examples/ binary drives its sweep
 // through these.
 #pragma once
 

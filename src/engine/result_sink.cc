@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -44,128 +43,6 @@ void write_json_row(std::ostream& os, const std::vector<std::string>& row) {
   os << ']';
 }
 
-[[noreturn]] void parse_fail(const char* what) {
-  std::fprintf(stderr, "ResultSink parse error: %s\n", what);
-  std::abort();
-}
-
-/// Splits one CSV line (RFC-4180 quoting) into cells; advances `pos` past
-/// the terminating newline. Returns false at end of input.
-bool next_csv_row(const std::string& text, std::size_t& pos,
-                  std::vector<std::string>& out) {
-  out.clear();
-  if (pos >= text.size()) return false;
-  std::string cell;
-  bool quoted = false;
-  for (;;) {
-    if (pos >= text.size()) {
-      if (quoted) parse_fail("unterminated quoted CSV cell");
-      out.push_back(std::move(cell));
-      return true;
-    }
-    const char c = text[pos++];
-    if (quoted) {
-      if (c == '"') {
-        if (pos < text.size() && text[pos] == '"') {
-          cell.push_back('"');
-          ++pos;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cell.push_back(c);
-      }
-    } else if (c == '"' && cell.empty()) {
-      quoted = true;
-    } else if (c == ',') {
-      out.push_back(std::move(cell));
-      cell.clear();
-    } else if (c == '\n') {
-      out.push_back(std::move(cell));
-      return true;
-    } else if (c != '\r') {
-      cell.push_back(c);
-    }
-  }
-}
-
-/// Minimal JSON reader for the subset write_json emits.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c)
-      parse_fail("unexpected character in JSON");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) parse_fail("unterminated JSON string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) parse_fail("truncated JSON escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) parse_fail("truncated \\u escape");
-            const std::string hex = text_.substr(pos_, 4);
-            pos_ += 4;
-            out.push_back(static_cast<char>(
-                std::strtol(hex.c_str(), nullptr, 16)));
-            break;
-          }
-          default: parse_fail("unsupported JSON escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-  }
-
-  std::vector<std::string> string_array() {
-    std::vector<std::string> out;
-    expect('[');
-    if (consume(']')) return out;
-    do {
-      out.push_back(string());
-    } while (consume(','));
-    expect(']');
-    return out;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 ResultSink::ResultSink(std::string title, std::vector<std::string> headers)
@@ -198,24 +75,13 @@ void ResultSink::write_json(std::ostream& os) const {
   os << "]}\n";
 }
 
-namespace {
-std::string& export_suffix() {
-  static std::string suffix;
-  return suffix;
-}
-}  // namespace
-
-void ResultSink::set_export_suffix(std::string suffix) {
-  export_suffix() = std::move(suffix);
-}
-
 bool ResultSink::export_files(const std::string& stem) const {
   const char* dir = std::getenv("MBS_RESULT_DIR");
   if (!dir || !*dir) return false;
-  const std::string base = std::string(dir) + "/" + stem + export_suffix();
+  const std::string base = std::string(dir) + "/" + stem;
   // Atomic writes (tmp + rename via util::fs): a crash or injected fault
-  // mid-export can never leave a half-written file where a merge or a
-  // byte-identity check would read it.
+  // mid-export can never leave a half-written file where a byte-identity
+  // check would read it.
   std::ostringstream csv;
   write_csv(csv);
   if (!util::fs::write_atomic(base + ".csv", csv.str(),
@@ -233,72 +99,6 @@ bool ResultSink::export_files(const std::string& stem) const {
     return false;
   }
   return true;
-}
-
-ResultSink::Parsed ResultSink::parse_csv(const std::string& text) {
-  Parsed out;
-  std::size_t pos = 0;
-  std::vector<std::string> row;
-  if (!next_csv_row(text, pos, row)) parse_fail("empty CSV document");
-  out.headers = row;
-  while (next_csv_row(text, pos, row)) out.rows.push_back(row);
-  return out;
-}
-
-ResultSink::Parsed ResultSink::merge_shards(const std::vector<Parsed>& shards) {
-  if (shards.empty()) parse_fail("merge_shards: no shard documents");
-  Parsed out;
-  out.headers = shards[0].headers;
-  std::size_t total = 0;
-  for (const Parsed& shard : shards) {
-    if (shard.headers != out.headers)
-      parse_fail("merge_shards: shard headers disagree");
-    // CSV carries no title; take the first non-empty one and require the
-    // rest to match it.
-    if (!shard.title.empty()) {
-      if (out.title.empty())
-        out.title = shard.title;
-      else if (shard.title != out.title)
-        parse_fail("merge_shards: shard titles disagree");
-    }
-    total += shard.rows.size();
-  }
-  const std::size_t n = shards.size();
-  out.rows.reserve(total);
-  for (std::size_t j = 0; j < total; ++j) {
-    const Parsed& shard = shards[j % n];
-    const std::size_t r = j / n;
-    if (r >= shard.rows.size())
-      parse_fail("merge_shards: shard row counts are not round-robin "
-                 "consistent (were all shards run with the same grid?)");
-    out.rows.push_back(shard.rows[r]);
-  }
-  return out;
-}
-
-ResultSink::Parsed ResultSink::parse_json(const std::string& text) {
-  Parsed out;
-  JsonReader r(text);
-  r.expect('{');
-  if (r.string() != "title") parse_fail("expected \"title\" key");
-  r.expect(':');
-  out.title = r.string();
-  r.expect(',');
-  if (r.string() != "headers") parse_fail("expected \"headers\" key");
-  r.expect(':');
-  out.headers = r.string_array();
-  r.expect(',');
-  if (r.string() != "rows") parse_fail("expected \"rows\" key");
-  r.expect(':');
-  r.expect('[');
-  if (!r.consume(']')) {
-    do {
-      out.rows.push_back(r.string_array());
-    } while (r.consume(','));
-    r.expect(']');
-  }
-  r.expect('}');
-  return out;
 }
 
 }  // namespace mbs::engine

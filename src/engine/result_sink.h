@@ -5,8 +5,7 @@
 // and a JSON document — the latter two for bench-trajectory tooling that
 // tracks figure reproductions across commits. Set MBS_RESULT_DIR to make
 // every bench drop <dir>/<stem>.csv and <dir>/<stem>.json next to its
-// console output. parse_csv/parse_json invert the two writers exactly
-// (tests/engine_test.cc round-trips them).
+// console output.
 #pragma once
 
 #include <iosfwd>
@@ -40,35 +39,9 @@ class ResultSink {
   void write_json(std::ostream& os) const;
 
   /// When the MBS_RESULT_DIR environment variable is set, writes
-  /// <dir>/<stem><suffix>.csv and <dir>/<stem><suffix>.json, where the
-  /// suffix is the process-wide shard infix (empty by default). Returns
-  /// true if files were written.
+  /// <dir>/<stem>.csv and <dir>/<stem>.json. Returns true if files were
+  /// written.
   bool export_files(const std::string& stem) const;
-
-  /// Sets the process-wide export infix — the active shard's
-  /// ".shard<i>of<N>" — so every sink of a sharded run names its files
-  /// after its shard. Called once by engine::Driver.
-  static void set_export_suffix(std::string suffix);
-
-  /// Contents recovered from an emitted document.
-  struct Parsed {
-    std::string title;  ///< empty for CSV (the format carries no title)
-    std::vector<std::string> headers;
-    std::vector<std::vector<std::string>> rows;
-  };
-
-  /// Inverse of write_csv. Aborts on malformed input (tooling use).
-  static Parsed parse_csv(const std::string& text);
-  /// Inverse of write_json (accepts exactly the subset write_json emits).
-  static Parsed parse_json(const std::string& text);
-
-  /// Reassembles a sharded run's documents, in shard order: unsharded row j
-  /// lives in shard j % N at position j / N, so the merge interleaves the
-  /// inputs round-robin. Headers (and titles, where present) must agree
-  /// across shards; aborts on inconsistent inputs. Re-serializing the
-  /// result through a ResultSink reproduces the unsharded document byte for
-  /// byte (tools/merge_results.cc).
-  static Parsed merge_shards(const std::vector<Parsed>& shards);
 
  private:
   std::string title_;

@@ -1,7 +1,9 @@
 #include "engine/scenario.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "arch/dataflow.h"
 
@@ -125,13 +127,22 @@ std::string Scenario::cache_key() const {
 
 namespace {
 
-bool parse_i64(const std::string& v, std::int64_t* out) {
-  if (v.empty()) return false;
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
+
+/// Parses a decimal integer in [lo, hi]. On failure returns the reason —
+/// not an integer, or outside the range (strtoll's saturation included) —
+/// and leaves *out untouched; an empty string on success.
+std::string parse_int(const std::string& v, std::int64_t lo, std::int64_t hi,
+                      std::int64_t* out) {
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  if (!end || *end != '\0') return false;
+  if (v.empty() || *end != '\0') return "not an integer";
+  if (errno == ERANGE || parsed < lo || parsed > hi)
+    return "outside [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
   *out = parsed;
-  return true;
+  return "";
 }
 
 bool parse_bool(const std::string& v, bool* out) {
@@ -175,24 +186,30 @@ bool parse_scenario(const std::string& spec, Scenario* out,
     const std::string value = trim(tok.substr(eq + 1));
     std::int64_t i64 = 0;
     bool b = false;
+    // Integer fields: true when `value` parsed into i64 within [lo, hi];
+    // otherwise fails with the reason.
+    const auto int_in = [&](std::int64_t lo, std::int64_t hi,
+                            const char* unit) {
+      const std::string why = parse_int(value, lo, hi, &i64);
+      return why.empty() ||
+             fail("bad " + key + " '" + value + "': " + why + " (" + unit +
+                  ")");
+    };
     if (key == "net") {
       s.network = value;
       have_net = !value.empty();
     } else if (key == "seq") {
-      if (!parse_i64(value, &i64) || i64 < 0)
-        return fail("bad seq '" + value + "': expected tokens >= 0");
+      if (!int_in(0, kIntMax, "tokens")) return false;
       s.seq = static_cast<int>(i64);
     } else if (key == "cfg") {
       if (!sched::parse_exec_config(value.c_str(), &s.config))
         return fail("unknown cfg '" + value +
                     "' (Baseline|ArchOpt|IL|MBS-FS|MBS1|MBS2)");
     } else if (key == "buf") {
-      if (!parse_i64(value, &i64) || i64 <= 0)
-        return fail("bad buf '" + value + "': expected bytes > 0");
+      if (!int_in(1, kI64Max, "bytes")) return false;
       s.params.buffer_bytes = i64;
     } else if (key == "mb") {
-      if (!parse_i64(value, &i64) || i64 < 0)
-        return fail("bad mb '" + value + "'");
+      if (!int_in(0, kIntMax, "samples")) return false;
       s.params.mini_batch = static_cast<int>(i64);
     } else if (key == "opt") {
       if (!parse_bool(value, &b)) return fail("bad opt '" + value + "'");
@@ -210,12 +227,10 @@ bool parse_scenario(const std::string& spec, Scenario* out,
       if (!arch::parse_dataflow(value.c_str(), &s.systolic.dataflow))
         return fail("bad df '" + value + "' (os|ws|is)");
     } else if (key == "spad") {
-      if (!parse_i64(value, &i64) || i64 <= 0)
-        return fail("bad spad '" + value + "': expected bytes > 0");
+      if (!int_in(1, kI64Max, "bytes")) return false;
       s.systolic.scratchpad_bytes = i64;
     } else if (key == "gmb") {
-      if (!parse_i64(value, &i64) || i64 <= 0)
-        return fail("bad gmb '" + value + "'");
+      if (!int_in(1, kIntMax, "samples")) return false;
       s.gpu_mini_batch = static_cast<int>(i64);
     } else if (key == "nobw") {
       if (!parse_bool(value, &b)) return fail("bad nobw '" + value + "'");

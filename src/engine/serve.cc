@@ -125,7 +125,8 @@ ServeCore::Answer ServeCore::query(const std::string& spec) {
   }
 
   // Short-lived evaluator: all cross-query reuse lives in the LRU and the
-  // store, keeping the daemon's footprint bounded by the hot capacity.
+  // store (which keeps a copy of every entry it loads or writes, so the
+  // daemon's footprint grows with the distinct keys it has seen).
   // Any failure in here — including store corruption discovered mid-read,
   // which quarantines the bad entry and recomputes — must stay confined
   // to this query: the daemon answers it (or errors it) and lives on.

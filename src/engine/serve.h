@@ -19,9 +19,10 @@
 // CI job assert exactly that equality.
 //
 // The per-query Evaluator is deliberately short-lived: the LRU and the
-// store provide all cross-query reuse, so the daemon's memory stays
-// bounded by the hot-set capacity no matter how many distinct keys the
-// query stream visits.
+// store provide all cross-query reuse. Memory is NOT bounded by the
+// hot-set capacity, though: the CacheStore keeps an in-memory copy of
+// every entry it loads or writes, so a daemon over a store grows with the
+// number of distinct keys the query stream visits.
 #pragma once
 
 #include <cstddef>

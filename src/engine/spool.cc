@@ -7,13 +7,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "util/env.h"
 #include "util/fault.h"
@@ -27,16 +27,24 @@ namespace {
 
 constexpr int kManifestVersion = 1;
 
-/// Parses "u<k>" (optionally followed by `.`-anything); -1 when malformed.
-int unit_of(const std::string& name) {
+/// The unit index k of a spool file name "u<k>" — or, with
+/// `allow_suffix`, "u<k>.<anything>" (a claim name) — in a queue of `units`
+/// units. -1 when the name is malformed, spells k with a leading zero, or
+/// names k >= units: a stray file must neither hide a real unit nor count
+/// toward all_done(). Exact names also keep write_atomic's "u<k>.tmp.<pid>"
+/// temporaries out of done/ and failed/ counts.
+int unit_of(const std::string& name, std::size_t units, bool allow_suffix) {
   if (name.size() < 2 || name[0] != 'u') return -1;
-  int k = 0;
+  std::size_t k = 0;
   std::size_t i = 1;
-  for (; i < name.size() && name[i] >= '0' && name[i] <= '9'; ++i)
-    k = k * 10 + (name[i] - '0');
-  if (i == 1) return -1;
-  if (i != name.size() && name[i] != '.') return -1;
-  return k;
+  for (; i < name.size() && name[i] >= '0' && name[i] <= '9'; ++i) {
+    k = k * 10 + static_cast<std::size_t>(name[i] - '0');
+    // Bounded every digit, so the accumulator can never overflow.
+    if (k >= units || k > static_cast<std::size_t>(INT_MAX)) return -1;
+  }
+  if (i == 1 || (name[1] == '0' && i > 2)) return -1;
+  if (i != name.size() && !(allow_suffix && name[i] == '.')) return -1;
+  return static_cast<int>(k);
 }
 
 /// A parsed claim name "u<k>.g<gen>.<host>.<pid>". The host may itself
@@ -49,8 +57,9 @@ struct ClaimInfo {
   long pid = -1;
 };
 
-bool parse_claim(const std::string& name, ClaimInfo* out) {
-  out->unit = unit_of(name);
+bool parse_claim(const std::string& name, std::size_t units,
+                 ClaimInfo* out) {
+  out->unit = unit_of(name, units, /*allow_suffix=*/true);
   if (out->unit < 0) return false;
   const std::size_t first_dot = name.find('.');
   if (first_dot == std::string::npos || first_dot + 2 >= name.size() ||
@@ -177,14 +186,9 @@ void SpoolQueue::init() {
   // unit that finishes in the gap can be re-created and re-executed —
   // harmless: the work is deterministic and memoized, and mark_done is
   // idempotent.
-  std::set<int> busy;
-  for (const char* sub : {"/claimed", "/done", "/failed"}) {
-    std::error_code it_ec;
-    for (const auto& entry : fs::directory_iterator(dir_ + sub, it_ec)) {
-      const int k = unit_of(entry.path().filename().string());
-      if (k >= 0) busy.insert(k);
-    }
-  }
+  std::set<int> busy = units_in("/claimed", /*claims=*/true);
+  busy.merge(units_in("/done"));
+  busy.merge(units_in("/failed"));
   for (std::size_t k = 0; k < units_; ++k) {
     if (busy.count(static_cast<int>(k))) continue;
     util::fs::create_exclusive(dir_ + "/todo/u" + std::to_string(k), "",
@@ -194,14 +198,7 @@ void SpoolQueue::init() {
 
 int SpoolQueue::claim() {
   // Fresh units first: whatever is in todo/.
-  std::vector<int> candidates;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_ + "/todo", ec)) {
-    const int k = unit_of(entry.path().filename().string());
-    if (k >= 0 && static_cast<std::size_t>(k) < units_)
-      candidates.push_back(k);
-  }
-  for (int k : candidates) {
+  for (int k : units_in("/todo")) {
     const std::string from = dir_ + "/todo/u" + std::to_string(k);
     const std::string to = claim_name(k, 1);
     // Atomic: exactly one racing worker's rename succeeds.
@@ -218,11 +215,11 @@ int SpoolQueue::claim() {
   // don't travel between machines, mtimes on a shared filesystem do).
   const long lease_ms = lease_ms_env();
   const long poison_limit = poison_limit_env();
+  std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_ + "/claimed", ec)) {
     const std::string name = entry.path().filename().string();
     ClaimInfo ci;
-    if (!parse_claim(name, &ci)) continue;
-    if (static_cast<std::size_t>(ci.unit) >= units_) continue;
+    if (!parse_claim(name, units_, &ci)) continue;
     const std::string claim = dir_ + "/claimed/" + name;
     if (ci.host == host_) {
       if (process_alive(ci.pid)) continue;
@@ -305,22 +302,20 @@ void SpoolQueue::mark_done(int unit) {
   if (!claim.empty()) util::fs::remove_file(claim, "spool.claim.unlink");
 }
 
-std::size_t SpoolQueue::done_count() const {
-  std::size_t n = 0;
+std::set<int> SpoolQueue::units_in(const char* sub, bool claims) const {
+  std::set<int> out;
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_ + "/done", ec)) {
-    if (unit_of(entry.path().filename().string()) >= 0) ++n;
+  for (const auto& entry : fs::directory_iterator(dir_ + sub, ec)) {
+    const int k = unit_of(entry.path().filename().string(), units_, claims);
+    if (k >= 0) out.insert(k);
   }
-  return n;
+  return out;
 }
 
+std::size_t SpoolQueue::done_count() const { return units_in("/done").size(); }
+
 std::size_t SpoolQueue::failed_count() const {
-  std::size_t n = 0;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_ + "/failed", ec)) {
-    if (unit_of(entry.path().filename().string()) >= 0) ++n;
-  }
-  return n;
+  return units_in("/failed").size();
 }
 
 }  // namespace mbs::engine

@@ -1,10 +1,10 @@
 // SpoolQueue: a filesystem work queue for multi-process sweep drains.
 //
-// Static sharding (MBS_SHARD) splits a grid round-robin at launch time; a
-// spool splits it dynamically. N independent worker processes point at one
-// spool directory (MBS_SPOOL_DIR) and claim work units — schedule-key
-// groups of the grid — whenever they go idle, so an unbalanced grid drains
-// at the speed of the fleet rather than of its slowest static shard.
+// A spool splits one sweep across processes dynamically. N independent
+// worker processes point at one spool directory (MBS_SPOOL_DIR) and claim
+// work units — schedule-key groups of the grid — whenever they go idle, so
+// an unbalanced grid drains at the speed of the fleet rather than of its
+// slowest worker.
 //
 // The protocol is files and atomic renames, the same trick
 // CacheStore::save uses — no server, no locks:
@@ -42,9 +42,9 @@
 // Workers share *results* through the concurrent CacheStore (flushed per
 // unit), not through the queue: after the drain each worker materializes
 // the full sweep warm from the store, so every worker's output is
-// byte-identical to a single-process, unsharded run. Rare races (a unit
-// re-created after a claim/done was concurrently erased by init) at worst
-// re-execute deterministic memoized work — never corrupt it.
+// byte-identical to a single-process run. Rare races (a unit re-created
+// after a claim/done was concurrently erased by init) at worst re-execute
+// deterministic memoized work — never corrupt it.
 //
 // Every mutation routes through util::fs named fault sites
 // (spool.claim.rename, spool.reclaim.rename, spool.done.write, ...), so
@@ -53,6 +53,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -89,6 +90,8 @@ class SpoolQueue {
   /// Marks `unit` done and releases this process's claim. Idempotent.
   void mark_done(int unit);
 
+  /// Distinct units 0 <= k < unit_count() with a done marker; stray names
+  /// (k out of range, malformed, temporaries) never count.
   std::size_t done_count() const;
   /// Units quarantined in failed/ (poisoned: killed too many workers).
   std::size_t failed_count() const;
@@ -99,6 +102,9 @@ class SpoolQueue {
 
  private:
   std::string claim_name(int unit, long gen) const;
+  /// Units 0 <= k < unit_count() named by the files in <dir>/<sub>: exact
+  /// "u<k>" names, or claim names "u<k>.<...>" when `claims`.
+  std::set<int> units_in(const char* sub, bool claims = false) const;
 
   std::string dir_;
   std::uint64_t fingerprint_ = 0;

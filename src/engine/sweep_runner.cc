@@ -6,8 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <numeric>
@@ -24,45 +22,6 @@
 #include "util/parallel.h"
 
 namespace mbs::engine {
-
-std::string ShardPlan::suffix() const {
-  if (!active()) return "";
-  return ".shard" + std::to_string(index) + "of" + std::to_string(count);
-}
-
-ShardPlan ShardPlan::parse(const std::string& spec) {
-  ShardPlan plan;
-  char extra = 0;
-  if (std::sscanf(spec.c_str(), "%d/%d%c", &plan.index, &plan.count, &extra) !=
-          2 ||
-      plan.count < 1 || plan.index < 0 || plan.index >= plan.count) {
-    std::fprintf(stderr,
-                 "bad shard spec '%s': expected i/N with 0 <= i < N\n",
-                 spec.c_str());
-    std::abort();
-  }
-  return plan;
-}
-
-ShardPlan ShardPlan::from_env() {
-  const char* spec = std::getenv("MBS_SHARD");
-  if (!spec || !*spec) return {};
-  return parse(spec);
-}
-
-SweepResults::SweepResults(std::vector<Scenario> grid, Evaluator& eval)
-    : grid_(std::move(grid)),
-      eval_(&eval),
-      slots_(grid_.size()),
-      mu_(std::make_unique<std::mutex>()) {}
-
-const ScenarioResult& SweepResults::operator[](std::size_t i) const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  std::unique_ptr<ScenarioResult>& slot = slots_[i];
-  if (!slot)
-    slot = std::make_unique<ScenarioResult>(evaluate_scenario(grid_[i], *eval_));
-  return *slot;
-}
 
 namespace {
 
@@ -322,7 +281,7 @@ void SweepRunner::drain_spool(const std::vector<Scenario>& scenarios,
     if (queue.all_done()) break;
     // Nothing claimable: live peers hold the rest. Wait so the
     // materialization below starts warm from their results; on stall
-    // (peer wedged, store unwritable) give up waiting — the eager pass
+    // (peer wedged, store unwritable) give up waiting — run() then
     // recomputes locally and the output bytes are unaffected.
     const std::size_t done = queue.done_count();
     if (done != last_done) {
@@ -348,31 +307,6 @@ std::vector<ScenarioResult> SweepRunner::run(
   std::iota(all.begin(), all.end(), std::size_t{0});
   evaluate_indices(scenarios, eval, all, out.data());
   return out;
-}
-
-SweepResults SweepRunner::run_sharded(
-    const std::vector<Scenario>& scenarios, Evaluator& eval,
-    const std::function<bool(std::size_t)>& needed) const {
-  drain_spool(scenarios, eval);
-  SweepResults results(scenarios, eval);
-  std::vector<std::size_t> owned;
-  owned.reserve(scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i)
-    if (needed(i)) owned.push_back(i);
-  // Distinct slots per index: the pool fills them without the access lock.
-  std::vector<ScenarioResult> evaluated(owned.size());
-  evaluate_indices(scenarios, eval, owned, evaluated.data());
-  for (std::size_t k = 0; k < owned.size(); ++k)
-    results.slots_[owned[k]] =
-        std::make_unique<ScenarioResult>(std::move(evaluated[k]));
-  return results;
-}
-
-SweepResults SweepRunner::run_sharded(const std::vector<Scenario>& scenarios,
-                                      Evaluator& eval,
-                                      const ShardPlan& plan) const {
-  return run_sharded(scenarios, eval,
-                     [&plan](std::size_t i) { return plan.owns(i); });
 }
 
 }  // namespace mbs::engine

@@ -1,7 +1,7 @@
 // Tests for the parallel experiment engine: scenario cache keys, evaluator
 // memoization, parallel-vs-serial determinism of SweepRunner, the ResultSink
-// CSV/JSON round trip, disk persistence (CacheStore warm starts and version
-// invalidation), and shard-then-merge determinism.
+// CSV/JSON writers, disk persistence (CacheStore warm starts and version
+// invalidation), and the Driver's flag validation.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -414,66 +414,47 @@ TEST(ScheduleGroups, MixedStageMembersKeepTheirOwnDepth) {
   EXPECT_EQ(eval.stats().step_misses, 1);
 }
 
-TEST(ScheduleGroups, ComposesWithShardingAndWarmCacheByteIdentically) {
+TEST(ScheduleGroups, ComposeWithWarmCacheByteIdentically) {
   const auto grid = schedule_sharing_grid();
   const std::string dir = testing::TempDir() + "mbs_groups_" +
                           std::to_string(static_cast<long>(::getpid()));
   const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 
-  const auto render = [&](const auto& results, const ShardPlan& plan,
-                          std::ostringstream& csv, std::ostringstream& json) {
-    ResultSink sink("groups x shards", {"config", "memory", "time", "dram"});
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!plan.owns(i)) continue;
-      sink.add_row({sched::to_string(results[i].scenario.config),
-                    results[i].scenario.hw.memory.name,
-                    std::to_string(results[i].step.time_s),
-                    std::to_string(results[i].step.dram_bytes)});
-    }
+  const auto render = [](const std::vector<ScenarioResult>& results) {
+    ResultSink sink("groups x cache", {"config", "memory", "time", "dram"});
+    for (const ScenarioResult& r : results)
+      sink.add_row({sched::to_string(r.scenario.config),
+                    r.scenario.hw.memory.name, std::to_string(r.step.time_s),
+                    std::to_string(r.step.dram_bytes)});
+    std::ostringstream csv, json;
     sink.write_csv(csv);
     sink.write_json(json);
+    return csv.str() + json.str();
   };
 
-  // Ungrouped, unsharded reference documents.
+  // Ungrouped, memory-only reference documents.
   Evaluator ref_eval;
-  std::ostringstream ref_csv, ref_json;
-  render(serial_reference(grid, ref_eval), ShardPlan{}, ref_csv, ref_json);
+  const std::string reference = render(serial_reference(grid, ref_eval));
 
-  // Grouped + sharded runs against one disk cache (cold shard 0 of 2, then
-  // warm shard 1 of 2 in a fresh store), merged back.
-  std::vector<ResultSink::Parsed> csv_shards, json_shards;
-  for (int index = 0; index < 2; ++index) {
+  // Grouped runs against one disk cache: cold into the store, then warm
+  // from a fresh store over the same path.
+  for (const bool warm : {false, true}) {
     CacheStore store(path);
     Evaluator eval(&store);
-    const ShardPlan plan{index, 2};
-    const SweepResults results =
-        SweepRunner().run_sharded(grid, eval, plan);
-    std::ostringstream csv, json;
-    render(results, plan, csv, json);
-    csv_shards.push_back(ResultSink::parse_csv(csv.str()));
-    json_shards.push_back(ResultSink::parse_json(json.str()));
+    EXPECT_EQ(render(SweepRunner().run(grid, eval)), reference)
+        << (warm ? "warm" : "cold");
     ASSERT_TRUE(store.save());
-    if (index == 1) {
-      // The second shard's schedule-group phase was served from disk.
-      const EvaluatorStats stats = eval.stats();
+    const EvaluatorStats stats = eval.stats();
+    if (warm) {
+      // The warm run's schedule-group phase was served from disk.
       EXPECT_GT(stats.schedule_disk_hits, 0);
       EXPECT_GT(stats.traffic_disk_hits, 0);
+    } else {
+      EXPECT_EQ(stats.schedule_disk_hits, 0);
     }
   }
-  const ResultSink::Parsed merged_csv = ResultSink::merge_shards(csv_shards);
-  const ResultSink::Parsed merged_json =
-      ResultSink::merge_shards(json_shards);
-  ResultSink csv_sink("", merged_csv.headers);
-  for (const auto& row : merged_csv.rows) csv_sink.add_row(row);
-  ResultSink json_sink(merged_json.title, merged_json.headers);
-  for (const auto& row : merged_json.rows) json_sink.add_row(row);
-  std::ostringstream csv, json;
-  csv_sink.write_csv(csv);
-  json_sink.write_json(json);
-  EXPECT_EQ(csv.str(), ref_csv.str());
-  EXPECT_EQ(json.str(), ref_json.str());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 // ---- Workload axes (transformers x grouping search x memory configs) -------
@@ -498,72 +479,53 @@ std::vector<Scenario> workload_axis_grid() {
   return grid;
 }
 
-TEST(WorkloadAxes, GroupingAxisShardsAndWarmCachesByteIdentically) {
+TEST(WorkloadAxes, GroupingAxisWarmCachesByteIdentically) {
   // The new axes must compose with every engine feature at once: the grid
-  // runs grouped + sharded against a disk cache (cold shard 0, warm shard
-  // 1), and the merged CSV/JSON documents must be byte-identical to an
-  // unsharded, ungrouped, memory-only reference run.
+  // runs grouped against a disk cache (cold, then warm from a fresh store),
+  // and both runs' CSV/JSON documents must be byte-identical to an
+  // ungrouped, memory-only reference run.
   const auto grid = workload_axis_grid();
   const std::string dir = testing::TempDir() + "mbs_axes_" +
                           std::to_string(static_cast<long>(::getpid()));
   const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 
-  const auto render = [&](const auto& results, const ShardPlan& plan,
-                          std::ostringstream& csv, std::ostringstream& json) {
+  const auto render = [](const std::vector<ScenarioResult>& results) {
     ResultSink sink("workload axes",
                     {"grouping", "buffer", "bw", "time", "dram", "groups"});
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!plan.owns(i)) continue;
-      const ScenarioResult& r = results[i];
+    for (const ScenarioResult& r : results)
       sink.add_row({r.scenario.params.optimal_grouping ? "dp" : "greedy",
                     std::to_string(r.scenario.params.buffer_bytes),
                     std::to_string(r.scenario.hw.memory.bandwidth_bytes_per_s),
                     std::to_string(r.step.time_s),
                     std::to_string(r.step.dram_bytes),
                     std::to_string(r.schedule->groups.size())});
-    }
+    std::ostringstream csv, json;
     sink.write_csv(csv);
     sink.write_json(json);
+    return csv.str() + json.str();
   };
 
   Evaluator ref_eval;
-  std::ostringstream ref_csv, ref_json;
-  render(serial_reference(grid, ref_eval), ShardPlan{}, ref_csv, ref_json);
+  const std::string reference = render(serial_reference(grid, ref_eval));
   // Per grouping search: one network build, two schedules (buffer sizes), four
   // simulations (x bandwidth) — the axes share all upstream stages.
   EXPECT_EQ(ref_eval.stats().network_misses, 1);
   EXPECT_EQ(ref_eval.stats().schedule_misses, 4);
   EXPECT_EQ(ref_eval.stats().step_misses, 8);
 
-  std::vector<ResultSink::Parsed> csv_shards, json_shards;
-  for (int index = 0; index < 2; ++index) {
+  for (const bool warm : {false, true}) {
     CacheStore store(path);
     Evaluator eval(&store);
-    const ShardPlan plan{index, 2};
-    const SweepResults results = SweepRunner().run_sharded(grid, eval, plan);
-    std::ostringstream csv, json;
-    render(results, plan, csv, json);
-    csv_shards.push_back(ResultSink::parse_csv(csv.str()));
-    json_shards.push_back(ResultSink::parse_json(json.str()));
+    EXPECT_EQ(render(SweepRunner().run(grid, eval)), reference)
+        << (warm ? "warm" : "cold");
     ASSERT_TRUE(store.save());
-    if (index == 1) {
-      // The second shard's schedule phase was served from disk.
+    // The warm run's schedule phase was served from disk.
+    if (warm) {
       EXPECT_GT(eval.stats().schedule_disk_hits, 0);
     }
   }
-  const ResultSink::Parsed merged_csv = ResultSink::merge_shards(csv_shards);
-  const ResultSink::Parsed merged_json = ResultSink::merge_shards(json_shards);
-  ResultSink csv_sink("", merged_csv.headers);
-  for (const auto& row : merged_csv.rows) csv_sink.add_row(row);
-  ResultSink json_sink(merged_json.title, merged_json.headers);
-  for (const auto& row : merged_json.rows) json_sink.add_row(row);
-  std::ostringstream csv, json;
-  csv_sink.write_csv(csv);
-  json_sink.write_json(json);
-  EXPECT_EQ(csv.str(), ref_csv.str());
-  EXPECT_EQ(json.str(), ref_json.str());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WorkloadAxes, ScheduleRoundTripsThroughDiskStore) {
@@ -655,103 +617,64 @@ TEST(SweepRunner, ShallowStagesSkipLaterPipelineWork) {
 
 // ---- ResultSink -------------------------------------------------------------
 
-TEST(ResultSink, CsvRoundTripsTableContents) {
+TEST(ResultSink, CsvQuotesCommasQuotesAndNewlines) {
   ResultSink sink("Fig. X", {"network", "value", "note"});
   sink.add_row({"resnet50", "1.25", "plain"});
   sink.add_row({"odd,cell", "with \"quotes\"", "multi\nline"});
   std::ostringstream os;
   sink.write_csv(os);
-
-  const ResultSink::Parsed parsed = ResultSink::parse_csv(os.str());
-  EXPECT_EQ(parsed.headers, sink.table().headers());
-  ASSERT_EQ(parsed.rows.size(), sink.table().rows().size());
-  for (std::size_t i = 0; i < parsed.rows.size(); ++i)
-    EXPECT_EQ(parsed.rows[i], sink.table().rows()[i]);
+  EXPECT_EQ(os.str(),
+            "network,value,note\n"
+            "resnet50,1.25,plain\n"
+            "\"odd,cell\",\"with \"\"quotes\"\"\",\"multi\nline\"\n");
 }
 
-TEST(ResultSink, JsonRoundTripsTableContents) {
+TEST(ResultSink, JsonEscapesQuotesBackslashesTabsAndNewlines) {
   ResultSink sink("Fig. 10a: time \"per step\"", {"network", "t [ms]"});
   sink.add_row({"resnet50", "58.3"});
   sink.add_row({"needs \\escaping\t", "line\nbreak"});
   std::ostringstream os;
   sink.write_json(os);
-
-  const ResultSink::Parsed parsed = ResultSink::parse_json(os.str());
-  EXPECT_EQ(parsed.title, sink.title());
-  EXPECT_EQ(parsed.headers, sink.table().headers());
-  ASSERT_EQ(parsed.rows.size(), sink.table().rows().size());
-  for (std::size_t i = 0; i < parsed.rows.size(); ++i)
-    EXPECT_EQ(parsed.rows[i], sink.table().rows()[i]);
+  EXPECT_EQ(os.str(),
+            "{\"title\":\"Fig. 10a: time \\\"per step\\\"\","
+            "\"headers\":[\"network\",\"t [ms]\"],"
+            "\"rows\":[[\"resnet50\",\"58.3\"],"
+            "[\"needs \\\\escaping\\t\",\"line\\nbreak\"]]}\n");
 }
 
-TEST(ResultSink, ShortRowsRoundTripPadded) {
+TEST(ResultSink, ShortRowsArePaddedToTheHeaderWidth) {
   ResultSink sink("t", {"a", "b", "c"});
   sink.add_row({"only"});  // padded to ("only", "", "") by util::Table
   std::ostringstream csv, json;
   sink.write_csv(csv);
   sink.write_json(json);
-  EXPECT_EQ(ResultSink::parse_csv(csv.str()).rows[0],
-            (std::vector<std::string>{"only", "", ""}));
-  EXPECT_EQ(ResultSink::parse_json(json.str()).rows[0],
-            (std::vector<std::string>{"only", "", ""}));
+  EXPECT_EQ(csv.str(), "a,b,c\nonly,,\n");
+  EXPECT_EQ(json.str(),
+            "{\"title\":\"t\",\"headers\":[\"a\",\"b\",\"c\"],"
+            "\"rows\":[[\"only\",\"\",\"\"]]}\n");
 }
 
-// ---- ShardPlan --------------------------------------------------------------
+// ---- Driver -----------------------------------------------------------------
 
-TEST(ShardPlan, IdentityPlanOwnsEverything) {
-  const ShardPlan plan;
-  EXPECT_FALSE(plan.active());
-  EXPECT_EQ(plan.suffix(), "");
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_TRUE(plan.owns(i));
-}
-
-TEST(ShardPlan, RoundRobinPartitionIsExactAndDisjoint) {
-  const int n = 3;
-  for (std::size_t i = 0; i < 20; ++i) {
-    int owners = 0;
-    for (int s = 0; s < n; ++s)
-      if ((ShardPlan{s, n}).owns(i)) ++owners;
-    EXPECT_EQ(owners, 1) << "index " << i;
-    EXPECT_TRUE((ShardPlan{static_cast<int>(i % n), n}).owns(i));
-  }
-}
-
-TEST(ShardPlan, ParsesSpecAndFormatsSuffix) {
-  const ShardPlan plan = ShardPlan::parse("1/4");
-  EXPECT_EQ(plan.index, 1);
-  EXPECT_EQ(plan.count, 4);
-  EXPECT_TRUE(plan.active());
-  EXPECT_EQ(plan.suffix(), ".shard1of4");
-}
-
-TEST(ShardPlanDeathTest, RejectsMalformedSpecs) {
+TEST(DriverDeathTest, ThreadsFlagOutsideTheEnvRangeAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(ShardPlan::parse("4/4"), "bad shard spec");
-  EXPECT_DEATH(ShardPlan::parse("-1/4"), "bad shard spec");
-  EXPECT_DEATH(ShardPlan::parse("banana"), "bad shard spec");
-  EXPECT_DEATH(ShardPlan::parse("1/4/2"), "bad shard spec");
-}
-
-// ---- SweepResults laziness --------------------------------------------------
-
-TEST(SweepResults, ShardedRunMaterializesUnownedEntriesLazily) {
-  const auto grid = scenario_grid(
-      {"alexnet"}, {sched::ExecConfig::kBaseline, sched::ExecConfig::kMbs1,
-                    sched::ExecConfig::kMbs2});
-  Evaluator eager_eval;
-  const auto reference = SweepRunner().run(grid, eager_eval);
-
-  Evaluator eval;
-  const ShardPlan plan{0, 2};  // owns scenarios 0 and 2
-  const SweepResults results = SweepRunner().run_sharded(grid, eval, plan);
-  // The eager pass evaluated only the owned scenarios.
-  EXPECT_EQ(eval.stats().step_misses, 2);
-  // Accessing the un-owned entry materializes it on demand, bit-identical
-  // to the full run.
-  EXPECT_TRUE(step_equal(results[1].step, reference[1].step));
-  EXPECT_EQ(eval.stats().step_misses, 3);
-  EXPECT_TRUE(step_equal(results[0].step, reference[0].step));
-  EXPECT_TRUE(step_equal(results[2].step, reference[2].step));
+  const auto construct = [](const char* flag) {
+    char prog[] = "driver_test";
+    std::string arg = flag;
+    char* argv[] = {prog, arg.data(), nullptr};
+    Driver driver(2, argv);
+  };
+  // Each was once cast to int unchecked: 2^32 + 2 ran with 2 threads, and
+  // -3 fell back silently to the env budget.
+  for (const char* bad : {"--threads=4294967298", "--threads=-3",
+                          "--threads=65537", "--threads=99999999999999999999",
+                          "--threads=2x"})
+    EXPECT_DEATH(construct(bad), "bad --threads value") << bad;
+  // Both ends of MBS_THREADS' range are accepted. Only the budget is set
+  // here; no sweep runs, so no thread pool is constructed.
+  for (const char* good : {"--threads=0", "--threads=65536"})
+    construct(good);
+  util::set_thread_budget(-1);
 }
 
 // ---- serde ------------------------------------------------------------------
@@ -971,72 +894,6 @@ TEST(CacheStore, VersionStampMismatchStartsCold) {
     EXPECT_TRUE(step_equal(out, ref));
     EXPECT_EQ(fresh.corrupt_entries(), 0u);
     std::filesystem::remove_all(dir);
-  }
-}
-
-// ---- Shard-then-merge determinism -------------------------------------------
-
-TEST(Sharding, MergedShardDocumentsAreByteIdenticalToUnsharded) {
-  const auto grid = scenario_grid(
-      {"alexnet", "resnet50"},
-      {sched::ExecConfig::kBaseline, sched::ExecConfig::kMbs1,
-       sched::ExecConfig::kMbs2});
-  Evaluator eval;
-  const auto full = SweepRunner().run(grid, eval);
-
-  const auto row_cells = [&](std::size_t i) {
-    return std::vector<std::string>{
-        full[i].network->name, sched::to_string(full[i].scenario.config),
-        std::to_string(full[i].step.time_s),
-        std::to_string(full[i].step.dram_bytes)};
-  };
-
-  // Unsharded reference documents.
-  ResultSink reference("Fig. X: sharding test",
-                       {"network", "config", "time", "dram"});
-  for (std::size_t i = 0; i < full.size(); ++i)
-    reference.add_row(row_cells(i));
-  std::ostringstream ref_csv, ref_json;
-  reference.write_csv(ref_csv);
-  reference.write_json(ref_json);
-
-  // Shard the same row emission three ways (the bench row-gating idiom),
-  // then merge the per-shard documents.
-  for (int count : {2, 3, 5}) {
-    std::vector<ResultSink::Parsed> csv_shards, json_shards;
-    for (int index = 0; index < count; ++index) {
-      const ShardPlan plan{index, count};
-      Evaluator shard_eval;
-      const SweepResults results =
-          SweepRunner().run_sharded(grid, shard_eval, plan);
-      ResultSink sink("Fig. X: sharding test",
-                      {"network", "config", "time", "dram"});
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        if (!plan.owns(i)) continue;
-        sink.add_row({results[i].network->name,
-                      sched::to_string(results[i].scenario.config),
-                      std::to_string(results[i].step.time_s),
-                      std::to_string(results[i].step.dram_bytes)});
-      }
-      std::ostringstream csv, json;
-      sink.write_csv(csv);
-      sink.write_json(json);
-      csv_shards.push_back(ResultSink::parse_csv(csv.str()));
-      json_shards.push_back(ResultSink::parse_json(json.str()));
-    }
-    const ResultSink::Parsed merged_csv = ResultSink::merge_shards(csv_shards);
-    const ResultSink::Parsed merged_json =
-        ResultSink::merge_shards(json_shards);
-
-    ResultSink csv_sink("", merged_csv.headers);
-    for (const auto& row : merged_csv.rows) csv_sink.add_row(row);
-    ResultSink json_sink(merged_json.title, merged_json.headers);
-    for (const auto& row : merged_json.rows) json_sink.add_row(row);
-    std::ostringstream csv, json;
-    csv_sink.write_csv(csv);
-    json_sink.write_json(json);
-    EXPECT_EQ(csv.str(), ref_csv.str()) << count << " shards";
-    EXPECT_EQ(json.str(), ref_json.str()) << count << " shards";
   }
 }
 
@@ -1352,70 +1209,6 @@ TEST(CacheStore, TwoStoresOverOnePathShareEntriesThroughShardDir) {
   EXPECT_TRUE(step_equal(out_a, ref_a));
   EXPECT_TRUE(step_equal(out_b, ref_b));
   std::filesystem::remove_all(path + ".d");
-}
-
-TEST(Sharding, MixedBackendGridMergesByteIdenticallyToUnsharded) {
-  // The backend_compare bench shards its mixed analytic/cycle grid across
-  // CI jobs and merges the per-shard exports; this is the in-process
-  // version of that byte-identity contract.
-  std::vector<Scenario> grid;
-  for (const char* net : {"alexnet", "resnet50", "vit_small"})
-    for (int dev = 0; dev < 2; ++dev) {
-      Scenario s = mbs2_scenario(net);
-      if (dev == 1) s.device = Device::kSystolic;
-      grid.push_back(s);
-    }
-  Evaluator eval;
-  const auto full = SweepRunner().run(grid, eval);
-
-  const auto cells = [](const ScenarioResult& r) {
-    return std::vector<std::string>{
-        r.scenario.network, to_string(r.scenario.device),
-        std::to_string(r.step.time_s), std::to_string(r.step.dram_bytes),
-        std::to_string(r.systolic.stats.stall_cycles)};
-  };
-  ResultSink reference("backend compare: sharding test",
-                       {"network", "device", "time", "dram", "stalls"});
-  for (const ScenarioResult& r : full) reference.add_row(cells(r));
-  std::ostringstream ref_csv;
-  reference.write_csv(ref_csv);
-
-  for (int count : {2, 3}) {
-    std::vector<ResultSink::Parsed> shards;
-    for (int index = 0; index < count; ++index) {
-      const ShardPlan plan{index, count};
-      Evaluator shard_eval;
-      const SweepResults results =
-          SweepRunner().run_sharded(grid, shard_eval, plan);
-      ResultSink sink("backend compare: sharding test",
-                      {"network", "device", "time", "dram", "stalls"});
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        if (!plan.owns(i)) continue;
-        sink.add_row(cells(results[i]));
-      }
-      std::ostringstream csv;
-      sink.write_csv(csv);
-      shards.push_back(ResultSink::parse_csv(csv.str()));
-    }
-    const ResultSink::Parsed merged = ResultSink::merge_shards(shards);
-    ResultSink merged_sink("", merged.headers);
-    for (const auto& row : merged.rows) merged_sink.add_row(row);
-    std::ostringstream csv;
-    merged_sink.write_csv(csv);
-    EXPECT_EQ(csv.str(), ref_csv.str()) << count << " shards";
-  }
-}
-
-TEST(Sharding, MergeRejectsInconsistentShardSets) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ResultSink::Parsed a, b;
-  a.headers = b.headers = {"x"};
-  a.rows = {{"0"}, {"2"}, {"4"}};  // three rows: shard 0 of 2
-  b.rows = {{"1"}};                // too few for round-robin consistency
-  EXPECT_DEATH(ResultSink::merge_shards({a, b}), "round-robin");
-  ResultSink::Parsed c = a;
-  c.headers = {"y"};
-  EXPECT_DEATH(ResultSink::merge_shards({a, c}), "headers disagree");
 }
 
 }  // namespace

@@ -333,9 +333,9 @@ TEST_P(CycleBackendProperties, LargerScratchpadNeverIncreasesCycleTime) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CycleBackendProperties, ::testing::Range(1, 5));
 
-TEST(CycleBackendDeterminism, SweepInvariantUnderThreadsAndShards) {
+TEST(CycleBackendDeterminism, SweepInvariantUnderThreads) {
   // Cycle-backend sweep results are bit-identical whatever the thread count
-  // or shard plan — the same determinism contract the analytic backend has.
+  // — the same determinism contract the analytic backend has.
   std::vector<engine::Scenario> grid;
   for (const char* net : {"alexnet", "vit_small"})
     for (engine::Device dev :
@@ -356,32 +356,22 @@ TEST(CycleBackendDeterminism, SweepInvariantUnderThreadsAndShards) {
   engine::SweepRunner serial(opts);
   const auto reference = serial.run(grid, serial_eval);
 
-  engine::Evaluator threaded_eval;
-  opts.threads = 8;
-  engine::SweepRunner threaded(opts);
-  const auto parallel = threaded.run(grid, threaded_eval);
-
-  engine::Evaluator shard_evals[2];
-  opts.threads = 2;
-  engine::SweepRunner runner(opts);
-  const auto shard0 =
-      runner.run_sharded(grid, shard_evals[0], engine::ShardPlan{0, 2});
-  const auto shard1 =
-      runner.run_sharded(grid, shard_evals[1], engine::ShardPlan{1, 2});
-
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const auto& ref = reference[i];
-    for (const engine::ScenarioResult* other :
-         {&parallel[i], &(i % 2 == 0 ? shard0 : shard1)[i]}) {
-      EXPECT_EQ(ref.step.time_s, other->step.time_s) << i;
-      EXPECT_EQ(ref.step.dram_bytes, other->step.dram_bytes) << i;
+  for (int threads : {2, 8}) {
+    engine::Evaluator threaded_eval;
+    opts.threads = threads;
+    const auto parallel = engine::SweepRunner(opts).run(grid, threaded_eval);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const auto& ref = reference[i];
+      const auto& got = parallel[i];
+      EXPECT_EQ(ref.step.time_s, got.step.time_s) << i;
+      EXPECT_EQ(ref.step.dram_bytes, got.step.dram_bytes) << i;
       EXPECT_EQ(ref.systolic.stats.comp_cycles,
-                other->systolic.stats.comp_cycles)
+                got.systolic.stats.comp_cycles)
           << i;
       EXPECT_EQ(ref.systolic.stats.stall_cycles,
-                other->systolic.stats.stall_cycles)
+                got.systolic.stats.stall_cycles)
           << i;
-      EXPECT_EQ(ref.systolic.time_s, other->systolic.time_s) << i;
+      EXPECT_EQ(ref.systolic.time_s, got.systolic.time_s) << i;
     }
   }
 }
@@ -511,9 +501,9 @@ TEST(AttentionTraffic, BufferGateMonotoneWithExactEndpoints) {
       0.0);
 }
 
-TEST(AttentionTraffic, SweepInvariantUnderThreadsAndShardsWithSeq) {
+TEST(AttentionTraffic, SweepInvariantUnderThreadsWithSeq) {
   // The determinism contract extends to the seq axis and both backends:
-  // results are bit-identical whatever the thread count or shard plan.
+  // results are bit-identical whatever the thread count.
   std::vector<engine::Scenario> grid;
   for (int seq : {0, 256})
     for (engine::Device dev :
@@ -532,26 +522,16 @@ TEST(AttentionTraffic, SweepInvariantUnderThreadsAndShardsWithSeq) {
   engine::SweepRunner serial(opts);
   const auto reference = serial.run(grid, serial_eval);
 
-  engine::Evaluator threaded_eval;
-  opts.threads = 8;
-  engine::SweepRunner threaded(opts);
-  const auto parallel = threaded.run(grid, threaded_eval);
-
-  engine::Evaluator shard_evals[2];
-  opts.threads = 2;
-  engine::SweepRunner runner(opts);
-  const auto shard0 =
-      runner.run_sharded(grid, shard_evals[0], engine::ShardPlan{0, 2});
-  const auto shard1 =
-      runner.run_sharded(grid, shard_evals[1], engine::ShardPlan{1, 2});
-
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const auto& ref = reference[i];
-    for (const engine::ScenarioResult* other :
-         {&parallel[i], &(i % 2 == 0 ? shard0 : shard1)[i]}) {
-      EXPECT_EQ(ref.step.time_s, other->step.time_s) << i;
-      EXPECT_EQ(ref.step.dram_bytes, other->step.dram_bytes) << i;
-      EXPECT_EQ(ref.systolic.time_s, other->systolic.time_s) << i;
+  for (int threads : {2, 8}) {
+    engine::Evaluator threaded_eval;
+    opts.threads = threads;
+    const auto parallel = engine::SweepRunner(opts).run(grid, threaded_eval);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const auto& ref = reference[i];
+      const auto& got = parallel[i];
+      EXPECT_EQ(ref.step.time_s, got.step.time_s) << i;
+      EXPECT_EQ(ref.step.dram_bytes, got.step.dram_bytes) << i;
+      EXPECT_EQ(ref.systolic.time_s, got.systolic.time_s) << i;
     }
   }
 }

@@ -3,13 +3,10 @@
 // dead-worker reclaim), spool-drained sweeps matching direct runs
 // bit-for-bit, Scenario spec parsing, the ServeCore query tiers
 // (LRU hot set / cache store / compute) with batch bit-identity, the LruMap
-// eviction policy, cache-store save-failure propagation, and the
-// merge_results tool's edge cases (empty shards, missing shard files,
-// mixed-backend rows).
+// eviction policy, and cache-store save-failure propagation.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -292,6 +289,36 @@ TEST(SpoolQueue, DoneMarkerOutranksStaleClaim) {
   fs::remove_all(dir);
 }
 
+TEST(SpoolQueue, StrayUnitNamesNeitherHideNorCompleteUnits) {
+  const std::string dir = test_dir("spool_stray");
+  // Names whose index does not fit the queue: 2^32 and 2^32 + 1 once
+  // wrapped to units 0 and 1, and u7 is past the 3-unit queue. A stray
+  // name in done/ at init must not hide a real unit, and none may count
+  // toward all_done().
+  fs::create_directories(dir + "/done");
+  for (const char* name :
+       {"u4294967296", "u4294967297", "u7", "u01", "u2.tmp.123", "u"})
+    std::ofstream(dir + "/done/" + name) << "done\n";
+  SpoolQueue q(dir, 0x77u, 3);
+  q.init();
+  EXPECT_EQ(q.done_count(), 0u);
+  EXPECT_FALSE(q.all_done());
+
+  std::vector<bool> seen(3, false);
+  for (int i = 0; i < 3; ++i) {
+    const int u = q.claim();
+    ASSERT_GE(u, 0) << "only " << i << " of 3 units were claimable";
+    ASSERT_LT(u, 3);
+    seen[static_cast<std::size_t>(u)] = true;
+    q.mark_done(u);
+  }
+  EXPECT_EQ(q.claim(), -1);
+  EXPECT_EQ(seen, std::vector<bool>(3, true));
+  EXPECT_EQ(q.done_count(), 3u);
+  EXPECT_TRUE(q.all_done());
+  fs::remove_all(dir);
+}
+
 TEST(SpoolDrain, SingleWorkerSpoolSweepMatchesDirectRunBitForBit) {
   const std::string dir = test_dir("spool_e2e");
 
@@ -372,6 +399,27 @@ TEST(ParseScenario, RejectsMalformedSpecsWithReasons) {
   // is an unknown key, not a silently ignored one.
   EXPECT_FALSE(parse_scenario("net=alexnet;var=noncontiguous", &s, &error));
   EXPECT_NE(error.find("unknown field 'var'"), std::string::npos) << error;
+  // Integers that do not fit their field are rejected, never truncated
+  // into another query (2^32 + 196 is not seq 196) or saturated.
+  for (const char* spec :
+       {"net=vit_small;seq=4294967492", "net=alexnet;mb=4294967328",
+        "net=alexnet;dev=gpu;gmb=4294967360",
+        "net=alexnet;buf=99999999999999999999",
+        "net=alexnet;spad=99999999999999999999", "net=alexnet;mb=-1",
+        "net=alexnet;gmb=0"}) {
+    error.clear();
+    EXPECT_FALSE(parse_scenario(spec, &s, &error)) << spec;
+    EXPECT_NE(error.find("outside ["), std::string::npos) << spec << ": "
+                                                           << error;
+  }
+  EXPECT_FALSE(parse_scenario("net=alexnet;mb=32x", &s, &error));
+  EXPECT_NE(error.find("not an integer"), std::string::npos) << error;
+  // The largest values that fit still parse.
+  ASSERT_TRUE(parse_scenario(
+      "net=alexnet;mb=2147483647;buf=9223372036854775807", &s, &error))
+      << error;
+  EXPECT_EQ(s.params.mini_batch, 2147483647);
+  EXPECT_EQ(s.params.buffer_bytes, 9223372036854775807LL);
 }
 
 // ---- LruMap -----------------------------------------------------------------
@@ -688,124 +736,6 @@ TEST(ServeCore, CorruptStoreEntryDegradesGracefullyToRecompute) {
   EXPECT_GT(store.corrupt_entries(), 0u);
   // The damaged record was quarantined, not deleted or left in place.
   EXPECT_TRUE(fs::exists(path + ".d/quarantine"));
-  fs::remove_all(dir);
-}
-
-// ---- merge_results tool edge cases ------------------------------------------
-
-/// Locates the merge_results binary: $MBS_MERGE_RESULTS when set (the CMake
-/// test property), else next to the build's cwd (ctest runs from the build
-/// directory). Empty when unavailable — callers skip.
-std::string merge_results_binary() {
-  if (const char* env = std::getenv("MBS_MERGE_RESULTS"); env && *env)
-    return env;
-  if (fs::exists("merge_results")) return "./merge_results";
-  return "";
-}
-
-int run_tool(const std::string& cmd) {
-  const int rc = std::system(cmd.c_str());
-  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
-}
-
-/// Writes `rows` sharded N ways into `dir` as <stem>.shard<i>of<N>.{csv,json}
-/// (round-robin row i -> shard i%N, the engine's MBS_SHARD export layout)
-/// and returns the unsharded reference documents (csv, json).
-std::pair<std::string, std::string> write_shards(
-    const std::string& dir, const std::string& stem, const std::string& title,
-    const std::vector<std::string>& headers,
-    const std::vector<std::vector<std::string>>& rows, int count) {
-  for (int i = 0; i < count; ++i) {
-    ResultSink shard(title, headers);
-    for (std::size_t j = static_cast<std::size_t>(i); j < rows.size();
-         j += static_cast<std::size_t>(count))
-      shard.add_row(rows[j]);
-    const std::string base = dir + "/" + stem + ".shard" + std::to_string(i) +
-                             "of" + std::to_string(count);
-    std::ofstream csv(base + ".csv", std::ios::binary);
-    shard.write_csv(csv);
-    std::ofstream json(base + ".json", std::ios::binary);
-    shard.write_json(json);
-  }
-  ResultSink ref(title, headers);
-  for (const auto& row : rows) ref.add_row(row);
-  std::ostringstream csv, json;
-  ref.write_csv(csv);
-  ref.write_json(json);
-  return {csv.str(), json.str()};
-}
-
-TEST(MergeResultsTool, EmptyShardsOfAShortTableMergeByteIdentically) {
-  const std::string bin = merge_results_binary();
-  if (bin.empty()) GTEST_SKIP() << "merge_results binary not found";
-  const std::string dir = test_dir("merge_empty");
-
-  // 7-way shard of a 5-row table: shards 5 and 6 export header-only
-  // documents, which must still parse and contribute zero rows.
-  std::vector<std::vector<std::string>> rows;
-  for (int i = 0; i < 5; ++i)
-    rows.push_back({"net" + std::to_string(i), std::to_string(i * 1.5),
-                    std::to_string(1 << i)});
-  const auto [ref_csv, ref_json] = write_shards(
-      dir, "short_table", "Fig. T: empty-shard merge",
-      {"network", "time", "bytes"}, rows, 7);
-
-  ASSERT_EQ(run_tool(bin + " " + dir + " > " + dir + "/out.log 2>&1"), 0)
-      << slurp(dir + "/out.log");
-  EXPECT_EQ(slurp(dir + "/short_table.csv"), ref_csv);
-  EXPECT_EQ(slurp(dir + "/short_table.json"), ref_json);
-  fs::remove_all(dir);
-}
-
-TEST(MergeResultsTool, MissingShardFileFailsLoudly) {
-  const std::string bin = merge_results_binary();
-  if (bin.empty()) GTEST_SKIP() << "merge_results binary not found";
-  const std::string dir = test_dir("merge_missing");
-
-  std::vector<std::vector<std::string>> rows;
-  for (int i = 0; i < 6; ++i) {
-    std::string row = "r";
-    row += std::to_string(i);
-    rows.push_back({row, "1"});
-  }
-  write_shards(dir, "gappy", "Fig. T: missing shard", {"row", "v"}, rows, 3);
-  // Lose one export file (a worker died before flushing): the tool must
-  // refuse the whole group, not silently merge a 2/3 document.
-  ASSERT_TRUE(fs::remove(dir + "/gappy.shard1of3.csv"));
-
-  EXPECT_NE(run_tool(bin + " " + dir + " > " + dir + "/out.log 2> " + dir +
-                     "/err.log"),
-            0);
-  EXPECT_NE(slurp(dir + "/err.log").find("has 2 of 3 shard files"),
-            std::string::npos);
-  EXPECT_FALSE(fs::exists(dir + "/gappy.csv"));
-  fs::remove_all(dir);
-}
-
-TEST(MergeResultsTool, MixedBackendRowsSurviveTheRoundTrip) {
-  const std::string bin = merge_results_binary();
-  if (bin.empty()) GTEST_SKIP() << "merge_results binary not found";
-  const std::string dir = test_dir("merge_mixed");
-
-  // Rows shaped like a mixed analytic/systolic table: hex-float cells,
-  // "-" placeholders for fields one backend lacks, embedded commas in the
-  // quoted title. Byte fidelity through parse -> merge -> re-serialize is
-  // the whole contract.
-  const std::vector<std::vector<std::string>> rows = {
-      {"alexnet", "wave", "0x1.91a2b3c4d5e6fp-3", "-", "123456789"},
-      {"alexnet", "systolic", "0x1.91a2b3c4d5e70p-3", "8192", "123456789"},
-      {"resnet50", "wave", "0x1.0p+0", "-", "987654321"},
-      {"resnet50", "systolic", "0x1.0000000000001p+0", "16384", "987654321"},
-      {"vit_small", "wave", "0x1.8p-2", "-", "55"},
-  };
-  const auto [ref_csv, ref_json] = write_shards(
-      dir, "mixed", "Fig. T: analytic vs cycle, mixed rows",
-      {"network", "backend", "time_s", "stall_cycles", "macs"}, rows, 2);
-
-  ASSERT_EQ(run_tool(bin + " " + dir + " > " + dir + "/out.log 2>&1"), 0)
-      << slurp(dir + "/out.log");
-  EXPECT_EQ(slurp(dir + "/mixed.csv"), ref_csv);
-  EXPECT_EQ(slurp(dir + "/mixed.json"), ref_json);
   fs::remove_all(dir);
 }
 

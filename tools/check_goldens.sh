@@ -16,9 +16,10 @@ set -u
 [ -f CMakeLists.txt ] || { echo "run from the repo root" >&2; exit 2; }
 build="${1:-build}"
 
-# Engine env vars would legitimately change output (sharding gates rows,
-# stats add stderr noise is fine but keep it quiet) — run clean.
-unset MBS_SHARD MBS_CACHE_DIR MBS_ENGINE_STATS MBS_THREADS \
+# Engine env vars would legitimately change output (the systolic knobs
+# change results; stats add stderr noise, fine but keep it quiet) — run
+# clean.
+unset MBS_CACHE_DIR MBS_ENGINE_STATS MBS_THREADS \
       MBS_RESULT_DIR MBS_SYSTOLIC_DATAFLOW MBS_SYSTOLIC_SPAD 2>/dev/null
 
 work="$(mktemp -d)"
