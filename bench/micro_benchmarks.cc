@@ -8,7 +8,9 @@
 // PR 6 adds roofline rows: per-GEMM-kernel GFLOP/s and fraction of the
 // measured single-core FMA peak, swept over thread budgets {1,2,4,8} and
 // both microkernel families (portable/avx2) — the numbers behind
-// BENCH_PR6.json's scaling table.
+// BENCH_PR6.json's scaling table. The non-GEMM rows time ReLU backward,
+// max pooling and BN/GN forward/backward at an MBS sub-batch and the full
+// batch.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -23,6 +25,7 @@
 #include "train/gemm_microkernels.h"
 #include "train/im2col.h"
 #include "train/model.h"
+#include "train/norm.h"
 #include "train/ops.h"
 #include "train/trainer.h"
 #include "util/cpu.h"
@@ -347,9 +350,13 @@ void BM_Conv2dForward(benchmark::State& state) {
   const train::Tensor x = train::Tensor::randn({4, 32, 28, 28}, rng);
   const train::Tensor w = train::Tensor::randn({32, 32, 3, 3}, rng, 0.2);
   const train::Tensor b = train::Tensor::randn({32}, rng, 0.1);
+  train::Tensor y;
   util::set_thread_budget(static_cast<int>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(train::conv2d_forward(x, w, b, 1, 1));
+  for (auto _ : state) {
+    train::conv2d_forward_into(x, w, b, 1, 1, /*cache=*/nullptr, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
   util::set_thread_budget(-1);
 }
 BENCHMARK(BM_Conv2dForward)->Arg(1)->Arg(0);
@@ -359,9 +366,14 @@ void BM_Conv2dBackward(benchmark::State& state) {
   const train::Tensor x = train::Tensor::randn({4, 32, 28, 28}, rng);
   const train::Tensor w = train::Tensor::randn({32, 32, 3, 3}, rng, 0.2);
   const train::Tensor dy = train::Tensor::randn({4, 32, 28, 28}, rng);
+  train::Conv2dGrads g;
   util::set_thread_budget(static_cast<int>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(train::conv2d_backward(x, w, dy, 1, 1));
+  for (auto _ : state) {
+    train::conv2d_backward_into(x, w, dy, 1, 1, /*need_dx=*/true,
+                                /*cache=*/nullptr, g);
+    benchmark::DoNotOptimize(g.dx.data());
+    benchmark::ClobberMemory();
+  }
   util::set_thread_budget(-1);
 }
 BENCHMARK(BM_Conv2dBackward)->Arg(1)->Arg(0);
@@ -404,6 +416,104 @@ void BM_Conv2dBackwardCached(benchmark::State& state) {
   roofline_counters(state, 2 * pass_flops, c.label);
 }
 BENCHMARK(BM_Conv2dBackwardCached)->Arg(0)->Arg(1)->Arg(2);
+
+// ---- The non-GEMM half of the training step ---------------------------------
+// ReLU, max pooling and BN/GN on SmallCnn's first-stage activation
+// [b, 16, 12, 12] — the largest tensor these kernels see in a fig06 step —
+// at an MBS sub-batch (b8) and the full batch (b32), serial and on two
+// threads. Outputs are step-persistent, as in the models.
+
+void non_gemm_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"batch", "threads"})
+      ->Args({8, 1})->Args({32, 1})->Args({8, 2})->Args({32, 2});
+}
+
+/// Seeded [batch, 16, 12, 12] activation; pins the thread budget.
+train::Tensor stage1_activation(benchmark::State& state, std::uint64_t seed) {
+  util::Rng rng(seed);
+  util::set_thread_budget(static_cast<int>(state.range(1)));
+  return train::Tensor::randn({static_cast<int>(state.range(0)), 16, 12, 12},
+                              rng);
+}
+
+void BM_ReluBackward(benchmark::State& state) {
+  // y is ~half <= 0, so a branch on it would be a coin flip. Re-masking
+  // the same d does the same work every iteration.
+  const train::Tensor y = stage1_activation(state, 11);
+  train::Tensor d = stage1_activation(state, 12);
+  for (auto _ : state) {
+    train::relu_backward_inplace(d, y);
+    benchmark::DoNotOptimize(d.data());
+    benchmark::ClobberMemory();
+  }
+  util::set_thread_budget(-1);
+}
+BENCHMARK(BM_ReluBackward)->Apply(non_gemm_args);
+
+void BM_MaxPoolForward(benchmark::State& state) {
+  const train::Tensor x = stage1_activation(state, 13);
+  train::MaxPoolCache cache;
+  train::Tensor y;
+  for (auto _ : state) {
+    train::maxpool_forward_into(x, 2, 2, cache, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  util::set_thread_budget(-1);
+}
+BENCHMARK(BM_MaxPoolForward)->Apply(non_gemm_args);
+
+void BM_MaxPoolBackward(benchmark::State& state) {
+  const train::Tensor x = stage1_activation(state, 14);
+  train::MaxPoolCache cache;
+  train::Tensor y, dx;
+  train::maxpool_forward_into(x, 2, 2, cache, y);
+  util::Rng rng(15);
+  const train::Tensor dy = train::Tensor::randn(y.shape(), rng);
+  for (auto _ : state) {
+    train::maxpool_backward_into(dy, cache, dx);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+  util::set_thread_budget(-1);
+}
+BENCHMARK(BM_MaxPoolBackward)->Apply(non_gemm_args);
+
+/// One NormLayer forward (and, when `backward`, one backward) per
+/// iteration; backward timing includes the layer's dgamma/dbeta adds.
+void norm_bench(benchmark::State& state, train::NormMode mode, bool backward) {
+  const train::Tensor x = stage1_activation(state, 16);
+  train::Tensor dy = stage1_activation(state, 17);
+  train::NormLayer layer(16, mode, /*groups=*/4);
+  layer.forward(x);
+  for (auto _ : state) {
+    const train::Tensor& out =
+        backward ? layer.backward(dy) : layer.forward(x);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  util::set_thread_budget(-1);
+}
+
+void BM_BatchNormForward(benchmark::State& state) {
+  norm_bench(state, train::NormMode::kBatch, /*backward=*/false);
+}
+BENCHMARK(BM_BatchNormForward)->Apply(non_gemm_args);
+
+void BM_BatchNormBackward(benchmark::State& state) {
+  norm_bench(state, train::NormMode::kBatch, /*backward=*/true);
+}
+BENCHMARK(BM_BatchNormBackward)->Apply(non_gemm_args);
+
+void BM_GroupNormForward(benchmark::State& state) {
+  norm_bench(state, train::NormMode::kGroup, /*backward=*/false);
+}
+BENCHMARK(BM_GroupNormForward)->Apply(non_gemm_args);
+
+void BM_GroupNormBackward(benchmark::State& state) {
+  norm_bench(state, train::NormMode::kGroup, /*backward=*/true);
+}
+BENCHMARK(BM_GroupNormBackward)->Apply(non_gemm_args);
 
 void BM_TrainStep(benchmark::State& state) {
   // One fig06-style GN+MBS optimizer step (batch 32 as four sub-batches).

@@ -2,9 +2,9 @@
 
 #include <cassert>
 #include <cmath>
-#include <vector>
 
 #include "train/im2col.h"
+#include "util/arena.h"
 
 namespace mbs::train {
 
@@ -29,7 +29,8 @@ void softmax_rows(float* m, int s) {
 
 }  // namespace
 
-Tensor attention_forward(const Tensor& x, int heads, AttentionCache& cache) {
+void attention_forward_into(const Tensor& x, int heads, AttentionCache& cache,
+                            Tensor& y) {
   assert(x.ndim() == 4 && x.dim(3) == 1);
   const int n = x.dim(0);
   const int d = x.dim(1) / 3;
@@ -38,7 +39,7 @@ Tensor attention_forward(const Tensor& x, int heads, AttentionCache& cache) {
   const int dh = d / heads;
   const float scale = static_cast<float>(1.0 / std::sqrt(double(dh)));
 
-  Tensor y({n, d, s, 1});
+  y.ensure_shape({n, d, s, 1});
   cache.probs.ensure_shape({n, heads, s, s});
   const std::int64_t ss = static_cast<std::int64_t>(s) * s;
   for (int b = 0; b < n; ++b) {
@@ -59,11 +60,10 @@ Tensor attention_forward(const Tensor& x, int heads, AttentionCache& cache) {
       matmul_bt_f32_into(v, dh, p, s, s, nullptr, ctx);
     }
   }
-  return y;
 }
 
-Tensor attention_backward(const Tensor& dy, const Tensor& x, int heads,
-                          const AttentionCache& cache) {
+void attention_backward_into(const Tensor& dy, const Tensor& x, int heads,
+                             const AttentionCache& cache, Tensor& dx) {
   const int n = x.dim(0);
   const int d = x.dim(1) / 3;
   const int s = x.dim(2);
@@ -72,11 +72,12 @@ Tensor attention_backward(const Tensor& dy, const Tensor& x, int heads,
   const float scale = static_cast<float>(1.0 / std::sqrt(double(dh)));
   const std::int64_t ss = static_cast<std::int64_t>(s) * s;
 
-  Tensor dx({n, 3 * d, s, 1});
+  dx.ensure_shape({n, 3 * d, s, 1});
   // Per-(sample, head) scratch, reused across the loop: the upstream score
   // gradient and one transpose staging buffer for the B^T-only microkernel.
-  std::vector<float> dp(static_cast<std::size_t>(ss));
-  std::vector<float> tr(static_cast<std::size_t>(ss));
+  util::ArenaScope scope;
+  float* dp = scope.floats(ss);
+  float* tr = scope.floats(ss);
   for (int b = 0; b < n; ++b) {
     for (int h = 0; h < heads; ++h) {
       const float* q = x.data() + (static_cast<std::int64_t>(b) * 3 * d +
@@ -95,36 +96,32 @@ Tensor attention_backward(const Tensor& dy, const Tensor& x, int heads,
       // dV[c,j] = sum_i dCtx[c,i] P[i,j] (via P^T staged in tr).
       for (int i = 0; i < s; ++i)
         for (int j = 0; j < s; ++j)
-          tr[static_cast<std::size_t>(j) * s + i] =
+          tr[static_cast<std::int64_t>(j) * s + i] =
               p[static_cast<std::int64_t>(i) * s + j];
-      matmul_bt_f32_into(dctx, dh, tr.data(), s, s, nullptr, dv);
+      matmul_bt_f32_into(dctx, dh, tr, s, s, nullptr, dv);
 
       // dP[i,j] = sum_c dCtx[c,i] V[c,j], then the softmax-row backward
       // dS[i,j] = scale * P[i,j] * (dP[i,j] - sum_k dP[i,k] P[i,k]).
-      matmul_at_into(dctx, s, v, s, dh, dp.data());
+      matmul_at_into(dctx, s, v, s, dh, dp);
       for (int i = 0; i < s; ++i) {
         const std::int64_t r = static_cast<std::int64_t>(i) * s;
         double dot = 0;
         for (int j = 0; j < s; ++j)
-          dot += static_cast<double>(dp[static_cast<std::size_t>(r + j)]) *
-                 p[r + j];
+          dot += static_cast<double>(dp[r + j]) * p[r + j];
         for (int j = 0; j < s; ++j)
-          dp[static_cast<std::size_t>(r + j)] =
-              scale * p[r + j] *
-              (dp[static_cast<std::size_t>(r + j)] - static_cast<float>(dot));
+          dp[r + j] = scale * p[r + j] * (dp[r + j] - static_cast<float>(dot));
       }
 
       // dQ[c,i] = sum_j K[c,j] dS[i,j]; dK[c,j] = sum_i Q[c,i] dS[i,j]
       // (via dS^T staged in tr).
-      matmul_bt_f32_into(k, dh, dp.data(), s, s, nullptr, dq);
+      matmul_bt_f32_into(k, dh, dp, s, s, nullptr, dq);
       for (int i = 0; i < s; ++i)
         for (int j = 0; j < s; ++j)
-          tr[static_cast<std::size_t>(j) * s + i] =
-              dp[static_cast<std::size_t>(i) * s + j];
-      matmul_bt_f32_into(q, dh, tr.data(), s, s, nullptr, dk);
+          tr[static_cast<std::int64_t>(j) * s + i] =
+              dp[static_cast<std::int64_t>(i) * s + j];
+      matmul_bt_f32_into(q, dh, tr, s, s, nullptr, dk);
     }
   }
-  return dx;
 }
 
 }  // namespace mbs::train

@@ -25,7 +25,8 @@
 
 namespace mbs::train {
 
-/// Cache produced by attention_forward, consumed by attention_backward:
+/// Cache produced by attention_forward_into, consumed by
+/// attention_backward_into:
 /// the softmax rows P ("probs", [N, heads, S, S]). This is the score
 /// matrix whose sub-batch-dependent footprint the schedule model charges
 /// for (core::attention_score_bytes_per_sample) — forward stashes it, the
@@ -36,12 +37,15 @@ struct AttentionCache {
 
 /// y = softmax(Q^T.K / sqrt(dh)) applied to V, per sample and head.
 /// x: [N, 3*d, S, 1] (Q, K, V along channels); `heads` must divide d.
-/// Returns [N, d, S, 1] and fills `cache` for the backward pass.
-Tensor attention_forward(const Tensor& x, int heads, AttentionCache& cache);
+/// Writes y [N, d, S, 1] (step-persistent, reshaped in place) and fills
+/// `cache` for the backward pass.
+void attention_forward_into(const Tensor& x, int heads, AttentionCache& cache,
+                            Tensor& y);
 
-/// Gradient of attention_forward w.r.t. x. dy: [N, d, S, 1]; x and cache
-/// are the forward's input and output cache. Returns [N, 3*d, S, 1].
-Tensor attention_backward(const Tensor& dy, const Tensor& x, int heads,
-                          const AttentionCache& cache);
+/// Gradient of attention_forward_into w.r.t. x into dx [N, 3*d, S, 1].
+/// dy: [N, d, S, 1]; x and cache are the forward's input and output cache.
+/// Scratch comes from the workspace arena.
+void attention_backward_into(const Tensor& dy, const Tensor& x, int heads,
+                             const AttentionCache& cache, Tensor& dx);
 
 }  // namespace mbs::train

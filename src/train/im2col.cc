@@ -114,9 +114,10 @@ void gemm_panel_f32(const float* a, std::int64_t ars, std::int64_t acs,
   }
 }
 
-/// Row-block grain sized so a range is worth a pool dispatch.
+/// Row-block grain sized so a range is worth a pool dispatch, and never
+/// below one register tile of rows.
 std::int64_t row_grain(int k) {
-  const std::int64_t g = 32768 / (k < 1 ? 1 : k);
+  const std::int64_t g = util::work_grain(k);
   return g < kMR ? kMR : g;
 }
 
@@ -185,13 +186,6 @@ bool small_gemm_shape(std::int64_t m, std::int64_t n, int k) {
   return k < 128 && m * n <= std::int64_t{32} * 1024;
 }
 
-/// Grain for row loops whose per-row cost is ~n*k.
-std::int64_t small_row_grain(std::int64_t n, int k) {
-  const std::int64_t cost = n * (k < 1 ? 1 : k);
-  const std::int64_t g = 32768 / (cost < 1 ? 1 : cost);
-  return g < 1 ? 1 : g;
-}
-
 /// B in [K,N] row-major: C rows accumulated in p order — the seed's naive
 /// matmul loop nest verbatim, zero skip included (the skip only drops +/-0
 /// addends, and measurably helps codegen even on dense data). A is
@@ -200,8 +194,10 @@ std::int64_t small_row_grain(std::int64_t n, int k) {
 void small_gemm_kn_f32(const float* a, std::int64_t ars, std::int64_t acs,
                        const float* b, std::int64_t m, std::int64_t n, int k,
                        float* c) {
+  // A row costs about n*k multiply-adds.
   util::parallel_for(
-      m, small_row_grain(n, k), [&](std::int64_t i0, std::int64_t i1) {
+      m, util::work_grain(n * (k < 1 ? 1 : k)),
+      [&](std::int64_t i0, std::int64_t i1) {
         for (std::int64_t i = i0; i < i1; ++i) {
           float* __restrict__ crow = c + i * n;
           for (std::int64_t j = 0; j < n; ++j) crow[j] = 0.0f;

@@ -1,6 +1,5 @@
 #include "train/model.h"
 
-#include <cmath>
 #include <utility>
 
 namespace mbs::train {
@@ -16,47 +15,47 @@ SmallCnn::SmallCnn(const SmallCnnConfig& config) : config_(config) {
     stages_.push_back(std::move(s));
     c_in = c_out;
   }
-  const int feat = config.stage_channels.back();
-  fc_w = Tensor::randn({config.classes, feat}, rng, std::sqrt(2.0 / feat));
-  fc_b = Tensor({config.classes});
-  fc_dw = Tensor(fc_w.shape());
-  fc_db = Tensor({config.classes});
+  head_ = ClassifierHead(rng, config.classes, config.stage_channels.back());
 }
 
-Tensor SmallCnn::forward(const Tensor& x) {
-  Tensor cur = x;
-  for (std::size_t si = 0; si < stages_.size(); ++si) {
-    Stage& s = stages_[si];
-    s.x_in = cur;
-    s.conv.forward(cur, s.conv_out);
-    s.norm_out = s.norm.forward(s.conv_out);
-    if (si == 0) first_preact_mean_ = s.norm_out.mean();
-    if (si + 1 == stages_.size()) last_preact_mean_ = s.norm_out.mean();
-    relu_forward_into(s.norm_out, s.relu_out);
-    s.pool = maxpool_forward(s.relu_out, /*kernel=*/2, /*stride=*/2);
-    cur = s.pool.y;
+const Tensor& SmallCnn::forward(const Tensor& x) {
+  in_ = x;
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    Stage& s = stages_[i];
+    s.conv.forward(stage_input(i), s.conv_out);
+    relu_forward_into(s.norm.forward(s.conv_out), s.relu_out);
+    maxpool_forward_into(s.relu_out, /*kernel=*/2, /*stride=*/2, s.pool,
+                         s.pool_out);
   }
-  gap_in_shape_ = cur.shape();
-  gap_out_ = global_avg_pool_forward(cur);
-  return linear_forward(gap_out_, fc_w, fc_b);
+  return head_.forward(stages_.back().pool_out);
 }
 
 void SmallCnn::backward(const Tensor& dlogits) {
-  LinearGrads lg = linear_backward(gap_out_, fc_w, dlogits);
-  fc_dw.axpy(1.0f, lg.dw);
-  fc_db.axpy(1.0f, lg.dbias);
-  Tensor d = global_avg_pool_backward(lg.dx, gap_in_shape_);
-
+  const Tensor* d = &head_.backward(dlogits);
   for (std::size_t i = stages_.size(); i-- > 0;) {
     Stage& s = stages_[i];
-    d = maxpool_backward(d, s.pool, s.relu_out.shape());
-    relu_backward_inplace(d, s.relu_out);
-    d = s.norm.backward(d);
-    s.conv.backward(s.x_in, d, /*need_dx=*/i > 0);
-    // Swap rather than move: the scratch keeps a buffer (the old d) whose
-    // capacity it reuses next step, so the backward stays allocation-free.
-    if (i > 0) std::swap(d, s.conv.g.dx);
+    maxpool_backward_into(*d, s.pool, s.pool_dx);
+    relu_backward_inplace(s.pool_dx, s.relu_out);
+    s.conv.backward(stage_input(i), s.norm.backward(s.pool_dx),
+                    /*need_dx=*/i > 0);
+    d = &s.conv.g.dx;
   }
+}
+
+double SmallCnn::first_preact_mean() const {
+  return preact_mean(stages_.front());
+}
+
+double SmallCnn::last_preact_mean() const {
+  return preact_mean(stages_.back());
+}
+
+std::int64_t SmallCnn::pool_index_bytes() const {
+  std::int64_t bytes = 0;
+  for (const Stage& s : stages_)
+    bytes += static_cast<std::int64_t>(s.pool.argmax.size() *
+                                       sizeof(s.pool.argmax[0]));
+  return bytes;
 }
 
 ParamList SmallCnn::param_list() {
@@ -65,8 +64,7 @@ ParamList SmallCnn::param_list() {
     l.add(s.conv);
     l.add(s.norm);
   }
-  l.add(fc_w, fc_dw);
-  l.add(fc_b, fc_db);
+  l.add(head_);
   return l;
 }
 

@@ -33,9 +33,10 @@ class SmallCnn {
  public:
   explicit SmallCnn(const SmallCnnConfig& config);
 
-  /// Runs the network on x [N, C, H, W]; returns logits [N, classes] and
-  /// retains the per-layer caches needed by backward().
-  Tensor forward(const Tensor& x);
+  /// Runs the network on x [N, C, H, W]; returns logits [N, classes]
+  /// (valid until the next forward) and retains the per-layer caches
+  /// needed by backward().
+  const Tensor& forward(const Tensor& x);
 
   /// Backpropagates d(loss)/d(logits), *accumulating* parameter gradients.
   void backward(const Tensor& dlogits);
@@ -49,9 +50,14 @@ class SmallCnn {
 
   /// Mean of the first/last normalization layer's output (pre-activation)
   /// from the most recent forward pass — the quantity Fig. 6 (right) plots.
-  /// Falls back to the conv output when norm is disabled.
-  double first_preact_mean() const { return first_preact_mean_; }
-  double last_preact_mean() const { return last_preact_mean_; }
+  /// Falls back to the conv output when norm is disabled. Computed on
+  /// demand from the retained output, so forward() pays nothing for it.
+  double first_preact_mean() const;
+  double last_preact_mean() const;
+
+  /// Bytes of max-pool indices the last forward stashed for backward: one
+  /// byte per pooled output element, the paper's 1-byte pool index.
+  std::int64_t pool_index_bytes() const;
 
   const SmallCnnConfig& config() const { return config_; }
 
@@ -59,20 +65,24 @@ class SmallCnn {
   struct Stage {
     ConvLayer conv;
     NormLayer norm;
-    // Forward caches.
-    Tensor x_in, conv_out, norm_out, relu_out;
-    MaxPoolResult pool;
+    // Forward caches; the stage input is the previous stage's pool_out.
+    Tensor conv_out, relu_out, pool_out;
+    MaxPoolCache pool;
+    Tensor pool_dx;  ///< backward scratch
   };
 
   ParamList param_list();
+  const Tensor& stage_input(std::size_t i) const {
+    return i == 0 ? in_ : stages_[i - 1].pool_out;
+  }
+  static double preact_mean(const Stage& s) {
+    return s.norm.output(s.conv_out).mean();
+  }
 
   SmallCnnConfig config_;
   std::vector<Stage> stages_;
-  Tensor fc_w, fc_b, fc_dw, fc_db;
-  Tensor gap_out_;           ///< cache: global-average-pool output
-  std::vector<int> gap_in_shape_;
-  double first_preact_mean_ = 0;
-  double last_preact_mean_ = 0;
+  ClassifierHead head_;
+  Tensor in_;  ///< copy of the last forward's input
 };
 
 }  // namespace mbs::train

@@ -19,7 +19,7 @@
 
 #include <cassert>
 #include <cmath>
-#include <utility>
+#include <vector>
 
 #include "util/parallel.h"
 
@@ -38,19 +38,21 @@ const char* to_string(NormMode m) {
 // walking it with a flat index visits elements in exactly the i-then-j order
 // of the Tensor::at() loops.
 
-Tensor batchnorm_forward(const Tensor& x, const Tensor& gamma,
-                         const Tensor& beta, NormCache& cache, float eps) {
+void batchnorm_forward_into(const Tensor& x, const Tensor& gamma,
+                            const Tensor& beta, NormCache& cache, Tensor& y,
+                            float eps) {
   assert(x.ndim() == 4);
   util::ScopedKernelTimer timer(util::KernelKind::kNorm);
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::int64_t m = static_cast<std::int64_t>(n) * h * w;
-  cache.x = x;
-  cache.mean = Tensor({c});
-  cache.inv_std = Tensor({c});
-  cache.xhat = Tensor(x.shape());
-  Tensor y(x.shape());
+  cache.x_shape = x.shape();
+  cache.mean.ensure_shape({c});
+  cache.inv_std.ensure_shape({c});
+  cache.xhat.ensure_shape(x.shape());
+  y.ensure_shape(x.shape());
   const std::int64_t plane = static_cast<std::int64_t>(h) * w;
-  util::parallel_for(c, 1, [&](std::int64_t c0, std::int64_t c1) {
+  util::parallel_for(c, util::work_grain(m), [&](std::int64_t c0,
+                                                 std::int64_t c1) {
   for (int ch = static_cast<int>(c0); ch < c1; ++ch) {
     double sum = 0, sq = 0;
     for (int b = 0; b < n; ++b) {
@@ -81,21 +83,20 @@ Tensor batchnorm_forward(const Tensor& x, const Tensor& gamma,
     }
   }
   });
-  return y;
 }
 
-NormGrads batchnorm_backward(const Tensor& dy, const Tensor& gamma,
-                             const NormCache& cache) {
+void batchnorm_backward_into(const Tensor& dy, const Tensor& gamma,
+                             const NormCache& cache, NormGrads& g) {
   util::ScopedKernelTimer timer(util::KernelKind::kNorm);
-  const Tensor& x = cache.x;
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::vector<int>& xs = cache.x_shape;
+  const int n = xs[0], c = xs[1], h = xs[2], w = xs[3];
   const double m = static_cast<double>(n) * h * w;
   const std::int64_t plane = static_cast<std::int64_t>(h) * w;
-  NormGrads g;
-  g.dx = Tensor(x.shape());
-  g.dgamma = Tensor({c});
-  g.dbeta = Tensor({c});
-  util::parallel_for(c, 1, [&](std::int64_t c0, std::int64_t c1) {
+  g.dx.ensure_shape(xs);
+  g.dgamma.ensure_shape({c});
+  g.dbeta.ensure_shape({c});
+  util::parallel_for(c, util::work_grain(n * plane), [&](std::int64_t c0,
+                                                         std::int64_t c1) {
   for (int ch = static_cast<int>(c0); ch < c1; ++ch) {
     double sum_dy = 0, sum_dy_xhat = 0;
     for (int b = 0; b < n; ++b) {
@@ -131,26 +132,25 @@ NormGrads batchnorm_backward(const Tensor& dy, const Tensor& gamma,
     }
   }
   });
-  return g;
 }
 
-Tensor groupnorm_forward(const Tensor& x, const Tensor& gamma,
-                         const Tensor& beta, int groups, NormCache& cache,
-                         float eps) {
+void groupnorm_forward_into(const Tensor& x, const Tensor& gamma,
+                            const Tensor& beta, int groups, NormCache& cache,
+                            Tensor& y, float eps) {
   assert(x.ndim() == 4);
   util::ScopedKernelTimer timer(util::KernelKind::kNorm);
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   assert(c % groups == 0);
   const int cpg = c / groups;
   const double m = static_cast<double>(cpg) * h * w;
-  cache.x = x;
-  cache.mean = Tensor({n, groups});
-  cache.inv_std = Tensor({n, groups});
-  cache.xhat = Tensor(x.shape());
-  Tensor y(x.shape());
+  cache.x_shape = x.shape();
+  cache.mean.ensure_shape({n, groups});
+  cache.inv_std.ensure_shape({n, groups});
+  cache.xhat.ensure_shape(x.shape());
+  y.ensure_shape(x.shape());
   const std::int64_t plane = static_cast<std::int64_t>(h) * w;
   util::parallel_for(
-      static_cast<std::int64_t>(n) * groups, 1,
+      static_cast<std::int64_t>(n) * groups, util::work_grain(cpg * plane),
       [&](std::int64_t u0, std::int64_t u1) {
   for (std::int64_t unit = u0; unit < u1; ++unit) {
     const int b = static_cast<int>(unit / groups);
@@ -190,24 +190,25 @@ Tensor groupnorm_forward(const Tensor& x, const Tensor& gamma,
     }
   }
       });
-  return y;
 }
 
-NormGrads groupnorm_backward(const Tensor& dy, const Tensor& gamma,
-                             int groups, const NormCache& cache) {
+void groupnorm_backward_into(const Tensor& dy, const Tensor& gamma,
+                             int groups, const NormCache& cache,
+                             NormGrads& g) {
   util::ScopedKernelTimer timer(util::KernelKind::kNorm);
-  const Tensor& x = cache.x;
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::vector<int>& xs = cache.x_shape;
+  const int n = xs[0], c = xs[1], h = xs[2], w = xs[3];
   const int cpg = c / groups;
   const double m = static_cast<double>(cpg) * h * w;
   const std::int64_t plane = static_cast<std::int64_t>(h) * w;
-  NormGrads g;
-  g.dx = Tensor(x.shape());
-  g.dgamma = Tensor({c});
-  g.dbeta = Tensor({c});
-  // dgamma/dbeta accumulate across samples, so the fan-out unit is the
-  // group (channels partition by group); samples stay in-order inside.
-  util::parallel_for(groups, 1, [&](std::int64_t g0, std::int64_t g1) {
+  g.dx.ensure_shape(xs);
+  // dgamma/dbeta accumulate across samples from zero.
+  g.dgamma.ensure_zeroed({c});
+  g.dbeta.ensure_zeroed({c});
+  // That accumulation makes the fan-out unit the group (channels
+  // partition by group); samples stay in-order inside.
+  util::parallel_for(groups, util::work_grain(n * cpg * plane),
+                     [&](std::int64_t g0, std::int64_t g1) {
   for (int gr = static_cast<int>(g0); gr < g1; ++gr)
     for (int b = 0; b < n; ++b) {
       // Sums over the normalization group, with dy scaled by gamma (the
@@ -252,7 +253,6 @@ NormGrads groupnorm_backward(const Tensor& dy, const Tensor& gamma,
       }
     }
   });
-  return g;
 }
 
 NormLayer::NormLayer(int channels, NormMode mode, int groups)
@@ -265,24 +265,28 @@ NormLayer::NormLayer(int channels, NormMode mode, int groups)
   dbeta = Tensor({channels});
 }
 
-Tensor NormLayer::forward(const Tensor& x) {
+const Tensor& NormLayer::forward(const Tensor& x) {
   switch (mode) {
     case NormMode::kNone: return x;
-    case NormMode::kBatch: return batchnorm_forward(x, gamma, beta, cache);
+    case NormMode::kBatch:
+      batchnorm_forward_into(x, gamma, beta, cache, out);
+      return out;
     case NormMode::kGroup:
-      return groupnorm_forward(x, gamma, beta, groups, cache);
+      groupnorm_forward_into(x, gamma, beta, groups, cache, out);
+      return out;
   }
   return x;
 }
 
-Tensor NormLayer::backward(const Tensor& dy) {
+Tensor& NormLayer::backward(Tensor& dy) {
   if (mode == NormMode::kNone) return dy;
-  NormGrads g = mode == NormMode::kBatch
-                    ? batchnorm_backward(dy, gamma, cache)
-                    : groupnorm_backward(dy, gamma, groups, cache);
+  if (mode == NormMode::kBatch)
+    batchnorm_backward_into(dy, gamma, cache, g);
+  else
+    groupnorm_backward_into(dy, gamma, groups, cache, g);
   dgamma.axpy(1.0f, g.dgamma);
   dbeta.axpy(1.0f, g.dbeta);
-  return std::move(g.dx);
+  return g.dx;
 }
 
 }  // namespace mbs::train

@@ -11,12 +11,12 @@
 // (yh, yw) ascending; see conv2d_backward_into). conv2d_forward_into
 // records its im2col lowering in a per-layer ConvCache that
 // conv2d_backward_into consumes, all scratch is workspace-arena memory,
-// and outputs land in step-persistent caller tensors — a steady-state
-// train step's conv/GEMM path performs zero heap allocations (Debug-
-// asserted via util/alloc_hook.cc). Everything else is data-parallel over
-// disjoint output ranges via util::parallel_for, which never splits a
-// floating-point reduction — so results are bit-identical at any
-// MBS_THREADS setting.
+// and every op's outputs land in step-persistent caller tensors — a
+// steady-state train step performs zero heap allocations inside any
+// kernel (Debug-asserted via util/alloc_hook.cc). Everything else is
+// data-parallel over disjoint output ranges via util::parallel_for, with
+// grains from util::work_grain, and never splits a floating-point
+// reduction — so results are bit-identical at any MBS_THREADS setting.
 #include "train/ops.h"
 
 #include <algorithm>
@@ -37,14 +37,81 @@ int out_dim(int in, int kernel, int stride, int pad) {
   return (in + 2 * pad - kernel) / stride + 1;
 }
 
-}  // namespace
-
-Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& bias,
-                      int stride, int pad) {
-  Tensor y;
-  conv2d_forward_into(x, w, bias, stride, pad, /*cache=*/nullptr, y);
-  return y;
+/// Max of one rows x cols pooling window, scanned row-major from -inf
+/// (the first maximum wins), and its in-window offset r*kernel + s. A
+/// window with nothing above -inf (all -inf or NaN) keeps offset 0.
+/// Branch-free: on activations `v > best` is a coin flip.
+inline void window_max(const float* win, std::int64_t iw, int kernel,
+                       int rows, int cols, float& y, std::uint8_t& idx) {
+  float best = -std::numeric_limits<float>::infinity();
+  int best_off = 0;
+  for (int r = 0; r < rows; ++r)
+    for (int s = 0; s < cols; ++s) {
+      const float v = win[r * iw + s];
+      // All-ones when v wins; the offset blend is spelled as a mask, since
+      // GCC turns a ?: pair on one condition back into a branch.
+      const int win_mask = -static_cast<int>(v > best);
+      best_off = ((r * kernel + s) & win_mask) | (best_off & ~win_mask);
+      best = v > best ? v : best;
+    }
+  y = best;
+  idx = static_cast<std::uint8_t>(best_off);
 }
+
+/// window_max over a row of `ow` full 2x2, stride-2 windows whose top and
+/// bottom input rows start at `top` and `bot`. Each window's two rows are
+/// scanned independently from -inf and merged: the bottom row replaces the
+/// top only when its max is strictly greater — exactly where one row-major
+/// scan would have moved on — so the results are identical. Written as
+/// std::max and mask arithmetic, the loop vectorizes. Kept out of line:
+/// inlined into the plane loop, GCC 12 loses the restrict guarantees and
+/// the loop runs 2-3x slower on inputs past L1.
+[[gnu::noinline]] void maxpool_row_2x2(const float* __restrict__ top,
+                                       const float* __restrict__ bot, int ow,
+                                       float* __restrict__ y,
+                                       std::uint8_t* __restrict__ idx) {
+  const float ninf = -std::numeric_limits<float>::infinity();
+  for (int j = 0; j < ow; ++j) {
+    const float a = top[2 * j], b = top[2 * j + 1];
+    const float c = bot[2 * j], d = bot[2 * j + 1];
+    const float top_first = std::max(ninf, a);
+    const int top_off = b > top_first;
+    const float top_best = std::max(top_first, b);
+    const float bot_first = std::max(ninf, c);
+    const int bot_off = 2 + (d > bot_first);
+    const float bot_best = std::max(bot_first, d);
+    const int take_bot = bot_best > top_best;
+    y[j] = std::max(top_best, bot_best);
+    idx[j] = static_cast<std::uint8_t>(top_off ^
+                                       ((top_off ^ bot_off) & -take_bot));
+  }
+}
+
+/// One (sample, channel) plane of maxpool_forward_into. Every size is a
+/// by-value parameter: the byte stores into `idx` may alias anything, so
+/// sizes read through a lambda capture would be reloaded per window.
+void maxpool_plane(const float* x, int ih, int iw, int kernel, int stride,
+                   int oh, int ow, float* y, std::uint8_t* idx) {
+  for (int yh = 0; yh < oh; ++yh) {
+    // A window hanging past the bottom/right edge (an input smaller than
+    // the kernel) is clipped to the input.
+    const int rows = std::min(kernel, ih - yh * stride);
+    const float* x_row = x + static_cast<std::int64_t>(yh) * stride * iw;
+    if (kernel == 2 && stride == 2 && rows == 2 && 2 * ow <= iw) {
+      maxpool_row_2x2(x_row, x_row + iw, ow, y, idx);  // SmallCnn's pools
+      y += ow;
+      idx += ow;
+      continue;
+    }
+    for (int yw = 0; yw < ow; ++yw, ++y, ++idx) {
+      const int cols = std::min(kernel, iw - yw * stride);
+      window_max(x_row + static_cast<std::int64_t>(yw) * stride, iw, kernel,
+                 rows, cols, *y, *idx);
+    }
+  }
+}
+
+}  // namespace
 
 void conv2d_forward_into(const Tensor& x, const Tensor& w, const Tensor& bias,
                          int stride, int pad, ConvCache* cache, Tensor& y) {
@@ -92,14 +159,6 @@ void conv2d_forward_into(const Tensor& x, const Tensor& w, const Tensor& bias,
                      bias.empty() ? nullptr : bias.data(), c);
   y.ensure_shape({n, co, oh, ow});
   rows_to_nchw_into(c, y);
-}
-
-Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
-                            const Tensor& dy, int stride, int pad,
-                            bool need_dx) {
-  Conv2dGrads g;
-  conv2d_backward_into(x, w, dy, stride, pad, need_dx, /*cache=*/nullptr, g);
-  return g;
 }
 
 void conv2d_backward_into(const Tensor& x, const Tensor& w, const Tensor& dy,
@@ -184,77 +243,77 @@ void ConvLayer::backward(const Tensor& x, const Tensor& dy, bool need_dx) {
   if (!db.empty()) db.axpy(1.0f, g.dbias);
 }
 
-MaxPoolResult maxpool_forward(const Tensor& x, int kernel, int stride) {
+void maxpool_forward_into(const Tensor& x, int kernel, int stride,
+                          MaxPoolCache& cache, Tensor& y) {
+  assert(x.ndim() == 4 && kernel * kernel <= 256);
   util::ScopedKernelTimer timer(util::KernelKind::kPool);
   const int n = x.dim(0), c = x.dim(1), ih = x.dim(2), iw = x.dim(3);
   const int oh = out_dim(ih, kernel, stride, 0);
   const int ow = out_dim(iw, kernel, stride, 0);
-  MaxPoolResult r;
-  r.y = Tensor({n, c, oh, ow});
-  r.argmax.assign(static_cast<std::size_t>(r.y.size()), 0);
+  y.ensure_shape({n, c, oh, ow});
+  cache.argmax.resize(static_cast<std::size_t>(y.size()));
+  cache.x_shape = x.shape();
+  cache.kernel = kernel;
+  cache.stride = stride;
   const std::int64_t per = static_cast<std::int64_t>(oh) * ow;
   const std::int64_t x_hw = static_cast<std::int64_t>(ih) * iw;
   const float* xd = x.data();
-  float* yd = r.y.data();
+  float* yd = y.data();
+  std::uint8_t* idx = cache.argmax.data();
   util::parallel_for(
-      static_cast<std::int64_t>(n) * c, 1,
+      static_cast<std::int64_t>(n) * c, util::work_grain(x_hw),
       [&](std::int64_t p0, std::int64_t p1) {
+        for (std::int64_t plane = p0; plane < p1; ++plane)
+          maxpool_plane(xd + plane * x_hw, ih, iw, kernel, stride, oh, ow,
+                        yd + plane * per, idx + plane * per);
+      });
+}
+
+void maxpool_backward_into(const Tensor& dy, const MaxPoolCache& cache,
+                           Tensor& dx) {
+  util::ScopedKernelTimer timer(util::KernelKind::kPool);
+  dx.ensure_shape(cache.x_shape);
+  const int iw = cache.x_shape[3];
+  const int oh = dy.dim(2), ow = dy.dim(3);
+  const int kernel = cache.kernel, stride = cache.stride;
+  const std::int64_t per = static_cast<std::int64_t>(oh) * ow;
+  const std::int64_t x_hw = static_cast<std::int64_t>(cache.x_shape[2]) * iw;
+  // In-window offset -> input offset from the window's first element.
+  std::int64_t rel[256];
+  for (int off = 0; off < kernel * kernel; ++off)
+    rel[off] = static_cast<std::int64_t>(off / kernel) * iw + off % kernel;
+  const float* dyd = dy.data();
+  const std::uint8_t* idx = cache.argmax.data();
+  float* dxd = dx.data();
+  // Every argmax stays inside its own (sample, channel) plane, so the
+  // scatter partitions cleanly over planes; each plane is zeroed right
+  // before its scatter, which adds in output order as a fresh zero tensor
+  // would.
+  util::parallel_for(
+      static_cast<std::int64_t>(cache.x_shape[0]) * cache.x_shape[1],
+      util::work_grain(x_hw), [&](std::int64_t p0, std::int64_t p1) {
         for (std::int64_t plane = p0; plane < p1; ++plane) {
-          const float* x_plane = xd + plane * x_hw;
-          const std::int64_t x_base = plane * x_hw;
+          float* dx_plane = dxd + plane * x_hw;
+          std::fill(dx_plane, dx_plane + x_hw, 0.0f);
           std::int64_t oi = plane * per;
           for (int yh = 0; yh < oh; ++yh)
-            for (int yw = 0; yw < ow; ++yw, ++oi) {
-              float best = -std::numeric_limits<float>::infinity();
-              std::int64_t best_idx = 0;
-              for (int r2 = 0; r2 < kernel; ++r2) {
-                const int xh = yh * stride + r2;
-                if (xh >= ih) continue;
-                const float* row =
-                    x_plane + static_cast<std::int64_t>(xh) * iw;
-                for (int s2 = 0; s2 < kernel; ++s2) {
-                  const int xw = yw * stride + s2;
-                  if (xw >= iw) continue;
-                  const float v = row[xw];
-                  if (v > best) {
-                    best = v;
-                    best_idx = x_base + static_cast<std::int64_t>(xh) * iw + xw;
-                  }
-                }
-              }
-              yd[oi] = best;
-              r.argmax[static_cast<std::size_t>(oi)] = best_idx;
-            }
+            for (int yw = 0; yw < ow; ++yw, ++oi)
+              dx_plane[static_cast<std::int64_t>(yh) * stride * iw +
+                       static_cast<std::int64_t>(yw) * stride + rel[idx[oi]]] +=
+                  dyd[oi];
         }
       });
-  return r;
 }
 
-Tensor maxpool_backward(const Tensor& dy, const MaxPoolResult& cache,
-                        const std::vector<int>& x_shape) {
-  util::ScopedKernelTimer timer(util::KernelKind::kPool);
-  Tensor dx(x_shape);
-  // argmax targets stay inside their own (sample, channel) plane, so the
-  // scatter-add partitions cleanly over planes.
-  const std::int64_t planes =
-      static_cast<std::int64_t>(dy.dim(0)) * dy.dim(1);
-  const std::int64_t per = dy.size() / (planes < 1 ? 1 : planes);
-  util::parallel_for(planes, 1, [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t i = p0 * per; i < p1 * per; ++i)
-      dx[cache.argmax[static_cast<std::size_t>(i)]] += dy[i];
-  });
-  return dx;
-}
-
-Tensor global_avg_pool_forward(const Tensor& x) {
+void global_avg_pool_forward_into(const Tensor& x, Tensor& y) {
   util::ScopedKernelTimer timer(util::KernelKind::kPool);
   const int n = x.dim(0), c = x.dim(1);
   const int hw = x.dim(2) * x.dim(3);
-  Tensor y({n, c});
+  y.ensure_shape({n, c});
   const float* xd = x.data();
   float* yd = y.data();
   util::parallel_for(
-      static_cast<std::int64_t>(n) * c, 4,
+      static_cast<std::int64_t>(n) * c, util::work_grain(hw),
       [&](std::int64_t p0, std::int64_t p1) {
         for (std::int64_t plane = p0; plane < p1; ++plane) {
           const float* row = xd + plane * hw;
@@ -263,39 +322,27 @@ Tensor global_avg_pool_forward(const Tensor& x) {
           yd[plane] = static_cast<float>(s / hw);
         }
       });
-  return y;
 }
 
-Tensor global_avg_pool_backward(const Tensor& dy,
-                                const std::vector<int>& x_shape) {
+void global_avg_pool_backward_into(const Tensor& dy,
+                                   const std::vector<int>& x_shape,
+                                   Tensor& dx) {
   util::ScopedKernelTimer timer(util::KernelKind::kPool);
-  Tensor dx(x_shape);
+  dx.ensure_shape(x_shape);
   const int c = x_shape[1];
   const std::int64_t hw = static_cast<std::int64_t>(x_shape[2]) * x_shape[3];
   const float inv = 1.0f / static_cast<float>(hw);
+  const float* dyd = dy.data();
   float* dxd = dx.data();
   util::parallel_for(
-      static_cast<std::int64_t>(x_shape[0]) * c, 4,
+      static_cast<std::int64_t>(x_shape[0]) * c, util::work_grain(hw),
       [&](std::int64_t p0, std::int64_t p1) {
         for (std::int64_t plane = p0; plane < p1; ++plane) {
-          const float d = dy[plane] * inv;
+          const float d = dyd[plane] * inv;
           float* row = dxd + plane * hw;
           for (std::int64_t i = 0; i < hw; ++i) row[i] = d;
         }
       });
-  return dx;
-}
-
-Tensor relu_forward(const Tensor& x) {
-  util::ScopedKernelTimer timer(util::KernelKind::kRelu);
-  Tensor y = x;
-  float* yd = y.data();
-  util::parallel_for(y.size(), 1 << 15,
-                     [&](std::int64_t i0, std::int64_t i1) {
-                       for (std::int64_t i = i0; i < i1; ++i)
-                         if (yd[i] < 0) yd[i] = 0;
-                     });
-  return y;
 }
 
 void relu_forward_into(const Tensor& x, Tensor& y) {
@@ -303,19 +350,11 @@ void relu_forward_into(const Tensor& x, Tensor& y) {
   y.ensure_shape(x.shape());
   const float* xd = x.data();
   float* yd = y.data();
-  // One pass writing every element: value-identical to copy-then-clamp.
-  util::parallel_for(x.size(), 1 << 15,
+  util::parallel_for(x.size(), util::work_grain(1),
                      [&](std::int64_t i0, std::int64_t i1) {
                        for (std::int64_t i = i0; i < i1; ++i)
                          yd[i] = xd[i] < 0 ? 0.0f : xd[i];
                      });
-}
-
-Tensor relu_backward(const Tensor& dy, const Tensor& y) {
-  assert(dy.size() == y.size());
-  Tensor dx = dy;
-  relu_backward_inplace(dx, y);
-  return dx;
 }
 
 void relu_backward_inplace(Tensor& d, const Tensor& y) {
@@ -323,21 +362,26 @@ void relu_backward_inplace(Tensor& d, const Tensor& y) {
   util::ScopedKernelTimer timer(util::KernelKind::kRelu);
   const float* yd = y.data();
   float* dxd = d.data();
-  util::parallel_for(d.size(), 1 << 15,
+  // A select, not `if (y <= 0) d = 0`: it stores the same value, but on
+  // post-norm activations that branch is a coin flip, and the select
+  // vectorizes.
+  util::parallel_for(d.size(), util::work_grain(1),
                      [&](std::int64_t i0, std::int64_t i1) {
                        for (std::int64_t i = i0; i < i1; ++i)
-                         if (yd[i] <= 0) dxd[i] = 0;
+                         dxd[i] = yd[i] <= 0 ? 0.0f : dxd[i];
                      });
 }
 
-Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& bias) {
+void linear_forward_into(const Tensor& x, const Tensor& w, const Tensor& bias,
+                         Tensor& y) {
   util::ScopedKernelTimer timer(util::KernelKind::kLinear);
   const int n = x.dim(0);
   const std::int64_t in = x.size() / n;
   const int out = w.dim(0);
   assert(w.dim(1) == in);
-  Tensor y({n, out});
-  util::parallel_for(n, 1, [&](std::int64_t b0, std::int64_t b1) {
+  y.ensure_shape({n, out});
+  util::parallel_for(n, util::work_grain(out * in),
+                     [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t b = b0; b < b1; ++b)
       for (int o = 0; o < out; ++o) {
         double acc = bias.empty() ? 0.0 : bias[o];
@@ -346,22 +390,21 @@ Tensor linear_forward(const Tensor& x, const Tensor& w, const Tensor& bias) {
         y[b * out + o] = static_cast<float>(acc);
       }
   });
-  return y;
 }
 
-LinearGrads linear_backward(const Tensor& x, const Tensor& w,
-                            const Tensor& dy) {
+void linear_backward_into(const Tensor& x, const Tensor& w, const Tensor& dy,
+                          LinearGrads& g) {
   util::ScopedKernelTimer timer(util::KernelKind::kLinear);
   const int n = x.dim(0);
   const std::int64_t in = x.size() / n;
   const int out = w.dim(0);
-  LinearGrads g;
-  g.dx = Tensor(x.shape());
-  g.dw = Tensor({out, static_cast<int>(in)});
-  g.dbias = Tensor({out});
+  g.dx.ensure_zeroed(x.shape());
+  g.dw.ensure_zeroed({out, static_cast<int>(in)});
+  g.dbias.ensure_zeroed({out});
   // dw/dbias reduce over the batch (owned per output unit), dx over the
   // output units (owned per sample); each keeps the original term order.
-  util::parallel_for(out, 4, [&](std::int64_t o0, std::int64_t o1) {
+  util::parallel_for(out, util::work_grain(n * in),
+                     [&](std::int64_t o0, std::int64_t o1) {
     for (std::int64_t o = o0; o < o1; ++o)
       for (int b = 0; b < n; ++b) {
         const float d = dy[static_cast<std::int64_t>(b) * out + o];
@@ -370,7 +413,8 @@ LinearGrads linear_backward(const Tensor& x, const Tensor& w,
           g.dw[o * in + i] += d * x[b * in + i];
       }
   });
-  util::parallel_for(n, 1, [&](std::int64_t b0, std::int64_t b1) {
+  util::parallel_for(n, util::work_grain(out * in),
+                     [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t b = b0; b < b1; ++b)
       for (int o = 0; o < out; ++o) {
         const float d = dy[b * out + o];
@@ -378,7 +422,27 @@ LinearGrads linear_backward(const Tensor& x, const Tensor& w,
           g.dx[b * in + i] += d * w[o * in + i];
       }
   });
-  return g;
+}
+
+ClassifierHead::ClassifierHead(util::Rng& rng, int classes, int features)
+    : w(Tensor::randn({classes, features}, rng, std::sqrt(2.0 / features))),
+      dw(w.shape()),
+      b({classes}),
+      db({classes}) {}
+
+const Tensor& ClassifierHead::forward(const Tensor& x) {
+  x_shape = x.shape();
+  global_avg_pool_forward_into(x, pooled);
+  linear_forward_into(pooled, w, b, logits);
+  return logits;
+}
+
+Tensor& ClassifierHead::backward(const Tensor& dlogits) {
+  linear_backward_into(pooled, w, dlogits, g);
+  dw.axpy(1.0f, g.dw);
+  db.axpy(1.0f, g.dbias);
+  global_avg_pool_backward_into(g.dx, x_shape, dx);
+  return dx;
 }
 
 }  // namespace mbs::train

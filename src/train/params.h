@@ -28,6 +28,11 @@ struct ParamList {
     add(c.w, c.dw);
     if (!c.b.empty()) add(c.b, c.db);
   }
+  /// w, then b.
+  void add(ClassifierHead& h) {
+    add(h.w, h.dw);
+    add(h.b, h.db);
+  }
   /// gamma, beta; nothing for a kNone layer, which owns no parameters.
   void add(NormLayer& n) {
     if (n.gamma.empty()) return;
@@ -35,10 +40,15 @@ struct ParamList {
     add(n.beta, n.dbeta);
   }
 
-  /// Zeroes every gradient in one pool dispatch (the tensors are
-  /// disjoint, so the partition is bit-irrelevant).
+  /// Zeroes every gradient in at most one pool dispatch, sized by the
+  /// mean tensor size (the tensors are disjoint, so the partition is
+  /// bit-irrelevant).
   void zero_grads() const {
-    util::parallel_for(static_cast<std::int64_t>(grads.size()), 1,
+    const auto count = static_cast<std::int64_t>(grads.size());
+    std::int64_t elems = 0;
+    for (const Tensor* g : grads) elems += g->size();
+    const std::int64_t mean_elems = elems / (count < 1 ? 1 : count);
+    util::parallel_for(count, util::work_grain(mean_elems),
                        [&](std::int64_t i0, std::int64_t i1) {
                          for (std::int64_t i = i0; i < i1; ++i)
                            grads[static_cast<std::size_t>(i)]->zero();

@@ -36,8 +36,9 @@ class SmallResNet {
  public:
   explicit SmallResNet(const SmallResNetConfig& config);
 
-  /// Forward to logits [N, classes]; retains caches for backward().
-  Tensor forward(const Tensor& x);
+  /// Forward to logits [N, classes] (valid until the next forward);
+  /// retains caches for backward().
+  const Tensor& forward(const Tensor& x);
 
   /// Accumulates parameter gradients (zero_grad() resets).
   void backward(const Tensor& dlogits);
@@ -52,21 +53,22 @@ class SmallResNet {
   struct ResBlock {
     ConvLayer conv1, conv2, proj;  ///< proj.w empty for identity shortcut
     NormLayer norm1, norm2, norm_proj;
-    // Forward caches.
-    Tensor x_in, c1_out, n1_out, r1_out, c2_out, n2_out, proj_out,
-        shortcut_out, add_out, relu_out;
+    // Forward caches; the block input is the previous block's relu_out.
+    Tensor c1_out, r1_out, c2_out, proj_out, add_out, relu_out;
   };
 
   ParamList param_list();
+  /// Input of block i; i == blocks_.size() gives the last block's output.
+  const Tensor& block_input(std::size_t i) const {
+    return i == 0 ? stem_relu_out_ : blocks_[i - 1].relu_out;
+  }
 
   SmallResNetConfig config_;
   ConvLayer stem_;
   NormLayer stem_norm_;
-  Tensor stem_in_, stem_conv_out_, stem_norm_out_, stem_relu_out_;
+  Tensor stem_in_, stem_conv_out_, stem_relu_out_;
   std::vector<ResBlock> blocks_;
-  Tensor fc_w, fc_b, fc_dw, fc_db;
-  Tensor gap_out_;
-  std::vector<int> gap_in_shape_;
+  ClassifierHead head_;
 };
 
 }  // namespace mbs::train

@@ -18,7 +18,7 @@ EvalMetrics evaluate(SmallCnn& model, const Dataset& data, int batch) {
     const Tensor xc = data.images.slice_batch(off, c);
     const std::vector<int> yc(data.labels.begin() + off,
                               data.labels.begin() + off + c);
-    const Tensor logits = model.forward(xc);
+    const Tensor& logits = model.forward(xc);
     const LossResult lr = softmax_cross_entropy(logits, yc);
     e.loss += lr.loss_sum;
     correct += lr.correct;
@@ -68,8 +68,8 @@ std::vector<EpochLog> train_model(SmallCnn& model, const Dataset& train_set,
       x.ensure_shape({config.batch, train_set.images.dim(1),
                       train_set.images.dim(2), train_set.images.dim(3)});
       const std::int64_t per = train_set.images.size() / n;
-      util::parallel_for(config.batch, 4, [&](std::int64_t i0,
-                                              std::int64_t i1) {
+      util::parallel_for(config.batch, util::work_grain(per),
+                         [&](std::int64_t i0, std::int64_t i1) {
         for (std::int64_t i = i0; i < i1; ++i) {
           const int src = order[static_cast<std::size_t>(off + i)];
           std::memcpy(x.data() + i * per,

@@ -40,7 +40,7 @@ StepMetrics compute_gradients(Model& model, const Tensor& x,
     const Tensor xc = x.slice_batch(offset, c);
     const std::vector<int> yc(labels.begin() + offset,
                               labels.begin() + offset + c);
-    const Tensor logits = model.forward(xc);
+    const Tensor& logits = model.forward(xc);
     LossResult lr = softmax_cross_entropy(logits, yc);
     lr.dlogits.scale(1.0f / static_cast<float>(n));
     model.backward(lr.dlogits);

@@ -1,7 +1,6 @@
 #include "train/transformer_model.h"
 
 #include <cassert>
-#include <cmath>
 #include <utility>
 
 namespace mbs::train {
@@ -29,65 +28,54 @@ TinyTransformer::TinyTransformer(const TinyTransformerConfig& config)
     b.fc2 = token_proj(d, m);
     blocks_.push_back(std::move(b));
   }
-  fc_w = Tensor::randn({config.classes, d}, rng, std::sqrt(2.0 / d));
-  fc_b = Tensor({config.classes});
-  fc_dw = Tensor(fc_w.shape());
-  fc_db = Tensor({config.classes});
+  head_ = ClassifierHead(rng, config.classes, d);
 }
 
-Tensor TinyTransformer::forward(const Tensor& x) {
+const Tensor& TinyTransformer::forward(const Tensor& x) {
   assert(x.ndim() == 4 && x.dim(1) == config_.in_channels &&
          x.dim(2) == config_.seq && x.dim(3) == 1);
   embed_in_ = x;
   embed_.forward(x, embed_out_);
 
-  const Tensor* cur = &embed_out_;
-  for (Block& b : blocks_) {
-    b.n1_out = b.norm1.forward(*cur);
-    b.qkv.forward(b.n1_out, b.qkv_out);
-    b.attn_out = attention_forward(b.qkv_out, config_.heads, b.attn);
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    Block& b = blocks_[i];
+    const Tensor& in = block_input(i);
+    b.qkv.forward(b.norm1.forward(in), b.qkv_out);
+    attention_forward_into(b.qkv_out, config_.heads, b.attn, b.attn_out);
     b.proj.forward(b.attn_out, b.add1);
-    b.add1.axpy(1.0f, *cur);
+    b.add1.axpy(1.0f, in);
 
-    b.n2_out = b.norm2.forward(b.add1);
-    b.fc1.forward(b.n2_out, b.f1_out);
+    b.fc1.forward(b.norm2.forward(b.add1), b.f1_out);
     relu_forward_into(b.f1_out, b.relu_out);
     b.fc2.forward(b.relu_out, b.out);
     b.out.axpy(1.0f, b.add1);
-    cur = &b.out;
   }
-
-  gap_in_shape_ = cur->shape();
-  gap_out_ = global_avg_pool_forward(*cur);
-  return linear_forward(gap_out_, fc_w, fc_b);
+  return head_.forward(block_input(blocks_.size()));
 }
 
 void TinyTransformer::backward(const Tensor& dlogits) {
-  LinearGrads lg = linear_backward(gap_out_, fc_w, dlogits);
-  fc_dw.axpy(1.0f, lg.dw);
-  fc_db.axpy(1.0f, lg.dbias);
-  Tensor d = global_avg_pool_backward(lg.dx, gap_in_shape_);
-
+  const Tensor* d = &head_.backward(dlogits);
   for (std::size_t i = blocks_.size(); i-- > 0;) {
     Block& b = blocks_[i];
     // MLP residual: the incoming gradient feeds both the branch and the
     // skip path (which continues as the gradient at add1).
-    b.fc2.backward(b.relu_out, d, /*need_dx=*/true);
+    b.fc2.backward(b.relu_out, *d, /*need_dx=*/true);
     relu_backward_inplace(b.fc2.g.dx, b.relu_out);
-    b.fc1.backward(b.n2_out, b.fc2.g.dx, /*need_dx=*/true);
-    Tensor d_add1 = b.norm2.backward(b.fc1.g.dx);
-    d_add1.axpy(1.0f, d);
+    b.fc1.backward(b.norm2.output(b.add1), b.fc2.g.dx, /*need_dx=*/true);
+    Tensor& d_add1 = b.norm2.backward(b.fc1.g.dx);
+    d_add1.axpy(1.0f, *d);
 
     // Attention residual, mirrored: proj -> attention -> qkv -> norm.
     b.proj.backward(b.attn_out, d_add1, /*need_dx=*/true);
-    const Tensor d_qkv =
-        attention_backward(b.proj.g.dx, b.qkv_out, config_.heads, b.attn);
-    b.qkv.backward(b.n1_out, d_qkv, /*need_dx=*/true);
-    d = b.norm1.backward(b.qkv.g.dx);
-    d.axpy(1.0f, d_add1);
+    attention_backward_into(b.proj.g.dx, b.qkv_out, config_.heads, b.attn,
+                            b.d_qkv);
+    b.qkv.backward(b.norm1.output(block_input(i)), b.d_qkv, /*need_dx=*/true);
+    Tensor& d_in = b.norm1.backward(b.qkv.g.dx);
+    d_in.axpy(1.0f, d_add1);
+    d = &d_in;
   }
 
-  embed_.backward(embed_in_, d, /*need_dx=*/false);
+  embed_.backward(embed_in_, *d, /*need_dx=*/false);
 }
 
 ParamList TinyTransformer::param_list() {
@@ -101,8 +89,7 @@ ParamList TinyTransformer::param_list() {
     l.add(b.fc1);
     l.add(b.fc2);
   }
-  l.add(fc_w, fc_dw);
-  l.add(fc_b, fc_db);
+  l.add(head_);
   return l;
 }
 

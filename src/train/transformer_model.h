@@ -50,9 +50,10 @@ class TinyTransformer {
  public:
   explicit TinyTransformer(const TinyTransformerConfig& config);
 
-  /// Forward on x [N, in_channels, S, 1]; returns logits [N, classes] and
-  /// retains per-layer caches for backward().
-  Tensor forward(const Tensor& x);
+  /// Forward on x [N, in_channels, S, 1]; returns logits [N, classes]
+  /// (valid until the next forward) and retains per-layer caches for
+  /// backward().
+  const Tensor& forward(const Tensor& x);
 
   /// Backpropagates d(loss)/d(logits), accumulating parameter gradients.
   void backward(const Tensor& dlogits);
@@ -68,19 +69,23 @@ class TinyTransformer {
     NormLayer norm1, norm2;
     ConvLayer qkv, proj, fc1, fc2;  ///< 1x1 token projections
     AttentionCache attn;
-    // Forward caches; `out` is the block output.
-    Tensor n1_out, qkv_out, attn_out, add1, n2_out, f1_out, relu_out, out;
+    // Forward caches; `out` is the block output, and the block input is
+    // the previous block's `out`.
+    Tensor qkv_out, attn_out, add1, f1_out, relu_out, out;
+    Tensor d_qkv;  ///< backward scratch
   };
 
   ParamList param_list();
+  /// Input of block i; i == blocks_.size() gives the last block's output.
+  const Tensor& block_input(std::size_t i) const {
+    return i == 0 ? embed_out_ : blocks_[i - 1].out;
+  }
 
   TinyTransformerConfig config_;
   ConvLayer embed_;
   Tensor embed_in_, embed_out_;
   std::vector<Block> blocks_;
-  Tensor fc_w, fc_b, fc_dw, fc_db;
-  Tensor gap_out_;
-  std::vector<int> gap_in_shape_;
+  ClassifierHead head_;
 };
 
 }  // namespace mbs::train

@@ -3,12 +3,12 @@
 //
 // In Debug builds this file replaces the global operator new/delete family
 // with malloc/free wrappers that bump util::kernel_path_allocs() whenever
-// the allocating thread is inside a conv/GEMM/im2col timer scope
-// (util::in_kernel_path()). Steady-state training steps must not move the
-// counter: scratch comes from util::Arena, outputs live in step-persistent
-// Tensors, and parallel_for dispatches nothing owning. The assertion lives
-// in tests/kernel_test.cc (SteadyStateTrainStepIsAllocationFree) and runs
-// in CI's Debug job.
+// the allocating thread is inside any kernel timer scope (conv, GEMM,
+// im2col, norm, pool, ReLU, linear, SGD; util::in_kernel_path()).
+// Steady-state training steps must not move the counter: scratch comes
+// from util::Arena, outputs live in step-persistent Tensors, and
+// parallel_for dispatches nothing owning. The assertions live in
+// tests/kernel_test.cc (ZeroAllocContract.*) and run in CI's Debug job.
 //
 // Release builds compile only alloc_hook_active() (returning false), so
 // production binaries keep the default allocator untouched. The accessor

@@ -215,14 +215,7 @@ struct KernelCounter {
 KernelCounter g_kernel_counters[static_cast<int>(KernelKind::kCount)];
 thread_local bool t_in_kernel_timer = false;
 thread_local KernelKind t_outermost_kind = KernelKind::kCount;
-thread_local int t_kernel_path_depth = 0;
 std::atomic<std::int64_t> g_kernel_path_allocs{0};
-
-/// The kinds whose scopes form the zero-allocation conv/GEMM path.
-bool counts_toward_kernel_path(KernelKind kind) {
-  return kind == KernelKind::kGemm || kind == KernelKind::kIm2col ||
-         kind == KernelKind::kConvFwd || kind == KernelKind::kConvBwd;
-}
 
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -264,10 +257,7 @@ const char* to_string(KernelKind kind) {
 }
 
 ScopedKernelTimer::ScopedKernelTimer(KernelKind kind)
-    : kind_(kind),
-      outermost_(!t_in_kernel_timer),
-      in_path_(counts_toward_kernel_path(kind)) {
-  if (in_path_) ++t_kernel_path_depth;
+    : kind_(kind), outermost_(!t_in_kernel_timer) {
   if (outermost_) {
     t_in_kernel_timer = true;
     t_outermost_kind = kind;
@@ -276,7 +266,6 @@ ScopedKernelTimer::ScopedKernelTimer(KernelKind kind)
 }
 
 ScopedKernelTimer::~ScopedKernelTimer() {
-  if (in_path_) --t_kernel_path_depth;
   if (!outermost_) return;
   t_in_kernel_timer = false;
   t_outermost_kind = KernelKind::kCount;
@@ -285,7 +274,7 @@ ScopedKernelTimer::~ScopedKernelTimer() {
   c.nanos.fetch_add(now_ns() - start_ns_, std::memory_order_relaxed);
 }
 
-bool in_kernel_path() { return t_kernel_path_depth > 0; }
+bool in_kernel_path() { return t_in_kernel_timer; }
 
 std::int64_t kernel_path_allocs() {
   return g_kernel_path_allocs.load(std::memory_order_relaxed);
@@ -294,7 +283,7 @@ std::int64_t kernel_path_allocs() {
 namespace detail {
 
 void note_alloc_for_kernel_path() {
-  if (t_kernel_path_depth > 0)
+  if (t_in_kernel_timer)
     g_kernel_path_allocs.fetch_add(1, std::memory_order_relaxed);
 }
 

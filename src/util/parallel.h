@@ -91,6 +91,21 @@ class RangeBody {
 /// parallel region. Exceptions from workers are rethrown on the caller.
 void parallel_for(std::int64_t n, std::int64_t grain, RangeBody body);
 
+/// Elements one parallel_for range should touch to be worth a pool
+/// dispatch: below this a kernel runs inline, above it splits.
+inline constexpr std::int64_t kWorkGrainElems = 32768;
+
+/// The grain, in units, for a loop whose unit touches about
+/// `per_unit_elems` elements: kWorkGrainElems / per_unit_elems, at least
+/// 1. Every training kernel sizes its parallel_for this way, so MBS
+/// sub-batches of a few samples run inline instead of paying fork/join
+/// per tiny range. The partition never changes results (see above).
+inline std::int64_t work_grain(std::int64_t per_unit_elems) {
+  const std::int64_t g =
+      kWorkGrainElems / (per_unit_elems < 1 ? 1 : per_unit_elems);
+  return g < 1 ? 1 : g;
+}
+
 // ---------------------------------------------------------------------------
 // Kernel-time accounting (MBS_ENGINE_STATS=1 breakdown via engine::Driver).
 // ---------------------------------------------------------------------------
@@ -98,12 +113,12 @@ void parallel_for(std::int64_t n, std::int64_t grain, RangeBody body);
 enum class KernelKind {
   kGemm = 0,   // matmul_bt_f32_into / matmul_at_into (outside a conv)
   kIm2col,     // im2col_into / dgrad_cols_into lowering (outside a conv)
-  kConvFwd,    // conv2d_forward
-  kConvBwd,    // conv2d_backward
+  kConvFwd,    // conv2d_forward_into
+  kConvBwd,    // conv2d_backward_into
   kPool,       // max / global-average pooling, forward and backward
   kNorm,       // batch/group normalization, forward and backward
-  kLinear,     // linear_forward / linear_backward
-  kRelu,       // relu_forward / relu_backward
+  kLinear,     // linear_forward_into / linear_backward_into
+  kRelu,       // relu_forward_into / relu_backward_inplace
   kSgd,        // Sgd::step
   kCount
 };
@@ -131,9 +146,9 @@ void note_kernel_flops(std::int64_t flops);
 const char* to_string(KernelKind kind);
 
 /// RAII timer the kernel entry points wrap themselves in. Thread-safe;
-/// nested timers on the same thread are no-ops for time accounting, but
-/// every conv/GEMM/im2col-kind timer keeps the thread inside the "kernel
-/// path" for the allocation hook below.
+/// nested timers on the same thread are no-ops for time accounting. Every
+/// timer, of any kind, keeps the thread inside the "kernel path" for the
+/// allocation hook below.
 class ScopedKernelTimer {
  public:
   explicit ScopedKernelTimer(KernelKind kind);
@@ -144,18 +159,17 @@ class ScopedKernelTimer {
  private:
   KernelKind kind_;
   bool outermost_;
-  bool in_path_;  ///< this timer contributes to the kernel-path depth
   std::int64_t start_ns_ = 0;
 };
 
 // ---------------------------------------------------------------------------
-// Zero-allocation contract of the conv/GEMM hot path (Debug witness).
+// Zero-allocation contract of the training step (Debug witness).
 // ---------------------------------------------------------------------------
 
-/// True while the calling thread is inside a conv2d_forward/backward, GEMM
-/// or im2col timer scope — the paths whose steady-state training
-/// steps must not touch the heap (scratch comes from util::Arena, outputs
-/// from step-persistent Tensors).
+/// True while the calling thread is inside any kernel timer scope: conv,
+/// GEMM, im2col, norm, pool, ReLU, linear or SGD — the whole training
+/// step, whose steady state must not touch the heap (scratch comes from
+/// util::Arena, outputs from step-persistent Tensors).
 bool in_kernel_path();
 
 /// Allocations observed while in_kernel_path() was true, counted by the

@@ -7,7 +7,13 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
 
+#include "core/block.h"
+#include "core/layer.h"
+#include "core/network.h"
+#include "sched/scheduler.h"
+#include "sched/traffic.h"
 #include "train/attention.h"
 #include "train/data.h"
 #include "train/loss.h"
@@ -51,15 +57,108 @@ void check_input_gradient(
   }
 }
 
+// ---- Value-returning adapters over the step-persistent _into ops -----------
+
+Tensor conv_fwd(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
+                int pad) {
+  Tensor y;
+  conv2d_forward_into(x, w, b, stride, pad, /*cache=*/nullptr, y);
+  return y;
+}
+
+Conv2dGrads conv_bwd(const Tensor& x, const Tensor& w, const Tensor& dy,
+                     int stride, int pad) {
+  Conv2dGrads g;
+  conv2d_backward_into(x, w, dy, stride, pad, /*need_dx=*/true,
+                       /*cache=*/nullptr, g);
+  return g;
+}
+
+Tensor linear_fwd(const Tensor& x, const Tensor& w, const Tensor& b) {
+  Tensor y;
+  linear_forward_into(x, w, b, y);
+  return y;
+}
+
+LinearGrads linear_bwd(const Tensor& x, const Tensor& w, const Tensor& dy) {
+  LinearGrads g;
+  linear_backward_into(x, w, dy, g);
+  return g;
+}
+
+Tensor bn_fwd(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+              NormCache& c) {
+  Tensor y;
+  batchnorm_forward_into(x, gamma, beta, c, y);
+  return y;
+}
+
+NormGrads bn_bwd(const Tensor& dy, const Tensor& gamma, const NormCache& c) {
+  NormGrads g;
+  batchnorm_backward_into(dy, gamma, c, g);
+  return g;
+}
+
+Tensor gn_fwd(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+              int groups, NormCache& c) {
+  Tensor y;
+  groupnorm_forward_into(x, gamma, beta, groups, c, y);
+  return y;
+}
+
+NormGrads gn_bwd(const Tensor& dy, const Tensor& gamma, int groups,
+                 const NormCache& c) {
+  NormGrads g;
+  groupnorm_backward_into(dy, gamma, groups, c, g);
+  return g;
+}
+
+Tensor maxpool_fwd(const Tensor& x, MaxPoolCache& c) {
+  Tensor y;
+  maxpool_forward_into(x, /*kernel=*/2, /*stride=*/2, c, y);
+  return y;
+}
+
+Tensor maxpool_bwd(const Tensor& dy, const MaxPoolCache& c) {
+  Tensor dx;
+  maxpool_backward_into(dy, c, dx);
+  return dx;
+}
+
+Tensor gap_fwd(const Tensor& x) {
+  Tensor y;
+  global_avg_pool_forward_into(x, y);
+  return y;
+}
+
+Tensor gap_bwd(const Tensor& dy, const std::vector<int>& x_shape) {
+  Tensor dx;
+  global_avg_pool_backward_into(dy, x_shape, dx);
+  return dx;
+}
+
+Tensor attn_fwd(const Tensor& x, int heads, AttentionCache& c) {
+  Tensor y;
+  attention_forward_into(x, heads, c, y);
+  return y;
+}
+
+Tensor attn_bwd(const Tensor& dy, const Tensor& x, int heads,
+                const AttentionCache& c) {
+  Tensor dx;
+  attention_backward_into(dy, x, heads, c, dx);
+  return dx;
+}
+
 TEST(GradCheck, Conv2dInput) {
   util::Rng rng(3);
   Tensor x = Tensor::randn({2, 2, 5, 5}, rng);
   const Tensor w = Tensor::randn({3, 2, 3, 3}, rng, 0.5);
   const Tensor b = Tensor::randn({3}, rng, 0.1);
   check_input_gradient(
-      [&](const Tensor& xx) { return conv2d_forward(xx, w, b, 1, 1); },
+      [&](const Tensor& xx) { return conv_fwd(xx, w, b, 1, 1); },
       [&](const Tensor& xx, const Tensor& dy) {
-        return conv2d_backward(xx, w, dy, 1, 1).dx;
+        return conv_bwd(xx, w, dy, 1, 1).dx;
       },
       x);
 }
@@ -70,9 +169,9 @@ TEST(GradCheck, Conv2dStridedInput) {
   const Tensor w = Tensor::randn({2, 2, 3, 3}, rng, 0.5);
   const Tensor b = Tensor({2});
   check_input_gradient(
-      [&](const Tensor& xx) { return conv2d_forward(xx, w, b, 2, 1); },
+      [&](const Tensor& xx) { return conv_fwd(xx, w, b, 2, 1); },
       [&](const Tensor& xx, const Tensor& dy) {
-        return conv2d_backward(xx, w, dy, 2, 1).dx;
+        return conv_bwd(xx, w, dy, 2, 1).dx;
       },
       x);
 }
@@ -83,9 +182,9 @@ TEST(GradCheck, Conv2dWeights) {
   Tensor w = Tensor::randn({2, 2, 3, 3}, rng, 0.5);
   const Tensor b = Tensor({2});
   check_input_gradient(
-      [&](const Tensor& ww) { return conv2d_forward(x, ww, b, 1, 1); },
+      [&](const Tensor& ww) { return conv_fwd(x, ww, b, 1, 1); },
       [&](const Tensor& ww, const Tensor& dy) {
-        return conv2d_backward(x, ww, dy, 1, 1).dw;
+        return conv_bwd(x, ww, dy, 1, 1).dw;
       },
       w);
 }
@@ -96,9 +195,9 @@ TEST(GradCheck, Conv2dBias) {
   const Tensor w = Tensor::randn({2, 2, 3, 3}, rng, 0.5);
   Tensor b = Tensor::randn({2}, rng, 0.1);
   check_input_gradient(
-      [&](const Tensor& bb) { return conv2d_forward(x, w, bb, 1, 1); },
+      [&](const Tensor& bb) { return conv_fwd(x, w, bb, 1, 1); },
       [&](const Tensor&, const Tensor& dy) {
-        return conv2d_backward(x, w, dy, 1, 1).dbias;
+        return conv_bwd(x, w, dy, 1, 1).dbias;
       },
       b);
 }
@@ -109,9 +208,9 @@ TEST(GradCheck, Linear) {
   const Tensor w = Tensor::randn({4, 6}, rng, 0.5);
   const Tensor b = Tensor::randn({4}, rng, 0.1);
   check_input_gradient(
-      [&](const Tensor& xx) { return linear_forward(xx, w, b); },
+      [&](const Tensor& xx) { return linear_fwd(xx, w, b); },
       [&](const Tensor& xx, const Tensor& dy) {
-        return linear_backward(xx, w, dy).dx;
+        return linear_bwd(xx, w, dy).dx;
       },
       x);
 }
@@ -122,9 +221,9 @@ TEST(GradCheck, LinearWeights) {
   Tensor w = Tensor::randn({2, 5}, rng, 0.5);
   const Tensor b = Tensor({2});
   check_input_gradient(
-      [&](const Tensor& ww) { return linear_forward(x, ww, b); },
+      [&](const Tensor& ww) { return linear_fwd(x, ww, b); },
       [&](const Tensor& ww, const Tensor& dy) {
-        return linear_backward(x, ww, dy).dw;
+        return linear_bwd(x, ww, dy).dw;
       },
       w);
 }
@@ -137,12 +236,12 @@ TEST(GradCheck, BatchNormInput) {
   check_input_gradient(
       [&](const Tensor& xx) {
         NormCache c;
-        return batchnorm_forward(xx, gamma, beta, c);
+        return bn_fwd(xx, gamma, beta, c);
       },
       [&](const Tensor& xx, const Tensor& dy) {
         NormCache c;
-        batchnorm_forward(xx, gamma, beta, c);
-        return batchnorm_backward(dy, gamma, c).dx;
+        bn_fwd(xx, gamma, beta, c);
+        return bn_bwd(dy, gamma, c).dx;
       },
       x, 1e-3, 3e-2);
 }
@@ -155,12 +254,12 @@ TEST(GradCheck, GroupNormInput) {
   check_input_gradient(
       [&](const Tensor& xx) {
         NormCache c;
-        return groupnorm_forward(xx, gamma, beta, 2, c);
+        return gn_fwd(xx, gamma, beta, 2, c);
       },
       [&](const Tensor& xx, const Tensor& dy) {
         NormCache c;
-        groupnorm_forward(xx, gamma, beta, 2, c);
-        return groupnorm_backward(dy, gamma, 2, c).dx;
+        gn_fwd(xx, gamma, beta, 2, c);
+        return gn_bwd(dy, gamma, 2, c).dx;
       },
       x, 1e-3, 3e-2);
 }
@@ -173,12 +272,12 @@ TEST(GradCheck, GroupNormGamma) {
   check_input_gradient(
       [&](const Tensor& gg) {
         NormCache c;
-        return groupnorm_forward(x, gg, beta, 2, c);
+        return gn_fwd(x, gg, beta, 2, c);
       },
       [&](const Tensor& gg, const Tensor& dy) {
         NormCache c;
-        groupnorm_forward(x, gg, beta, 2, c);
-        return groupnorm_backward(dy, gg, 2, c).dgamma;
+        gn_fwd(x, gg, beta, 2, c);
+        return gn_bwd(dy, gg, 2, c).dgamma;
       },
       gamma, 1e-3, 3e-2);
 }
@@ -191,12 +290,12 @@ TEST(GradCheck, AttentionInput) {
   check_input_gradient(
       [&](const Tensor& xx) {
         AttentionCache c;
-        return attention_forward(xx, /*heads=*/2, c);
+        return attn_fwd(xx, /*heads=*/2, c);
       },
       [&](const Tensor& xx, const Tensor& dy) {
         AttentionCache c;
-        attention_forward(xx, 2, c);
-        return attention_backward(dy, xx, 2, c);
+        attn_fwd(xx, 2, c);
+        return attn_bwd(dy, xx, 2, c);
       },
       x);
 }
@@ -207,12 +306,12 @@ TEST(GradCheck, AttentionSingleHead) {
   check_input_gradient(
       [&](const Tensor& xx) {
         AttentionCache c;
-        return attention_forward(xx, 1, c);
+        return attn_fwd(xx, 1, c);
       },
       [&](const Tensor& xx, const Tensor& dy) {
         AttentionCache c;
-        attention_forward(xx, 1, c);
-        return attention_backward(dy, xx, 1, c);
+        attn_fwd(xx, 1, c);
+        return attn_bwd(dy, xx, 1, c);
       },
       x);
 }
@@ -224,10 +323,14 @@ TEST(GradCheck, MaxPool) {
   for (std::int64_t i = 0; i < x.size(); ++i)
     x[i] = static_cast<float>(i % 7) + 0.01f * static_cast<float>(i);
   check_input_gradient(
-      [&](const Tensor& xx) { return maxpool_forward(xx, 2, 2).y; },
+      [&](const Tensor& xx) {
+        MaxPoolCache c;
+        return maxpool_fwd(xx, c);
+      },
       [&](const Tensor& xx, const Tensor& dy) {
-        const MaxPoolResult r = maxpool_forward(xx, 2, 2);
-        return maxpool_backward(dy, r, xx.shape());
+        MaxPoolCache c;
+        maxpool_fwd(xx, c);
+        return maxpool_bwd(dy, c);
       },
       x);
 }
@@ -236,9 +339,9 @@ TEST(GradCheck, GlobalAvgPool) {
   util::Rng rng(13);
   Tensor x = Tensor::randn({2, 3, 3, 3}, rng);
   check_input_gradient(
-      [&](const Tensor& xx) { return global_avg_pool_forward(xx); },
+      [&](const Tensor& xx) { return gap_fwd(xx); },
       [&](const Tensor& xx, const Tensor& dy) {
-        return global_avg_pool_backward(dy, xx.shape());
+        return gap_bwd(dy, xx.shape());
       },
       x);
 }
@@ -268,12 +371,13 @@ TEST(Ops, ReluClampsAndMasks) {
   x[1] = 0;
   x[2] = 2;
   x[3] = -0.5;
-  const Tensor y = relu_forward(x);
+  Tensor y;
+  relu_forward_into(x, y);
   EXPECT_EQ(y[0], 0);
   EXPECT_EQ(y[2], 2);
-  Tensor dy({4});
-  dy.fill(1.0f);
-  const Tensor dx = relu_backward(dy, y);
+  Tensor dx({4});
+  dx.fill(1.0f);
+  relu_backward_inplace(dx, y);
   // Gradient is exactly 0 or 1 — the property that lets MBS store 1-bit
   // masks (Sec. 3).
   EXPECT_EQ(dx[0], 0);
@@ -285,7 +389,7 @@ TEST(Ops, ConvOutputShape) {
   util::Rng rng(1);
   const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
   const Tensor w = Tensor::randn({5, 3, 3, 3}, rng);
-  const Tensor y = conv2d_forward(x, w, Tensor(), 2, 1);
+  const Tensor y = conv_fwd(x, w, Tensor(), 2, 1);
   EXPECT_EQ(y.shape(), (std::vector<int>{2, 5, 4, 4}));
 }
 
@@ -295,7 +399,7 @@ TEST(Ops, ConvIdentityKernel) {
   for (std::int64_t i = 0; i < 9; ++i) x[i] = static_cast<float>(i);
   Tensor w({1, 1, 1, 1});
   w[0] = 1.0f;
-  const Tensor y = conv2d_forward(x, w, Tensor(), 1, 0);
+  const Tensor y = conv_fwd(x, w, Tensor(), 1, 0);
   for (std::int64_t i = 0; i < 9; ++i) EXPECT_EQ(y[i], x[i]);
 }
 
@@ -305,7 +409,7 @@ TEST(Norm, BatchNormNormalizesPerChannel) {
   const Tensor gamma = Tensor::full({3}, 1.0f);
   const Tensor beta = Tensor({3});
   NormCache c;
-  const Tensor y = batchnorm_forward(x, gamma, beta, c);
+  const Tensor y = bn_fwd(x, gamma, beta, c);
   // Each channel of y has ~zero mean and ~unit variance.
   for (int ch = 0; ch < 3; ++ch) {
     double s = 0, sq = 0;
@@ -332,11 +436,11 @@ TEST(Norm, GroupNormIsPerSample) {
   const Tensor gamma = Tensor::full({4}, 1.0f);
   const Tensor beta = Tensor({4});
   NormCache c_all;
-  const Tensor y_all = groupnorm_forward(x, gamma, beta, 2, c_all);
+  const Tensor y_all = gn_fwd(x, gamma, beta, 2, c_all);
   for (int b = 0; b < 4; ++b) {
     const Tensor xb = x.slice_batch(b, 1);
     NormCache c_one;
-    const Tensor yb = groupnorm_forward(xb, gamma, beta, 2, c_one);
+    const Tensor yb = gn_fwd(xb, gamma, beta, 2, c_one);
     for (std::int64_t i = 0; i < yb.size(); ++i)
       EXPECT_FLOAT_EQ(yb[i], y_all[b * yb.size() + i]);
   }
@@ -348,15 +452,73 @@ TEST(Norm, BatchNormIsNotPerSample) {
   const Tensor gamma = Tensor::full({2}, 1.0f);
   const Tensor beta = Tensor({2});
   NormCache c_all;
-  const Tensor y_all = batchnorm_forward(x, gamma, beta, c_all);
+  const Tensor y_all = bn_fwd(x, gamma, beta, c_all);
   const Tensor xb = x.slice_batch(0, 1);
   NormCache c_one;
-  const Tensor yb = batchnorm_forward(xb, gamma, beta, c_one);
+  const Tensor yb = bn_fwd(xb, gamma, beta, c_one);
   double max_diff = 0;
   for (std::int64_t i = 0; i < yb.size(); ++i)
     max_diff = std::max(max_diff,
                         std::abs(static_cast<double>(yb[i]) - y_all[i]));
   EXPECT_GT(max_diff, 0.05);
+}
+
+// ---- The trainer stashes what the traffic model charges --------------------
+
+TEST(Stash, PoolIndexBytesMatchTheTrafficModel) {
+  // SmallCnn keeps one byte per pooled output element for backward (the
+  // window offset of the max); compute_traffic charges every max pool
+  // DataType::kI8 per output element (Sec. 3). For the same layer shapes
+  // the two must agree per sample.
+  SmallCnnConfig cfg;
+  cfg.stage_channels = {16, 32};
+  cfg.classes = 8;
+  SmallCnn model(cfg);
+  const int n = 8;
+  const Dataset data =
+      make_synthetic_dataset(n, cfg.classes, cfg.in_channels, cfg.image, 3);
+  model.forward(data.images);
+
+  // SmallCnn at shape level: conv3x3 -> norm -> ReLU -> 2x2 max pool per
+  // stage, then global average pooling and the classifier.
+  core::Network net;
+  net.name = "small_cnn";
+  net.input = core::FeatureShape{cfg.in_channels, cfg.image, cfg.image};
+  net.mini_batch_per_core = n;
+  core::FeatureShape in = net.input;
+  for (std::size_t i = 0; i < cfg.stage_channels.size(); ++i) {
+    const std::string name = "stage" + std::to_string(i);
+    std::vector<core::Layer> chain;
+    chain.push_back(core::make_conv(name + ".conv", in,
+                                    cfg.stage_channels[i], 3, 1, 1,
+                                    /*bias=*/true));
+    chain.push_back(core::make_norm(name + ".norm", chain.back().out));
+    chain.push_back(core::make_act(name + ".relu", chain.back().out));
+    chain.push_back(core::make_pool(name + ".pool", chain.back().out, 2, 2,
+                                    0, core::PoolKind::kMax));
+    in = chain.back().out;
+    net.blocks.push_back(core::make_simple_block(name, chain));
+  }
+  net.blocks.push_back(core::make_simple_block(
+      "head", {core::make_global_avg_pool("gap", in),
+               core::make_fc("fc", in.c, cfg.classes)}));
+  net.check();
+
+  // Baseline routes every edge through DRAM, so the only forward stash a
+  // pool layer writes is its index.
+  const sched::Schedule schedule =
+      sched::build_schedule(net, sched::ExecConfig::kBaseline);
+  ASSERT_EQ(schedule.mini_batch, n);
+  const sched::Traffic traffic = sched::compute_traffic(net, schedule);
+  double modelled = 0;
+  for (const sched::TrafficRecord& r : traffic.records)
+    if (r.kind == core::LayerKind::kPool &&
+        r.phase == sched::Phase::kForward &&
+        r.cls == sched::TrafficClass::kStash)
+      modelled += r.dram_write;
+
+  EXPECT_GT(model.pool_index_bytes(), 0);
+  EXPECT_EQ(static_cast<double>(model.pool_index_bytes()) / n, modelled / n);
 }
 
 // ---- The central claim: serialization equivalence ---------------------------
