@@ -5,6 +5,7 @@
 #include "models/zoo.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
+#include "util/units.h"
 
 namespace mbs::sim {
 namespace {
@@ -207,6 +208,98 @@ TEST(Speedups, AlexNetFsSlowerThanBaseline) {
   const Network net = models::make_network("alexnet");
   EXPECT_GT(run(net, ExecConfig::kMbsFs).time_s,
             run(net, ExecConfig::kBaseline).time_s);
+}
+
+// ---- Pinned doubles ---------------------------------------------------------------
+
+TEST(SimulateStep, PinnedResultsAtTenMiB) {
+  // Every StepResult field as a literal double, so any change to the
+  // analytic model's arithmetic or its summation order shows here, not only
+  // in the 2-decimal goldens. HBM2 (bandwidth bound) and unlimited DRAM.
+  struct Pin {
+    const char* network;
+    ExecConfig config;
+    bool unlimited_dram_bw;
+    double v[17];
+  };
+  const Pin pins[] = {
+      {"resnet50", ExecConfig::kMbs2, false,
+       {0x1.3fe11744f9d6dp-4, 0x1.aa07c66p+32, 0x1.a875e3ccp+35,
+        0x1.a4a7ap+39, 0x1.566a6f4afe44dp-1, 0x1.3d71fcc23b274p-4,
+        0x1.6b8bc12c5f929p-6, 0x1.e0e94f2816b62p-5, 0x1.ac33d633e0078p-13,
+        0x1.2f4dea89f6cd7p-7, 0x1.5f4c22bf1b15p-12, 0x1.3a6a628eb4b95p-7,
+        0x1.6df511bc1f687p-3, 0x1.69b1224147462p-3, 0x1.1582470b185d2p+0,
+        0x1.ec8c6eeb4ea41p-8, 0x1.3fe11744f9d6dp-2}},
+      {"resnet50", ExecConfig::kMbs2, true,
+       {0x1.3d71fcc23b274p-4, 0x1.aa07c66p+32, 0x1.a875e3ccp+35,
+        0x1.a4a7ap+39, 0x1.566a6f4afe44dp-1, 0x1.3d71fcc23b274p-4,
+        0x0p+0, 0x1.e0bc11d10189dp-5, 0x1.ac33d633e0078p-13,
+        0x1.2f4dea89f6cd7p-7, 0x1.5f4c22bf1b15p-12, 0x1.27a683d513edcp-7,
+        0x1.6df511bc1f687p-3, 0x1.69b1224147462p-3, 0x1.1582470b185d2p+0,
+        0x1.ec8c6eeb4ea41p-8, 0x1.3d71fcc23b274p-2}},
+      {"resnet50", ExecConfig::kBaseline, false,
+       {0x1.227c741b07365p-3, 0x1.92913438p+34, 0x1.b38ed17cp+35,
+        0x1.a4a7ap+39, 0x1.f58d661aa15e6p-2, 0x1.a23ac57306b7fp-4,
+        0x1.578625bbbbbbdp-4, 0x1.48d4c8a5fcc1ep-4, 0x1.072fc3fa5efb2p-13,
+        0x1.f1b2c28f5c28ap-6, 0x1.10369d0369d03p-10, 0x1.ebcbf258bf256p-6,
+        0x1.59cd76d1ffa2cp-1, 0x1.7325f337a547dp-3, 0x1.1582470b185d2p+0,
+        0x1.ec8c6eeb4ea41p-8, 0x1.227c741b07365p-1}},
+      {"resnet50", ExecConfig::kBaseline, true,
+       {0x1.a23ac57306b7fp-4, 0x1.92913438p+34, 0x1.b38ed17cp+35,
+        0x1.a4a7ap+39, 0x1.f58d661aa15e6p-2, 0x1.a23ac57306b7fp-4,
+        0x0p+0, 0x1.48d4c8a5fcc1ep-4, 0x1.072fc3fa5efb2p-13,
+        0x1.5aa1b770ed184p-7, 0x1.5f4c22bf1b15p-12, 0x1.61770ed180417p-7,
+        0x1.59cd76d1ffa2cp-1, 0x1.7325f337a547dp-3, 0x1.1582470b185d2p+0,
+        0x1.ec8c6eeb4ea41p-8, 0x1.a23ac57306b7fp-2}},
+      {"vit_small", ExecConfig::kMbs2, false,
+       {0x1.02bb20ffbab8ap-4, 0x1.3a8ce8ep+32, 0x1.3d57dc9cp+35,
+        0x1.973a2ap+39, 0x1.5463d9def1068p-1, 0x1.01dffc064a539p-4,
+        0x1.0c6a96eeeeef2p-6, 0x1.d6de91c039018p-5, 0x1.e106d9196772ap-14,
+        0x1.e847480c4372ap-10, 0x1.2ec12652c7481p-16, 0x1.e3f1a6d8347dp-9,
+        0x1.0e325ee6af0fep-3, 0x1.0e6a3bda00473p-3, 0x1.0ca68f803de6fp+0,
+        0x1.0665037d5b2cbp-9, 0x1.02bb20ffbab8ap-2}},
+      {"vit_small", ExecConfig::kMbs2, true,
+       {0x1.01dffc064a539p-4, 0x1.3a8ce8ep+32, 0x1.3d57dc9cp+35,
+        0x1.973a2ap+39, 0x1.5463d9def1068p-1, 0x1.01dffc064a539p-4,
+        0x0p+0, 0x1.d6de91c039018p-5, 0x1.e106d9196772ap-14,
+        0x1.e847480c4372ap-10, 0x1.2ec12652c7481p-16, 0x1.c88d07aa27db7p-9,
+        0x1.0e325ee6af0fep-3, 0x1.0e6a3bda00473p-3, 0x1.0ca68f803de6fp+0,
+        0x1.0665037d5b2cbp-9, 0x1.01dffc064a539p-2}},
+      {"vit_small", ExecConfig::kBaseline, false,
+       {0x1.7d84ef93057dp-4, 0x1.b71fb77p+33, 0x1.3c91ed5cp+35,
+        0x1.973a2ap+39, 0x1.f35ad0fdcb682p-2, 0x1.58cb27cd6543cp-4,
+        0x1.76b8140000002p-5, 0x1.41218e48491c2p-4, 0x1.d6b882d048265p-16,
+        0x1.00cae147ae149p-8, 0x1.f851eb851eb85p-15, 0x1.5fd1eb851eb85p-7,
+        0x1.79345d7fb7f12p-2, 0x1.0dc191ca17cf6p-3, 0x1.0ca68f803de6fp+0,
+        0x1.0665037d5b2cbp-9, 0x1.7d84ef93057dp-2}},
+      {"vit_small", ExecConfig::kBaseline, true,
+       {0x1.58cb27cd6543cp-4, 0x1.b71fb77p+33, 0x1.3c91ed5cp+35,
+        0x1.973a2ap+39, 0x1.f35ad0fdcb682p-2, 0x1.58cb27cd6543cp-4,
+        0x0p+0, 0x1.41218e48491c2p-4, 0x1.d6b882d048265p-16,
+        0x1.eaa0310dcbe1p-10, 0x1.2ec12652c7481p-16, 0x1.f9d824ca58e92p-9,
+        0x1.79345d7fb7f12p-2, 0x1.0dc191ca17cf6p-3, 0x1.0ca68f803de6fp+0,
+        0x1.0665037d5b2cbp-9, 0x1.58cb27cd6543cp-2}},
+  };
+  for (const Pin& pin : pins) {
+    const Network net = models::make_network(pin.network);
+    sched::ScheduleParams sp;
+    sp.buffer_bytes = 10 * util::kMiB;
+    WaveCoreConfig hw;
+    hw.unlimited_dram_bw = pin.unlimited_dram_bw;
+    const StepResult r =
+        simulate(net, sched::build_schedule(net, pin.config, sp), hw);
+    const double got[17] = {
+        r.time_s, r.dram_bytes, r.buffer_bytes, r.total_macs,
+        r.systolic_utilization, r.compute_time_s, r.memory_time_s,
+        r.time_by_type.conv, r.time_by_type.fc, r.time_by_type.norm,
+        r.time_by_type.pool, r.time_by_type.sum, r.energy.dram_j,
+        r.energy.buffer_j, r.energy.mac_j, r.energy.vector_j,
+        r.energy.static_j};
+    for (int i = 0; i < 17; ++i)
+      EXPECT_EQ(got[i], pin.v[i])
+          << pin.network << " " << sched::to_string(pin.config)
+          << (pin.unlimited_dram_bw ? " nobw" : " HBM2") << " field " << i;
+  }
 }
 
 }  // namespace

@@ -518,20 +518,35 @@ std::int64_t step_folds(const core::Network& net,
 }
 
 TEST(SystolicStep, PinnedCycleCountsAtMbs2TenMiB) {
-  // Literal cycle and fold counts of the cycle backend, so any change to
-  // its accounting (however it is computed) must reproduce them exactly.
+  // Literal cycle and fold counts of the cycle backend, and its doubles
+  // bit for bit, so any change to its accounting (however it is computed)
+  // must reproduce them exactly.
   struct Pin {
     const char* network;
     Dataflow df;
     std::int64_t comp_cycles, stall_cycles, folds;
+    /// time_s, util, mapping_eff, bw_ifmap, bw_filter, bw_ofmap.
+    double v[6];
   };
   const Pin pins[] = {
-      {"resnet50", Dataflow::kOutputStationary, 60161349, 9386908, 56616},
-      {"resnet50", Dataflow::kWeightStationary, 60807941, 9386908, 38624},
-      {"resnet50", Dataflow::kInputStationary, 101572981, 5281052, 157856},
-      {"vit_small", Dataflow::kOutputStationary, 49898489, 6299717, 73138},
-      {"vit_small", Dataflow::kWeightStationary, 52700199, 6236025, 57655},
-      {"vit_small", Dataflow::kInputStationary, 62967913, 5615684, 88990},
+      {"resnet50", Dataflow::kOutputStationary, 60161349, 9386908, 56616,
+       {0x1.96f4e78ba1399p-4, 0x1.95e680145ce34p-2, 0x1.b360704858d7ap-1,
+        0x1.28fa56404412fp+36, 0x1.1858275ad249ap+36, 0x1.d9339f666537fp+33}},
+      {"resnet50", Dataflow::kWeightStationary, 60807941, 9386908, 38624,
+       {0x1.9abd7a24a1d73p-4, 0x1.92295721d35f4p-2, 0x1.bc0d33f6aaf31p-1,
+        0x1.263e0760b5e9bp+36, 0x1.4638e37f883dp+33, 0x1.ee34da06f2f38p+36}},
+      {"resnet50", Dataflow::kInputStationary, 101572981, 5281052, 157856,
+       {0x1.389fd6c459d56p-3, 0x1.08306526f1ab7p-2, 0x1.c70c42a2399aap-1,
+        0x1.c0c58a849e747p+34, 0x1.6cefb54d37b5cp+35, 0x1.44a7cd77e1231p+36}},
+      {"vit_small", Dataflow::kOutputStationary, 49898489, 6299717, 73138,
+       {0x1.48d6fc5ce3736p-4, 0x1.e649eb1f9f70ap-2, 0x1.72796e18a7d7ep-1,
+        0x1.4ff7a3be01f0cp+36, 0x1.4cd7e1e3d1162p+36, 0x1.41de08a9aeb8ep+34}},
+      {"vit_small", Dataflow::kWeightStationary, 52700199, 6236025, 57655,
+       {0x1.58dc7160adf7p-4, 0x1.cfb273df1dad2p-2, 0x1.6244e2a5539acp-1,
+        0x1.405bf4e827982p+36, 0x1.ceb7b678134cfp+33, 0x1.188814b2c12d3p+37}},
+      {"vit_small", Dataflow::kInputStationary, 62967913, 5615684, 88990,
+       {0x1.914fe07a725bdp-4, 0x1.8e7880d95d8d1p-2, 0x1.7d74ea7ce26eep-1,
+        0x1.4a6b21543a371p+34, 0x1.10bc57494c3c1p+36, 0x1.e22403e6e46a6p+36}},
   };
   bool saw_remainder_chunk = false;
   for (const Pin& pin : pins) {
@@ -554,6 +569,11 @@ TEST(SystolicStep, PinnedCycleCountsAtMbs2TenMiB) {
         << pin.network << " " << to_string(pin.df);
     EXPECT_EQ(step_folds(net, schedule, p.array, pin.df), pin.folds)
         << pin.network << " " << to_string(pin.df);
+    const double got[6] = {r.time_s,   r.stats.util, r.stats.mapping_eff,
+                           r.bw_ifmap, r.bw_filter,  r.bw_ofmap};
+    for (int i = 0; i < 6; ++i)
+      EXPECT_EQ(got[i], pin.v[i])
+          << pin.network << " " << to_string(pin.df) << " field " << i;
   }
   // The pins cover the partial last chunk of a group, not only full ones.
   EXPECT_TRUE(saw_remainder_chunk);
