@@ -169,6 +169,19 @@ sched::Schedule read_schedule(Reader& r) {
   const std::int64_t nsub = r.read_int();
   for (std::int64_t i = 0; i < nsub && !r.fail(); ++i)
     s.block_max_sub.push_back(static_cast<int>(r.read_int()));
+  // A checksummed entry can still hold a schedule no step can run: a zero
+  // sub-batch divides by zero in chunk_classes, and uncovered blocks have
+  // no group. Such an entry is rejected (quarantined, read as a miss).
+  bool ok = s.mini_batch >= 1 && !s.groups.empty() &&
+            s.block_max_sub.size() == s.block_footprint.size();
+  int next = 0;
+  for (const sched::Group& g : s.groups) {
+    ok = ok && g.first == next && g.last >= g.first && g.sub_batch >= 1 &&
+         g.iterations >= 1;
+    next = g.last + 1;
+  }
+  if (!ok || static_cast<std::size_t>(next) != s.block_footprint.size())
+    r.reject();
   return s;
 }
 

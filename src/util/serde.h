@@ -96,6 +96,8 @@ class Reader {
   }
 
   bool fail() const { return fail_; }
+  /// Marks a well-formed document whose values the caller cannot accept.
+  void reject() { fail_ = true; }
 
   bool at_end() {
     skip_ws();

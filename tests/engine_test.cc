@@ -14,6 +14,7 @@
 
 #include "arch/memory.h"
 #include "engine/engine.h"
+#include "engine/serve.h"
 #include "models/zoo.h"
 #include "sched/config.h"
 #include "train/data.h"
@@ -1123,6 +1124,57 @@ TEST(CacheStore, WrongStageHeaderIsQuarantined) {
   EXPECT_FALSE(store.load_traffic(s.schedule_key(), &out));
   EXPECT_EQ(store.corrupt_entries(), 1u);
   EXPECT_TRUE(std::filesystem::exists(path + ".d/quarantine"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CacheStore, UnrunnableScheduleEntriesAreQuarantined) {
+  const std::string dir = test_cache_dir("bad_schedule");
+  const std::string path = dir + "/evaluator.mbscache";
+
+  // Two checksummed schedule entries that no step can run: a zero
+  // sub-batch (chunk_classes would divide by zero) and a dropped last group
+  // (the last blocks would belong to no group).
+  const std::string specs[] = {"net=resnet50;cfg=MBS2;buf=10485760",
+                               "net=resnet50;cfg=MBS1;buf=10485760"};
+  Scenario scenarios[2];
+  for (int i = 0; i < 2; ++i)
+    ASSERT_TRUE(parse_scenario(specs[i], &scenarios[i], nullptr));
+  auto write_bad_entries = [&] {
+    Evaluator eval;
+    sched::Schedule zero_sub = eval.schedule(scenarios[0]);
+    zero_sub.groups[0].sub_batch = 0;
+    sched::Schedule uncovered = eval.schedule(scenarios[1]);
+    ASSERT_GT(uncovered.groups.size(), 1u);
+    uncovered.groups.pop_back();
+    CacheStore store(path);
+    store.put_schedule(scenarios[0].schedule_key(), zero_sub);
+    store.put_schedule(scenarios[1].schedule_key(), uncovered);
+    ASSERT_TRUE(store.save());
+  };
+
+  ASSERT_NO_FATAL_FAILURE(write_bad_entries());
+  {
+    CacheStore store(path);
+    sched::Schedule out;
+    ASSERT_FALSE(store.load_schedule(scenarios[0].schedule_key(), &out));
+    ASSERT_FALSE(store.load_schedule(scenarios[1].schedule_key(), &out));
+    EXPECT_EQ(store.corrupt_entries(), 2u);
+  }
+
+  // A serve query that meets the same entries recomputes the schedule and
+  // answers exactly as a store-less evaluation does.
+  ASSERT_NO_FATAL_FAILURE(write_bad_entries());
+  CacheStore store(path);
+  ServeCore core(&store);
+  Evaluator batch;
+  for (int i = 0; i < 2; ++i) {
+    const ServeCore::Answer a = core.query(specs[i]);
+    EXPECT_TRUE(a.ok) << a.text;
+    EXPECT_EQ(a.text,
+              ServeCore::format_answer(
+                  scenarios[i], evaluate_scenario(scenarios[i], batch)));
+  }
+  EXPECT_EQ(core.stats().degraded, 2u);
   std::filesystem::remove_all(dir);
 }
 
