@@ -66,24 +66,36 @@ void BM_SimulateGemmCycles(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateGemmCycles)->Arg(0)->Arg(1)->Arg(2);
 
-// One cycle-level training step: resnet50 under MBS2 with a 10 MiB buffer.
-void BM_SimulateSystolicStep(benchmark::State& state) {
-  const core::Network net = models::make_network("resnet50");
-  sched::ScheduleParams sp;
-  sp.buffer_bytes = 10 * util::kMiB;
-  const sched::Schedule schedule =
-      sched::build_schedule(net, sched::ExecConfig::kMbs2, sp);
-  const sched::Traffic traffic = sched::compute_traffic(net, schedule);
-  const sim::WaveCoreConfig hw;
-  arch::SystolicSimParams p;
-  p.array = hw.systolic;
-  p.dram_bw_bytes_per_s = hw.memory.per_core_bandwidth(hw.cores);
-  p.buffer_bw_bytes = hw.buffer_bw_bytes;
-  p.vector_flops = hw.vector_flops;
-  p.cores = hw.cores;
+// One training step of resnet50 under MBS2 with a 10 MiB buffer, priced by
+// each WaveCore step model below.
+struct StepCase {
+  core::Network net = models::make_network("resnet50");
+  sched::Schedule schedule;
+  sched::Traffic traffic;
+  sim::WaveCoreConfig hw;
+
+  StepCase() {
+    sched::ScheduleParams sp;
+    sp.buffer_bytes = 10 * util::kMiB;
+    schedule = sched::build_schedule(net, sched::ExecConfig::kMbs2, sp);
+    traffic = sched::compute_traffic(net, schedule);
+  }
+};
+
+void BM_SimulateStep(benchmark::State& state) {
+  const StepCase c;
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        arch::simulate_systolic_step(net, schedule, traffic, p));
+        sim::simulate_step(c.net, c.schedule, c.traffic, c.hw));
+}
+BENCHMARK(BM_SimulateStep);
+
+void BM_SimulateSystolicStep(benchmark::State& state) {
+  const StepCase c;
+  const arch::SystolicOptions options;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(sim::simulate_systolic_step(
+        c.net, c.schedule, c.traffic, c.hw, options));
 }
 BENCHMARK(BM_SimulateSystolicStep);
 

@@ -2,9 +2,10 @@
 //
 // The analytic wave model (simulate_gemm) hard-codes WaveCore's
 // weight-stationary wave pipeline; the cycle-level backend
-// (simulate_gemm_cycles / simulate_systolic_step) is parameterised over the
-// three classic stationary choices so analytic-vs-cycle divergence can be
-// attributed to mapping, not just bandwidth.
+// (simulate_gemm_cycles, priced per step by sim::simulate_systolic_step) is
+// parameterised over the three classic stationary choices so
+// analytic-vs-cycle divergence can be attributed to mapping, not just
+// bandwidth.
 #pragma once
 
 #include <cstring>

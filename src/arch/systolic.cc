@@ -3,23 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cmath>
-
-#include "arch/layer_costs.h"
-#include "core/network.h"
-#include "sched/schedule.h"
-#include "sched/traffic.h"
 
 namespace mbs::arch {
-
-const char* to_string(GemmPass p) {
-  switch (p) {
-    case GemmPass::kForward: return "forward";
-    case GemmPass::kDataGrad: return "data-grad";
-    case GemmPass::kWeightGrad: return "weight-grad";
-  }
-  return "?";
-}
 
 GemmShape gemm_shape(const core::Layer& layer, int sub_batch, GemmPass pass) {
   assert(layer.is_gemm());
@@ -217,161 +202,6 @@ GemmCycles simulate_gemm_cycles(const SystolicConfig& cfg, Dataflow df,
     }
   }
   return g;
-}
-
-namespace {
-
-using core::Layer;
-
-/// ceil(bytes / per-cycle rate) as whole cycles; 0 when the rate is
-/// unconstrained (rate <= 0 models infinite bandwidth).
-std::int64_t transfer_cycles(double bytes, double bytes_per_cycle) {
-  if (bytes_per_cycle <= 0 || bytes <= 0) return 0;
-  return static_cast<std::int64_t>(std::ceil(bytes / bytes_per_cycle));
-}
-
-}  // namespace
-
-SystolicStepResult simulate_systolic_step(const core::Network& net,
-                                          const sched::Schedule& schedule,
-                                          const sched::Traffic& traffic,
-                                          const SystolicSimParams& p) {
-  const SystolicConfig& cfg = p.array;
-  const Dataflow df = p.options.dataflow;
-
-  const LayerBytesTable by_layer = layer_bytes(net, traffic);
-
-  const double dram_bpc = p.dram_bw_bytes_per_s > 0
-                              ? p.dram_bw_bytes_per_s / cfg.clock_hz
-                              : 0;
-  const double buf_bpc =
-      p.buffer_bw_bytes > 0 ? p.buffer_bw_bytes / cfg.clock_hz : 0;
-  const double vec_opc =
-      p.vector_flops > 0 ? p.vector_flops / cfg.clock_hz : 0;
-
-  SystolicStepResult out;
-  std::int64_t gemm_macs = 0;
-  std::int64_t folds_total = 0;
-  std::int64_t mapped_pe_total = 0;
-  OperandBytes stream;
-
-  bool first_gemm = true;
-  for (std::size_t bi = 0; bi < net.blocks.size(); ++bi) {
-    const sched::Group& grp = schedule.groups[static_cast<std::size_t>(
-        schedule.group_of_block(static_cast<int>(bi)))];
-    // Equal chunks run identical GEMMs: each distinct chunk size is
-    // simulated once and weighted by its count.
-    const auto chunks = grp.chunk_classes(schedule.mini_batch);
-
-    int li = 0;
-    net.blocks[bi].for_each_layer([&](const Layer& l, int) {
-      const LayerBytes& lb = by_layer[bi][static_cast<std::size_t>(li)];
-      ++li;
-
-      std::int64_t comp[2] = {0, 0};  // forward, backward
-      std::int64_t max_fold_bytes = 0;
-      bool gate_on_scratchpad = false;
-      // Charges `count` runs of one GEMM to `phase`.
-      auto run = [&](const GemmShape& shape, std::int64_t count, int phase) {
-        const GemmCycles gc = simulate_gemm_cycles(cfg, df, shape);
-        comp[phase] += gc.comp_cycles * count;
-        gemm_macs += gc.macs * count;
-        folds_total += gc.folds * count;
-        mapped_pe_total += gc.mapped_pe_folds * count;
-        stream.a += gc.bytes.a * count;
-        stream.b += gc.bytes.b * count;
-        stream.c += gc.bytes.c * count;
-        max_fold_bytes = std::max(max_fold_bytes, gc.max_fold_bytes);
-      };
-      if (l.is_gemm()) {
-        gate_on_scratchpad = true;
-        const bool skip_dgrad = first_gemm;
-        first_gemm = false;
-        for (const sched::Group::ChunkClass& chunk : chunks) {
-          if (chunk.count == 0) continue;
-          const int c = chunk.size;
-          run(gemm_shape(l, c, GemmPass::kForward), chunk.count, 0);
-          run(gemm_shape(l, c, GemmPass::kWeightGrad), chunk.count, 1);
-          if (!skip_dgrad)
-            run(gemm_shape(l, c, GemmPass::kDataGrad), chunk.count, 1);
-        }
-      } else if (l.is_attention()) {
-        // Attention GEMMs run on the array too; shapes are per (sample,
-        // head), so one simulation per distinct shape scales exactly by
-        // mini_batch * heads (chunking changes nothing: the shapes carry no
-        // batch dimension). The softmax runs on the vector unit.
-        gate_on_scratchpad = true;
-        const std::int64_t scale =
-            static_cast<std::int64_t>(schedule.mini_batch) * l.heads;
-        for (const GemmShape& sh :
-             attention_gemm_shapes(l, GemmPass::kForward))
-          run(sh, scale, 0);
-        for (const GemmShape& sh :
-             attention_gemm_shapes(l, GemmPass::kDataGrad))
-          run(sh, scale, 1);
-        if (vec_opc > 0) {
-          const double soft =
-              attention_softmax_ops(l) * schedule.mini_batch;
-          comp[0] += static_cast<std::int64_t>(std::ceil(soft / vec_opc));
-          comp[1] += static_cast<std::int64_t>(std::ceil(soft / vec_opc));
-        }
-      } else {
-        // Vector layers: op throughput, floored by global-buffer bandwidth
-        // (mirrors the analytic model's max with buffer time).
-        const double n = schedule.mini_batch;
-        const std::int64_t ops_f = vec_opc > 0
-            ? static_cast<std::int64_t>(
-                  std::ceil(vector_ops_fwd(l) * n / vec_opc))
-            : 0;
-        const std::int64_t ops_b = vec_opc > 0
-            ? static_cast<std::int64_t>(
-                  std::ceil(vector_ops_bwd(l) * n / vec_opc))
-            : 0;
-        comp[0] = std::max(ops_f, transfer_cycles(lb.buf[0], buf_bpc));
-        comp[1] = std::max(ops_b, transfer_cycles(lb.buf[1], buf_bpc));
-      }
-
-      // Double-buffer gate: a GEMM layer's DRAM transfers overlap compute
-      // only when two copies of its largest fold fit in the scratchpad
-      // (one computing, one filling); otherwise transfer and compute
-      // serialize. Vector layers stream through the (double-buffered)
-      // global buffer and always overlap.
-      const bool overlap =
-          !gate_on_scratchpad || 2 * max_fold_bytes <= p.options.scratchpad_bytes;
-      for (int ph = 0; ph < 2; ++ph) {
-        const std::int64_t dram = transfer_cycles(lb.dram[ph], dram_bpc);
-        out.stats.comp_cycles += comp[ph];
-        out.stats.stall_cycles +=
-            overlap ? std::max<std::int64_t>(0, dram - comp[ph]) : dram;
-      }
-    });
-  }
-
-  const std::int64_t total = out.stats.total_cycles();
-  out.stats.util =
-      total > 0 ? static_cast<double>(gemm_macs) /
-                      (static_cast<double>(total) * cfg.rows * cfg.cols)
-                : 0;
-  out.stats.mapping_eff =
-      folds_total > 0 ? static_cast<double>(mapped_pe_total) /
-                            (static_cast<double>(folds_total) * cfg.rows *
-                             cfg.cols)
-                      : 0;
-
-  out.time_s = static_cast<double>(total) / cfg.clock_hz;
-  out.compute_time_s = static_cast<double>(out.stats.comp_cycles) / cfg.clock_hz;
-  out.stall_time_s = static_cast<double>(out.stats.stall_cycles) / cfg.clock_hz;
-
-  // Chip-level totals; DRAM bytes are the schedule's analytic traffic by
-  // construction, so the backends can never disagree on bytes moved.
-  out.dram_bytes = p.cores * traffic.dram_bytes();
-  out.total_macs = static_cast<double>(p.cores) * static_cast<double>(gemm_macs);
-  if (out.time_s > 0) {
-    out.bw_ifmap = static_cast<double>(stream.a) / out.time_s;
-    out.bw_filter = static_cast<double>(stream.b) / out.time_s;
-    out.bw_ofmap = static_cast<double>(stream.c) / out.time_s;
-  }
-  return out;
 }
 
 }  // namespace mbs::arch

@@ -15,14 +15,6 @@
 #include "arch/dataflow.h"
 #include "core/layer.h"
 
-namespace mbs::core {
-struct Network;
-}
-namespace mbs::sched {
-struct Schedule;
-struct Traffic;
-}
-
 namespace mbs::arch {
 
 /// Systolic array geometry and clocking (defaults: Sec. 4, Tab. 2).
@@ -56,8 +48,6 @@ struct GemmShape {
 
 /// The three GEMM passes of a convolution/FC layer during training (Tab. 1).
 enum class GemmPass { kForward, kDataGrad, kWeightGrad };
-
-const char* to_string(GemmPass p);
 
 /// Tab. 1: GEMM dimensions of an im2col convolution (or FC layer) for the
 /// given training pass and sub-batch size.
@@ -95,8 +85,9 @@ GemmTiming simulate_gemm(const SystolicConfig& cfg, const GemmShape& shape);
 // formula — this backend models the folds a GEMM makes across the PE array
 // under an explicit dataflow (os/ws/is): exact fill/stream/drain cycles per
 // fold including partial edge folds, and the per-operand bytes each fold
-// streams through the PE-array scratchpad. It charges DRAM stall cycles
-// against the schedule's per-(layer, phase) traffic with a double-buffered
+// streams through the PE-array scratchpad. sim::simulate_systolic_step
+// prices a whole training step with it, charging DRAM stall cycles against
+// the schedule's per-(layer, phase) traffic with a double-buffered
 // scratchpad overlap gate.
 //
 // Folds come in a few classes of identical folds: along each folded
@@ -162,19 +153,6 @@ struct SystolicOptions {
   std::int64_t scratchpad_bytes = 512 * 1024;
 };
 
-/// Full parameter set of simulate_systolic_step.
-struct SystolicSimParams {
-  SystolicConfig array;
-  SystolicOptions options;
-  /// Per-core DRAM bandwidth in bytes/s; <= 0 means unconstrained (no
-  /// stall cycles anywhere).
-  double dram_bw_bytes_per_s = 0;
-  /// Global-buffer bandwidth seen by the vector unit (bytes/s).
-  double buffer_bw_bytes = 0;
-  double vector_flops = 0;  ///< vector-unit throughput (ops/s)
-  int cores = 2;            ///< chip-level scale-out factor
-};
-
 /// Cycle-level result of one training step on one core (chip-level totals
 /// where noted).
 struct SystolicStepResult {
@@ -189,18 +167,5 @@ struct SystolicStepResult {
   double bw_filter = 0;  ///< B operand
   double bw_ofmap = 0;   ///< C operand (writes + partial-sum re-reads)
 };
-
-/// Simulates one training step at cycle granularity: every sub-batch GEMM of
-/// every layer runs through simulate_gemm_cycles (data-grad skipped for the
-/// first GEMM layer, like the analytic model), once per distinct chunk size
-/// and weighted by that size's chunk count; vector layers run on the
-/// vector unit; DRAM stalls come from `traffic` per (layer, phase), fully
-/// hidden behind compute when the double-buffer gate holds. DRAM bytes moved
-/// are the schedule's analytic traffic by construction — the two backends
-/// diverge in time, never in traffic.
-SystolicStepResult simulate_systolic_step(const core::Network& net,
-                                          const sched::Schedule& schedule,
-                                          const sched::Traffic& traffic,
-                                          const SystolicSimParams& p);
 
 }  // namespace mbs::arch

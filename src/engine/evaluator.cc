@@ -107,17 +107,8 @@ const arch::SystolicStepResult& Evaluator::systolic_step(const Scenario& s) {
       systolic_steps_, s.cache_key(), &CacheStore::load_systolic_step,
       &CacheStore::put_systolic_step,
       [&] {
-        arch::SystolicSimParams p;
-        p.array = s.hw.systolic;
-        p.options = s.systolic;
-        p.dram_bw_bytes_per_s =
-            s.hw.unlimited_dram_bw ? 0
-                                   : s.hw.memory.per_core_bandwidth(s.hw.cores);
-        p.buffer_bw_bytes = s.hw.buffer_bw_bytes;
-        p.vector_flops = s.hw.vector_flops;
-        p.cores = s.hw.cores;
-        return arch::simulate_systolic_step(network(s), schedule(s),
-                                            traffic(s), p);
+        return sim::simulate_systolic_step(network(s), schedule(s),
+                                           traffic(s), s.hw, s.systolic);
       },
       &EvaluatorStats::systolic_hits, &EvaluatorStats::systolic_misses,
       &EvaluatorStats::systolic_disk_hits);

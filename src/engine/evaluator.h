@@ -122,7 +122,7 @@ class Evaluator {
   /// Scenario::cache_key().
   const arch::GpuStepResult& gpu_step(const Scenario& s);
 
-  /// arch::simulate_systolic_step for kSystolic scenarios, memoized by
+  /// sim::simulate_systolic_step for kSystolic scenarios, memoized by
   /// Scenario::cache_key() (which carries the `dev=systolic` tag plus the
   /// dataflow/scratchpad fields on top of the WaveCore hardware point).
   const arch::SystolicStepResult& systolic_step(const Scenario& s);

@@ -23,7 +23,7 @@ namespace mbs::engine {
 enum class Device {
   kWaveCore,  ///< the Sec. 4.2 accelerator model (sim::simulate_step)
   kGpu,       ///< the analytical V100 comparator (arch::simulate_gpu_step)
-  kSystolic,  ///< cycle-level systolic backend (arch::simulate_systolic_step)
+  kSystolic,  ///< cycle-level systolic backend (sim::simulate_systolic_step)
 };
 
 const char* to_string(Device d);

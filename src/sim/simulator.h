@@ -1,19 +1,25 @@
-// WaveCore training-step simulator.
+// WaveCore training-step simulators.
 //
 // Executes a schedule over the architecture model and reports the metrics
 // the paper's evaluation uses: per-step execution time (Fig. 10a, 12, 13),
 // DRAM traffic (Fig. 10c, 11), energy (Fig. 10b), systolic-array
 // utilization (Fig. 14), and a per-layer-type time breakdown (Fig. 12).
 //
-// The simulator accounts for all memory, buffer, and arithmetic activity
+// The simulators account for all memory, buffer, and arithmetic activity
 // (Sec. 5): GEMM layers run on the systolic array with their per-sub-batch
 // im2col GEMM shapes; normalization/pooling/activation/merge layers run on
-// the vector units and are usually bandwidth bound. Per layer, compute
-// overlaps DRAM transfers (the local buffers are double buffered, Sec. 4.2),
-// so layer time = max(compute, DRAM); layers execute in sequence.
+// the vector units and are usually bandwidth bound. Both step models below
+// share one walk of the step, which decides what every layer runs; they
+// differ only in how they price it. The analytic model (simulate_step)
+// overlaps each layer's compute with its DRAM transfers (the local buffers
+// are double buffered, Sec. 4.2), so layer time = max(compute, DRAM);
+// layers execute in sequence. The cycle-level model
+// (simulate_systolic_step) counts fold cycles under a dataflow and DRAM
+// stall cycles behind a scratchpad gate.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "arch/energy.h"
 #include "arch/memory.h"
@@ -69,5 +75,29 @@ StepResult simulate_step(const core::Network& net,
                          const sched::Schedule& schedule,
                          const sched::Traffic& traffic,
                          const WaveCoreConfig& hw);
+
+/// Simulates the same step at cycle granularity: GEMMs run through
+/// arch::simulate_gemm_cycles under `options.dataflow`, and DRAM stalls
+/// come from `traffic` per (layer, phase), hidden behind compute when the
+/// scratchpad's double-buffer gate holds. DRAM bytes moved are the
+/// schedule's traffic: the two models differ in time, never in traffic.
+arch::SystolicStepResult simulate_systolic_step(
+    const core::Network& net, const sched::Schedule& schedule,
+    const sched::Traffic& traffic, const WaveCoreConfig& hw,
+    const arch::SystolicOptions& options);
+
+/// DRAM and global-buffer bytes of one (block, layer), by phase.
+struct LayerBytes {
+  double dram[2] = {0, 0};  ///< indexed by 0 = forward, 1 = backward
+  double buf[2] = {0, 0};
+};
+
+/// Traffic bytes of every layer, indexed [block][layer] in for_each_layer
+/// order. Records are added in traffic order; layers with no record stay
+/// zero, and records naming a layer `net` lacks are dropped.
+using LayerBytesTable = std::vector<std::vector<LayerBytes>>;
+
+LayerBytesTable layer_bytes(const core::Network& net,
+                            const sched::Traffic& traffic);
 
 }  // namespace mbs::sim

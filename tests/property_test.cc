@@ -12,6 +12,7 @@
 #include "models/zoo.h"
 #include "sched/scheduler.h"
 #include "sched/traffic.h"
+#include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace mbs {
@@ -285,27 +286,30 @@ class CycleBackendProperties : public ::testing::TestWithParam<int> {
 TEST_P(CycleBackendProperties, MoreBandwidthNeverIncreasesStalls) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 517);
   for (int trial = 0; trial < 8; ++trial) {
-    arch::SystolicSimParams p;
-    p.options.dataflow = random_dataflow(rng);
-    p.options.scratchpad_bytes = std::int64_t{1}
-                                 << (10 + rng.uniform_int(14));  // 1K..8M
-    p.vector_flops = 2.87e12;
-    p.buffer_bw_bytes = 5e11;
-    p.dram_bw_bytes_per_s = (50.0 + static_cast<double>(rng.uniform_int(400))) * 1e9;
+    arch::SystolicOptions options;
+    options.dataflow = random_dataflow(rng);
+    options.scratchpad_bytes = std::int64_t{1}
+                               << (10 + rng.uniform_int(14));  // 1K..8M
+    sim::WaveCoreConfig hw;
+    hw.cores = 2;
+    hw.vector_flops = 2.87e12;
+    hw.buffer_bw_bytes = 5e11;
+    hw.memory.bandwidth_bytes_per_s =
+        (50.0 + static_cast<double>(rng.uniform_int(400))) * 1e9 * hw.cores;
     const auto slow =
-        arch::simulate_systolic_step(net_, schedule_, traffic_, p);
-    arch::SystolicSimParams fast = p;
-    fast.dram_bw_bytes_per_s *= 2;
+        sim::simulate_systolic_step(net_, schedule_, traffic_, hw, options);
+    sim::WaveCoreConfig fast = hw;
+    fast.memory.bandwidth_bytes_per_s *= 2;
     const auto faster =
-        arch::simulate_systolic_step(net_, schedule_, traffic_, fast);
+        sim::simulate_systolic_step(net_, schedule_, traffic_, fast, options);
     EXPECT_LE(faster.stats.stall_cycles, slow.stats.stall_cycles);
     // Compute cycles are bandwidth-independent.
     EXPECT_EQ(faster.stats.comp_cycles, slow.stats.comp_cycles);
     // The unconstrained limit lower-bounds every finite bandwidth.
-    arch::SystolicSimParams nobw = p;
-    nobw.dram_bw_bytes_per_s = 0;
+    sim::WaveCoreConfig nobw = hw;
+    nobw.unlimited_dram_bw = true;
     EXPECT_EQ(
-        arch::simulate_systolic_step(net_, schedule_, traffic_, nobw)
+        sim::simulate_systolic_step(net_, schedule_, traffic_, nobw, options)
             .stats.stall_cycles,
         0);
   }
@@ -314,18 +318,21 @@ TEST_P(CycleBackendProperties, MoreBandwidthNeverIncreasesStalls) {
 TEST_P(CycleBackendProperties, LargerScratchpadNeverIncreasesCycleTime) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 991);
   for (int trial = 0; trial < 8; ++trial) {
-    arch::SystolicSimParams p;
-    p.options.dataflow = random_dataflow(rng);
-    p.options.scratchpad_bytes = std::int64_t{1} << (8 + rng.uniform_int(12));
-    p.vector_flops = 2.87e12;
-    p.buffer_bw_bytes = 5e11;
-    p.dram_bw_bytes_per_s = (50.0 + static_cast<double>(rng.uniform_int(400))) * 1e9;
+    arch::SystolicOptions options;
+    options.dataflow = random_dataflow(rng);
+    options.scratchpad_bytes = std::int64_t{1} << (8 + rng.uniform_int(12));
+    sim::WaveCoreConfig hw;
+    hw.cores = 2;
+    hw.vector_flops = 2.87e12;
+    hw.buffer_bw_bytes = 5e11;
+    hw.memory.bandwidth_bytes_per_s =
+        (50.0 + static_cast<double>(rng.uniform_int(400))) * 1e9 * hw.cores;
     const auto small =
-        arch::simulate_systolic_step(net_, schedule_, traffic_, p);
-    arch::SystolicSimParams big = p;
-    big.options.scratchpad_bytes *= 2;
+        sim::simulate_systolic_step(net_, schedule_, traffic_, hw, options);
+    arch::SystolicOptions big = options;
+    big.scratchpad_bytes *= 2;
     const auto bigger =
-        arch::simulate_systolic_step(net_, schedule_, traffic_, big);
+        sim::simulate_systolic_step(net_, schedule_, traffic_, hw, big);
     EXPECT_LE(bigger.stats.total_cycles(), small.stats.total_cycles());
     EXPECT_EQ(bigger.stats.comp_cycles, small.stats.comp_cycles);
   }

@@ -10,7 +10,6 @@
 #include <string>
 #include <tuple>
 
-#include "arch/layer_costs.h"
 #include "arch/memory.h"
 #include "arch/systolic.h"
 #include "core/block.h"
@@ -316,12 +315,15 @@ struct StepFixture {
       sched::build_schedule(net, sched::ExecConfig::kMbs2);
   sched::Traffic traffic = sched::compute_traffic(net, schedule);
 
-  SystolicSimParams params() const {
-    SystolicSimParams p;
-    p.dram_bw_bytes_per_s = arch::hbm2().per_core_bandwidth(2);
-    p.buffer_bw_bytes = 5e11;
-    p.vector_flops = 2.87e12;
-    return p;
+  /// HBM2 split over two cores, 5e11 B/s global buffer, 2.87e12 vector
+  /// ops/s.
+  sim::WaveCoreConfig hw() const {
+    sim::WaveCoreConfig hw;
+    hw.memory = arch::hbm2();
+    hw.cores = 2;
+    hw.buffer_bw_bytes = 5e11;
+    hw.vector_flops = 2.87e12;
+    return hw;
   }
 };
 
@@ -329,10 +331,11 @@ class SystolicStepDataflows : public ::testing::TestWithParam<Dataflow> {};
 
 TEST_P(SystolicStepDataflows, ConservationInvariants) {
   StepFixture f;
-  SystolicSimParams p = f.params();
-  p.options.dataflow = GetParam();
+  const sim::WaveCoreConfig hw = f.hw();
+  SystolicOptions options;
+  options.dataflow = GetParam();
   const SystolicStepResult r =
-      simulate_systolic_step(f.net, f.schedule, f.traffic, p);
+      sim::simulate_systolic_step(f.net, f.schedule, f.traffic, hw, options);
 
   EXPECT_EQ(r.stats.comp_cycles + r.stats.stall_cycles,
             r.stats.total_cycles());
@@ -345,7 +348,7 @@ TEST_P(SystolicStepDataflows, ConservationInvariants) {
   EXPECT_DOUBLE_EQ(r.time_s, r.compute_time_s + r.stall_time_s);
   EXPECT_DOUBLE_EQ(
       r.time_s,
-      static_cast<double>(r.stats.total_cycles()) / p.array.clock_hz);
+      static_cast<double>(r.stats.total_cycles()) / hw.systolic.clock_hz);
   EXPECT_GT(r.dram_bytes, 0);
   EXPECT_GT(r.total_macs, 0);
   EXPECT_GT(r.bw_ifmap, 0);
@@ -355,24 +358,26 @@ TEST_P(SystolicStepDataflows, ConservationInvariants) {
 
 TEST_P(SystolicStepDataflows, UnlimitedBandwidthMeansZeroStalls) {
   StepFixture f;
-  SystolicSimParams p = f.params();
-  p.options.dataflow = GetParam();
-  p.options.scratchpad_bytes = 1;  // even with no double buffering
-  p.dram_bw_bytes_per_s = 0;       // unconstrained
+  sim::WaveCoreConfig hw = f.hw();
+  hw.unlimited_dram_bw = true;
+  SystolicOptions options;
+  options.dataflow = GetParam();
+  options.scratchpad_bytes = 1;  // even with no double buffering
   const SystolicStepResult r =
-      simulate_systolic_step(f.net, f.schedule, f.traffic, p);
+      sim::simulate_systolic_step(f.net, f.schedule, f.traffic, hw, options);
   EXPECT_EQ(r.stats.stall_cycles, 0);
   EXPECT_DOUBLE_EQ(r.time_s, r.compute_time_s);
 }
 
 TEST_P(SystolicStepDataflows, DeterministicAcrossCalls) {
   StepFixture f;
-  SystolicSimParams p = f.params();
-  p.options.dataflow = GetParam();
+  const sim::WaveCoreConfig hw = f.hw();
+  SystolicOptions options;
+  options.dataflow = GetParam();
   const SystolicStepResult a =
-      simulate_systolic_step(f.net, f.schedule, f.traffic, p);
+      sim::simulate_systolic_step(f.net, f.schedule, f.traffic, hw, options);
   const SystolicStepResult b =
-      simulate_systolic_step(f.net, f.schedule, f.traffic, p);
+      sim::simulate_systolic_step(f.net, f.schedule, f.traffic, hw, options);
   EXPECT_EQ(a.stats.comp_cycles, b.stats.comp_cycles);
   EXPECT_EQ(a.stats.stall_cycles, b.stats.stall_cycles);
   EXPECT_DOUBLE_EQ(a.time_s, b.time_s);
@@ -396,10 +401,10 @@ TEST(SystolicStep, MacsMatchAnalyticBackend) {
   for (Dataflow df : {Dataflow::kOutputStationary,
                       Dataflow::kWeightStationary,
                       Dataflow::kInputStationary}) {
-    SystolicSimParams p = f.params();
-    p.options.dataflow = df;
-    const SystolicStepResult r =
-        simulate_systolic_step(f.net, f.schedule, f.traffic, p);
+    SystolicOptions options;
+    options.dataflow = df;
+    const SystolicStepResult r = sim::simulate_systolic_step(
+        f.net, f.schedule, f.traffic, f.hw(), options);
     EXPECT_DOUBLE_EQ(r.total_macs, analytic.total_macs);
     EXPECT_DOUBLE_EQ(r.dram_bytes, analytic.dram_bytes);
   }
@@ -432,13 +437,14 @@ TEST(SystolicStep, AttentionMatchesAnalyticBackendUnconstrained) {
       for (Dataflow df : {Dataflow::kOutputStationary,
                           Dataflow::kWeightStationary,
                           Dataflow::kInputStationary}) {
-        SystolicSimParams p;
-        p.options.dataflow = df;
-        p.dram_bw_bytes_per_s = 0;  // unconstrained
-        p.buffer_bw_bytes = 5e11;
-        p.vector_flops = 2.87e12;
-        const SystolicStepResult r =
-            simulate_systolic_step(net, schedule, traffic, p);
+        sim::WaveCoreConfig hw;
+        hw.unlimited_dram_bw = true;
+        hw.buffer_bw_bytes = 5e11;
+        hw.vector_flops = 2.87e12;
+        SystolicOptions options;
+        options.dataflow = df;
+        const SystolicStepResult r = sim::simulate_systolic_step(
+            net, schedule, traffic, hw, options);
         EXPECT_EQ(r.stats.stall_cycles, 0)
             << name << " seq=" << seq << " " << to_string(df);
         EXPECT_DOUBLE_EQ(r.total_macs, analytic.total_macs)
@@ -465,19 +471,22 @@ TEST(SystolicStep, TinyScratchpadSerializesGemmTransfers) {
       sched::build_schedule(net, sched::ExecConfig::kMbs2);
   const sched::Traffic traffic = sched::compute_traffic(net, schedule);
 
-  SystolicSimParams p;
-  p.options.scratchpad_bytes = 1;  // smaller than one tile: no overlap
-  p.dram_bw_bytes_per_s = 256e9;
-  p.vector_flops = 2.87e12;
-  p.buffer_bw_bytes = 5e11;
+  const double per_core_bw = 256e9;
+  sim::WaveCoreConfig hw;
+  hw.cores = 2;
+  hw.memory.bandwidth_bytes_per_s = per_core_bw * hw.cores;
+  hw.vector_flops = 2.87e12;
+  hw.buffer_bw_bytes = 5e11;
+  SystolicOptions options;
+  options.scratchpad_bytes = 1;  // smaller than one tile: no overlap
   const SystolicStepResult r =
-      simulate_systolic_step(net, schedule, traffic, p);
+      sim::simulate_systolic_step(net, schedule, traffic, hw, options);
 
   double dram[2] = {0, 0};
   for (const sched::TrafficRecord& rec : traffic.records)
     dram[rec.phase == sched::Phase::kForward ? 0 : 1] +=
         rec.dram_read + rec.dram_write;
-  const double bytes_per_cycle = p.dram_bw_bytes_per_s / p.array.clock_hz;
+  const double bytes_per_cycle = per_core_bw / hw.systolic.clock_hz;
   const std::int64_t expected =
       static_cast<std::int64_t>(std::ceil(dram[0] / bytes_per_cycle)) +
       static_cast<std::int64_t>(std::ceil(dram[1] / bytes_per_cycle));
@@ -559,15 +568,16 @@ TEST(SystolicStep, PinnedCycleCountsAtMbs2TenMiB) {
     for (const sched::Group& g : schedule.groups)
       saw_remainder_chunk |= schedule.mini_batch % g.sub_batch != 0;
 
-    SystolicSimParams p = StepFixture().params();
-    p.options.dataflow = pin.df;
+    const sim::WaveCoreConfig hw = StepFixture().hw();
+    SystolicOptions options;
+    options.dataflow = pin.df;
     const SystolicStepResult r =
-        simulate_systolic_step(net, schedule, traffic, p);
+        sim::simulate_systolic_step(net, schedule, traffic, hw, options);
     EXPECT_EQ(r.stats.comp_cycles, pin.comp_cycles)
         << pin.network << " " << to_string(pin.df);
     EXPECT_EQ(r.stats.stall_cycles, pin.stall_cycles)
         << pin.network << " " << to_string(pin.df);
-    EXPECT_EQ(step_folds(net, schedule, p.array, pin.df), pin.folds)
+    EXPECT_EQ(step_folds(net, schedule, hw.systolic, pin.df), pin.folds)
         << pin.network << " " << to_string(pin.df);
     const double got[6] = {r.time_s,   r.stats.util, r.stats.mapping_eff,
                            r.bw_ifmap, r.bw_filter,  r.bw_ofmap};
@@ -596,13 +606,13 @@ TEST(LayerBytes, SumsRecordsPerLayerAndPhaseAndDropsUnknownLayers) {
   no_layer.layer = f.net.blocks[1].layer_count();
   traffic.records = {fwd, fwd, bwd, no_block, no_layer};
 
-  const LayerBytesTable table = layer_bytes(f.net, traffic);
+  const sim::LayerBytesTable table = sim::layer_bytes(f.net, traffic);
   ASSERT_EQ(table.size(), f.net.blocks.size());
   double total = 0;
   for (std::size_t b = 0; b < table.size(); ++b) {
     ASSERT_EQ(table[b].size(),
               static_cast<std::size_t>(f.net.blocks[b].layer_count()));
-    for (const LayerBytes& lb : table[b])
+    for (const sim::LayerBytes& lb : table[b])
       total += lb.dram[0] + lb.dram[1] + lb.buf[0] + lb.buf[1];
   }
   EXPECT_EQ(table[1][0].dram[0], 14);
@@ -616,14 +626,15 @@ TEST(SystolicStep, ScratchpadGatesOverlapOnly) {
   // Between no-overlap (1 byte) and full-overlap (huge), only stall cycles
   // may move — tile geometry, compute cycles and traffic stay fixed.
   StepFixture f;
-  SystolicSimParams tiny = f.params();
-  tiny.options.scratchpad_bytes = 1;
-  SystolicSimParams huge = f.params();
-  huge.options.scratchpad_bytes = std::int64_t{1} << 40;
+  const sim::WaveCoreConfig hw = f.hw();
+  SystolicOptions tiny;
+  tiny.scratchpad_bytes = 1;
+  SystolicOptions huge;
+  huge.scratchpad_bytes = std::int64_t{1} << 40;
   const SystolicStepResult a =
-      simulate_systolic_step(f.net, f.schedule, f.traffic, tiny);
+      sim::simulate_systolic_step(f.net, f.schedule, f.traffic, hw, tiny);
   const SystolicStepResult b =
-      simulate_systolic_step(f.net, f.schedule, f.traffic, huge);
+      sim::simulate_systolic_step(f.net, f.schedule, f.traffic, hw, huge);
   EXPECT_EQ(a.stats.comp_cycles, b.stats.comp_cycles);
   EXPECT_GE(a.stats.stall_cycles, b.stats.stall_cycles);
   EXPECT_DOUBLE_EQ(a.dram_bytes, b.dram_bytes);
