@@ -174,11 +174,11 @@ sched::Schedule read_schedule(Reader& r) {
   // no group. Such an entry is rejected (quarantined, read as a miss).
   bool ok = s.mini_batch >= 1 && !s.groups.empty() &&
             s.block_max_sub.size() == s.block_footprint.size();
-  int next = 0;
+  std::int64_t next = 0;
   for (const sched::Group& g : s.groups) {
     ok = ok && g.first == next && g.last >= g.first && g.sub_batch >= 1 &&
          g.iterations >= 1;
-    next = g.last + 1;
+    next = std::int64_t{g.last} + 1;
   }
   if (!ok || static_cast<std::size_t>(next) != s.block_footprint.size())
     r.reject();
