@@ -770,6 +770,62 @@ TEST(CacheStore, WarmRunMatchesColdRunAndSkipsAllComputation) {
   std::remove(path.c_str());
 }
 
+TEST(CacheStore, EntryBytesArePinned) {
+  // Every byte of an entry file is part of kSchemaStamp's contract: a field
+  // list that reorders, adds or drops a field must bump its stage tag, and
+  // this test fails until the pinned hashes are re-captured with it.
+  const std::string dir = test_cache_dir("pinned");
+  const std::string path = dir + "/evaluator.mbscache";
+  std::filesystem::remove_all(dir);
+  auto spec = [](const char* text) {
+    Scenario s;
+    EXPECT_TRUE(parse_scenario(text, &s, nullptr)) << text;
+    return s;
+  };
+  const Scenario mbs2 = spec("net=alexnet;cfg=MBS2;buf=10485760");
+  const Scenario vit = spec("net=vit_small");
+  const Scenario gpu = spec("net=alexnet;dev=gpu");
+  const Scenario sys = spec("net=alexnet;dev=systolic");
+  {
+    CacheStore store(path);
+    Evaluator eval(&store);
+    eval.network(vit);
+    eval.step(mbs2);  // network, schedule, traffic and step
+    eval.gpu_step(gpu);
+    eval.systolic_step(sys);
+    ASSERT_TRUE(store.save());
+  }
+  struct Pin {
+    const char* stage;
+    std::string key;
+    std::uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {"net", mbs2.network_key(), 0xcfc9b457b45b9fcfull},
+      {"net", vit.network_key(), 0x46ea439bf52f6908ull},
+      {"sched", mbs2.schedule_key(), 0x85c241152c1bbd05ull},
+      {"traffic", mbs2.schedule_key(), 0x43a0d4dadd44da85ull},
+      {"step", mbs2.cache_key(), 0xb3d438a82a7b07caull},
+      {"gpu", gpu.cache_key(), 0x64206e4f43e02014ull},
+      {"sys", sys.cache_key(), 0x8f5abcd64fb5baa1ull},
+  };
+  for (const Pin& pin : pins) {
+    char name[32];
+    std::snprintf(name, sizeof name, "%016llx.rec",
+                  static_cast<unsigned long long>(util::fnv1a64(pin.key)));
+    std::ifstream in(path + ".d/" + pin.stage + "/" + name, std::ios::binary);
+    ASSERT_TRUE(in) << pin.stage << " " << pin.key;
+    std::ostringstream text;
+    text << in.rdbuf();
+    char got[32];
+    std::snprintf(got, sizeof got, "0x%016llx",
+                  static_cast<unsigned long long>(util::fnv1a64(text.str())));
+    EXPECT_EQ(util::fnv1a64(text.str()), pin.fnv)
+        << pin.stage << " " << pin.key << " hashes to " << got;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CacheStore, VersionStampMismatchStartsCold) {
   // The store is a cache: an entry in any layout but the current one is a
   // plain miss. It is not quarantined (it may be another binary's valid
