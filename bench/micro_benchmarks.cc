@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the library's hot paths — the
 // systolic GEMM timing model, the scheduler and the network builders — plus
 // the engine layer on top of them: single-scenario evaluation (cold vs
-// memoized) and full Fig. 10-style sweeps (serial vs threaded), and the
+// memoized), full Fig. 10-style sweeps (serial vs threaded) and warm
+// cache-store loads on 1, 2 and 4 threads, and the
 // training kernel layer (blocked GEMM, im2col convolution, whole training
 // steps; serial vs pooled via util::set_thread_budget). These bound the
 // cost of design-space studies and of the Fig. 6 training reproduction.
@@ -12,9 +13,13 @@
 // max pooling and BN/GN forward/backward at an MBS sub-batch and the full
 // batch.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "engine/engine.h"
 #include "models/zoo.h"
@@ -185,6 +190,78 @@ void BM_SweepFig10Threaded(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SweepFig10Threaded);
+
+// ---- Engine: warm cache-store loads ------------------------------------------
+
+// A store saved from the Fig. 10 grid and the distinct keys of each stage
+// in it; the directory is removed at exit.
+struct WarmStore {
+  WarmStore() {
+    const auto grid = engine::scenario_grid(models::evaluated_network_names(),
+                                            sched::paper_tab3_configs());
+    {
+      engine::CacheStore cold(path);
+      engine::Evaluator eval(&cold);
+      engine::SweepRunner().run(grid, eval);
+      ok = cold.save();
+    }
+    std::set<std::string> nets, schedules;
+    for (const engine::Scenario& s : grid) {
+      if (nets.insert(s.network_key()).second)
+        network_keys.push_back(s.network_key());
+      if (schedules.insert(s.schedule_key()).second)
+        schedule_keys.push_back(s.schedule_key());
+      step_keys.push_back(s.cache_key());
+    }
+  }
+  ~WarmStore() { std::filesystem::remove_all(dir); }
+  std::size_t entries() const {
+    return network_keys.size() + 2 * schedule_keys.size() + step_keys.size();
+  }
+
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("mbs_bm_store_" + std::to_string(::getpid())))
+                              .string();
+  const std::string path = dir + "/evaluator.mbscache";
+  bool ok = false;
+  std::vector<std::string> network_keys, schedule_keys, step_keys;
+};
+
+// Every entry of the warm store per iteration, from 1, 2 and 4 threads
+// sharing one CacheStore: items/s across threads is the warm-load rate a
+// sweep with that many workers could reach.
+void BM_CacheStoreLoad(benchmark::State& state) {
+  static const WarmStore warm;
+  static engine::CacheStore store(warm.path);
+  if (!warm.ok) {
+    state.SkipWithError("saving the warm store failed");
+    return;
+  }
+  std::size_t misses = 0;
+  for (auto _ : state) {
+    for (const std::string& key : warm.network_keys) {
+      core::Network v;
+      misses += !store.load_network(key, &v);
+      benchmark::DoNotOptimize(v);
+    }
+    for (const std::string& key : warm.schedule_keys) {
+      sched::Schedule v;
+      sched::Traffic t;
+      misses += !store.load_schedule(key, &v) + !store.load_traffic(key, &t);
+      benchmark::DoNotOptimize(v);
+      benchmark::DoNotOptimize(t);
+    }
+    for (const std::string& key : warm.step_keys) {
+      sim::StepResult v;
+      misses += !store.load_step(key, &v);
+      benchmark::DoNotOptimize(v);
+    }
+  }
+  if (misses > 0) state.SkipWithError("warm store missed an entry");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(warm.entries()));
+}
+BENCHMARK(BM_CacheStoreLoad)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 
 // ---- Engine: schedule-group batching (fig12-shaped sweep) -------------------
 

@@ -3,11 +3,12 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <thread>
-#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -23,155 +24,127 @@ namespace {
 using util::serde::Reader;
 using util::serde::Writer;
 
-// ---- Per-struct serialization. Field order is part of kSchemaStamp: any
-// ---- change here must bump the corresponding stage tag.
+// ---- Record field lists. Each record lists its fields once, in file
+// ---- order; Emit walks a list to serialize a value and Parse walks the
+// ---- same list to read one back. Integers, enums and bools are int
+// ---- tokens, doubles hex-float tokens, strings length-prefixed; a vector
+// ---- is its length and then its elements. Field order is part of
+// ---- kSchemaStamp: any change here must bump the stage's tag.
 
-void write_shape(Writer& w, const core::FeatureShape& s) {
-  w.put_int(s.c);
-  w.put_int(s.h);
-  w.put_int(s.w);
-}
+template <typename U, typename T>
+concept Of = std::same_as<std::remove_const_t<U>, T>;
 
-core::FeatureShape read_shape(Reader& r) {
-  core::FeatureShape s;
-  s.c = static_cast<int>(r.read_int());
-  s.h = static_cast<int>(r.read_int());
-  s.w = static_cast<int>(r.read_int());
-  return s;
-}
+template <typename T>
+concept IntToken = std::is_integral_v<T> || std::is_enum_v<T>;
 
-void write_layer(Writer& w, const core::Layer& l) {
-  w.put_int(static_cast<int>(l.kind));
-  w.put_string(l.name);
-  write_shape(w, l.in);
-  write_shape(w, l.out);
-  w.put_int(l.kernel_h);
-  w.put_int(l.kernel_w);
-  w.put_int(l.stride);
-  w.put_int(l.pad_h);
-  w.put_int(l.pad_w);
-  w.put_int(static_cast<int>(l.pool_kind));
-  w.put_int(static_cast<int>(l.norm_kind));
-  w.put_int(l.has_bias ? 1 : 0);
+struct Emit {
+  Writer w;
+  void operator()(const auto&... v) { (one(v), ...); }
+
+ private:
+  void one(double v) { w.put_double(v); }
+  void one(const std::string& v) { w.put_string(v); }
+  void one(IntToken auto v) { w.put_int(static_cast<std::int64_t>(v)); }
+  template <typename T>
+  void one(const std::vector<T>& v) {
+    w.put_int(static_cast<std::int64_t>(v.size()));
+    for (const T& e : v) one(e);
+  }
+  template <typename T>
+    requires std::is_class_v<T>
+  void one(const T& record) {
+    fields(*this, record);
+  }
+};
+
+struct Parse {
+  Reader r;
+  void operator()(auto&... v) { (one(v), ...); }
+
+ private:
+  void one(double& v) { v = r.read_double(); }
+  void one(std::string& v) { v = r.read_string(); }
+  template <IntToken T>
+  void one(T& v) {
+    v = static_cast<T>(r.read_int());
+  }
+  // The length is untrusted input: the vector grows one element per
+  // successful read instead of reserving it.
+  template <typename T>
+  void one(std::vector<T>& v) {
+    const std::int64_t n = r.read_int();
+    for (std::int64_t i = 0; i < n && !r.fail(); ++i) {
+      T e{};
+      one(e);
+      if (!r.fail()) v.push_back(std::move(e));
+    }
+  }
+  template <typename T>
+    requires std::is_class_v<T>
+  void one(T& record) {
+    fields(*this, record);
+  }
+};
+
+void fields(auto& io, Of<core::FeatureShape> auto& s) { io(s.c, s.h, s.w); }
+
+void fields(auto& io, Of<core::Layer> auto& l) {
+  io(l.kind, l.name, l.in, l.out, l.kernel_h, l.kernel_w, l.stride, l.pad_h,
+     l.pad_w, l.pool_kind, l.norm_kind, l.has_bias);
   // net2: attention layers append their head count; every other kind keeps
   // the net1 byte layout, so CNN records round-trip unchanged.
-  if (l.kind == core::LayerKind::kAttention) w.put_int(l.heads);
+  if (l.kind == core::LayerKind::kAttention) io(l.heads);
 }
 
-core::Layer read_layer(Reader& r) {
-  core::Layer l;
-  l.kind = static_cast<core::LayerKind>(r.read_int());
-  l.name = r.read_string();
-  l.in = read_shape(r);
-  l.out = read_shape(r);
-  l.kernel_h = static_cast<int>(r.read_int());
-  l.kernel_w = static_cast<int>(r.read_int());
-  l.stride = static_cast<int>(r.read_int());
-  l.pad_h = static_cast<int>(r.read_int());
-  l.pad_w = static_cast<int>(r.read_int());
-  l.pool_kind = static_cast<core::PoolKind>(r.read_int());
-  l.norm_kind = static_cast<core::NormKind>(r.read_int());
-  l.has_bias = r.read_int() != 0;
-  if (l.kind == core::LayerKind::kAttention)
-    l.heads = static_cast<int>(r.read_int());
-  return l;
+void fields(auto& io, Of<core::Branch> auto& b) { io(b.layers); }
+
+void fields(auto& io, Of<core::Block> auto& b) {
+  io(b.kind, b.name, b.in, b.out, b.branches, b.merge);
 }
 
-void write_layers(Writer& w, const std::vector<core::Layer>& layers) {
-  w.put_int(static_cast<std::int64_t>(layers.size()));
-  for (const core::Layer& l : layers) write_layer(w, l);
+void fields(auto& io, Of<core::Network> auto& n) {
+  io(n.name, n.input, n.mini_batch_per_core, n.blocks);
 }
 
-std::vector<core::Layer> read_layers(Reader& r) {
-  const std::int64_t n = r.read_int();
-  std::vector<core::Layer> out;
-  if (r.fail() || n < 0) return out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n && !r.fail(); ++i)
-    out.push_back(read_layer(r));
-  return out;
+void fields(auto& io, Of<sched::Group> auto& g) {
+  io(g.first, g.last, g.sub_batch, g.iterations);
 }
 
-void write_network(Writer& w, const core::Network& net) {
-  w.put_string(net.name);
-  write_shape(w, net.input);
-  w.put_int(net.mini_batch_per_core);
-  w.put_int(static_cast<std::int64_t>(net.blocks.size()));
-  for (const core::Block& b : net.blocks) {
-    w.put_int(static_cast<int>(b.kind));
-    w.put_string(b.name);
-    write_shape(w, b.in);
-    write_shape(w, b.out);
-    w.put_int(static_cast<std::int64_t>(b.branches.size()));
-    for (const core::Branch& br : b.branches) write_layers(w, br.layers);
-    write_layers(w, b.merge);
-  }
+void fields(auto& io, Of<sched::Schedule> auto& s) {
+  io(s.config, s.mini_batch, s.buffer_bytes, s.groups, s.block_footprint,
+     s.block_max_sub);
 }
 
-core::Network read_network(Reader& r) {
-  core::Network net;
-  net.name = r.read_string();
-  net.input = read_shape(r);
-  net.mini_batch_per_core = static_cast<int>(r.read_int());
-  const std::int64_t nblocks = r.read_int();
-  for (std::int64_t i = 0; i < nblocks && !r.fail(); ++i) {
-    core::Block b;
-    b.kind = static_cast<core::BlockKind>(r.read_int());
-    b.name = r.read_string();
-    b.in = read_shape(r);
-    b.out = read_shape(r);
-    const std::int64_t nbranches = r.read_int();
-    for (std::int64_t j = 0; j < nbranches && !r.fail(); ++j) {
-      core::Branch br;
-      br.layers = read_layers(r);
-      b.branches.push_back(std::move(br));
-    }
-    b.merge = read_layers(r);
-    net.blocks.push_back(std::move(b));
-  }
-  return net;
+void fields(auto& io, Of<sched::TrafficRecord> auto& t) {
+  io(t.block, t.layer, t.kind, t.is_gemm, t.phase, t.cls, t.dram_read,
+     t.dram_write, t.buf_read, t.buf_write);
 }
 
-void write_schedule(Writer& w, const sched::Schedule& s) {
-  w.put_int(static_cast<int>(s.config));
-  w.put_int(s.mini_batch);
-  w.put_int(s.buffer_bytes);
-  w.put_int(static_cast<std::int64_t>(s.groups.size()));
-  for (const sched::Group& g : s.groups) {
-    w.put_int(g.first);
-    w.put_int(g.last);
-    w.put_int(g.sub_batch);
-    w.put_int(g.iterations);
-  }
-  w.put_int(static_cast<std::int64_t>(s.block_footprint.size()));
-  for (std::int64_t v : s.block_footprint) w.put_int(v);
-  w.put_int(static_cast<std::int64_t>(s.block_max_sub.size()));
-  for (int v : s.block_max_sub) w.put_int(v);
+void fields(auto& io, Of<sched::Traffic> auto& t) { io(t.records); }
+
+void fields(auto& io, Of<sim::StepResult> auto& s) {
+  io(s.time_s, s.dram_bytes, s.buffer_bytes, s.total_macs,
+     s.systolic_utilization, s.compute_time_s, s.memory_time_s,
+     s.time_by_type.conv, s.time_by_type.fc, s.time_by_type.norm,
+     s.time_by_type.pool, s.time_by_type.sum, s.energy.dram_j,
+     s.energy.buffer_j, s.energy.mac_j, s.energy.vector_j, s.energy.static_j);
 }
 
-sched::Schedule read_schedule(Reader& r) {
-  sched::Schedule s;
-  s.config = static_cast<sched::ExecConfig>(r.read_int());
-  s.mini_batch = static_cast<int>(r.read_int());
-  s.buffer_bytes = r.read_int();
-  const std::int64_t ngroups = r.read_int();
-  for (std::int64_t i = 0; i < ngroups && !r.fail(); ++i) {
-    sched::Group g;
-    g.first = static_cast<int>(r.read_int());
-    g.last = static_cast<int>(r.read_int());
-    g.sub_batch = static_cast<int>(r.read_int());
-    g.iterations = static_cast<int>(r.read_int());
-    s.groups.push_back(g);
-  }
-  const std::int64_t nfoot = r.read_int();
-  for (std::int64_t i = 0; i < nfoot && !r.fail(); ++i)
-    s.block_footprint.push_back(r.read_int());
-  const std::int64_t nsub = r.read_int();
-  for (std::int64_t i = 0; i < nsub && !r.fail(); ++i)
-    s.block_max_sub.push_back(static_cast<int>(r.read_int()));
-  // A checksummed entry can still hold a schedule no step can run: a zero
-  // sub-batch divides by zero in chunk_classes, and uncovered blocks have
-  // no group. Such an entry is rejected (quarantined, read as a miss).
+void fields(auto& io, Of<arch::GpuStepResult> auto& s) {
+  io(s.time_s, s.dram_bytes, s.compute_time_s, s.memory_time_s,
+     s.overhead_s);
+}
+
+void fields(auto& io, Of<arch::SystolicStepResult> auto& s) {
+  io(s.stats.comp_cycles, s.stats.stall_cycles, s.stats.util,
+     s.stats.mapping_eff, s.time_s, s.compute_time_s, s.stall_time_s,
+     s.dram_bytes, s.total_macs, s.bw_ifmap, s.bw_filter, s.bw_ofmap);
+}
+
+// A checksummed entry can still hold a schedule no step can run: a zero
+// sub-batch divides by zero in chunk_classes, and uncovered blocks have no
+// group. Such an entry is rejected (quarantined, read as a miss).
+bool runnable(const sched::Schedule& s) {
   bool ok = s.mini_batch >= 1 && !s.groups.empty() &&
             s.block_max_sub.size() == s.block_footprint.size();
   std::int64_t next = 0;
@@ -180,138 +153,10 @@ sched::Schedule read_schedule(Reader& r) {
          g.iterations >= 1;
     next = std::int64_t{g.last} + 1;
   }
-  if (!ok || static_cast<std::size_t>(next) != s.block_footprint.size())
-    r.reject();
-  return s;
+  return ok && static_cast<std::size_t>(next) == s.block_footprint.size();
 }
 
-void write_traffic(Writer& w, const sched::Traffic& t) {
-  w.put_int(static_cast<std::int64_t>(t.records.size()));
-  for (const sched::TrafficRecord& rec : t.records) {
-    w.put_int(rec.block);
-    w.put_int(rec.layer);
-    w.put_int(static_cast<int>(rec.kind));
-    w.put_int(rec.is_gemm ? 1 : 0);
-    w.put_int(static_cast<int>(rec.phase));
-    w.put_int(static_cast<int>(rec.cls));
-    w.put_double(rec.dram_read);
-    w.put_double(rec.dram_write);
-    w.put_double(rec.buf_read);
-    w.put_double(rec.buf_write);
-  }
-}
-
-sched::Traffic read_traffic(Reader& r) {
-  sched::Traffic t;
-  const std::int64_t n = r.read_int();
-  for (std::int64_t i = 0; i < n && !r.fail(); ++i) {
-    sched::TrafficRecord rec;
-    rec.block = static_cast<int>(r.read_int());
-    rec.layer = static_cast<int>(r.read_int());
-    rec.kind = static_cast<core::LayerKind>(r.read_int());
-    rec.is_gemm = r.read_int() != 0;
-    rec.phase = static_cast<sched::Phase>(r.read_int());
-    rec.cls = static_cast<sched::TrafficClass>(r.read_int());
-    rec.dram_read = r.read_double();
-    rec.dram_write = r.read_double();
-    rec.buf_read = r.read_double();
-    rec.buf_write = r.read_double();
-    t.records.push_back(rec);
-  }
-  return t;
-}
-
-void write_step(Writer& w, const sim::StepResult& s) {
-  w.put_double(s.time_s);
-  w.put_double(s.dram_bytes);
-  w.put_double(s.buffer_bytes);
-  w.put_double(s.total_macs);
-  w.put_double(s.systolic_utilization);
-  w.put_double(s.compute_time_s);
-  w.put_double(s.memory_time_s);
-  w.put_double(s.time_by_type.conv);
-  w.put_double(s.time_by_type.fc);
-  w.put_double(s.time_by_type.norm);
-  w.put_double(s.time_by_type.pool);
-  w.put_double(s.time_by_type.sum);
-  w.put_double(s.energy.dram_j);
-  w.put_double(s.energy.buffer_j);
-  w.put_double(s.energy.mac_j);
-  w.put_double(s.energy.vector_j);
-  w.put_double(s.energy.static_j);
-}
-
-sim::StepResult read_step(Reader& r) {
-  sim::StepResult s;
-  s.time_s = r.read_double();
-  s.dram_bytes = r.read_double();
-  s.buffer_bytes = r.read_double();
-  s.total_macs = r.read_double();
-  s.systolic_utilization = r.read_double();
-  s.compute_time_s = r.read_double();
-  s.memory_time_s = r.read_double();
-  s.time_by_type.conv = r.read_double();
-  s.time_by_type.fc = r.read_double();
-  s.time_by_type.norm = r.read_double();
-  s.time_by_type.pool = r.read_double();
-  s.time_by_type.sum = r.read_double();
-  s.energy.dram_j = r.read_double();
-  s.energy.buffer_j = r.read_double();
-  s.energy.mac_j = r.read_double();
-  s.energy.vector_j = r.read_double();
-  s.energy.static_j = r.read_double();
-  return s;
-}
-
-void write_gpu_step(Writer& w, const arch::GpuStepResult& s) {
-  w.put_double(s.time_s);
-  w.put_double(s.dram_bytes);
-  w.put_double(s.compute_time_s);
-  w.put_double(s.memory_time_s);
-  w.put_double(s.overhead_s);
-}
-
-arch::GpuStepResult read_gpu_step(Reader& r) {
-  arch::GpuStepResult s;
-  s.time_s = r.read_double();
-  s.dram_bytes = r.read_double();
-  s.compute_time_s = r.read_double();
-  s.memory_time_s = r.read_double();
-  s.overhead_s = r.read_double();
-  return s;
-}
-
-void write_systolic_step(Writer& w, const arch::SystolicStepResult& s) {
-  w.put_int(s.stats.comp_cycles);
-  w.put_int(s.stats.stall_cycles);
-  w.put_double(s.stats.util);
-  w.put_double(s.stats.mapping_eff);
-  w.put_double(s.time_s);
-  w.put_double(s.compute_time_s);
-  w.put_double(s.stall_time_s);
-  w.put_double(s.dram_bytes);
-  w.put_double(s.total_macs);
-  w.put_double(s.bw_ifmap);
-  w.put_double(s.bw_filter);
-  w.put_double(s.bw_ofmap);
-}
-
-arch::SystolicStepResult read_systolic_step(Reader& r) {
-  arch::SystolicStepResult s;
-  s.stats.comp_cycles = r.read_int();
-  s.stats.stall_cycles = r.read_int();
-  s.stats.util = r.read_double();
-  s.stats.mapping_eff = r.read_double();
-  s.time_s = r.read_double();
-  s.compute_time_s = r.read_double();
-  s.stall_time_s = r.read_double();
-  s.dram_bytes = r.read_double();
-  s.total_macs = r.read_double();
-  s.bw_ifmap = r.read_double();
-  s.bw_filter = r.read_double();
-  s.bw_ofmap = r.read_double();
-  return s;
-}
+bool runnable(const auto&) { return true; }
 
 }  // namespace
 
@@ -389,114 +234,115 @@ void CacheStore::quarantine_entry(const char* stage, const std::string& key) {
                src.c_str(), stage);
 }
 
-// One lookup/insert pair per stage; all share the lock. A memory miss falls
-// through to the per-entry shard file: on a valid read the value is cached
-// in memory (and counted as loaded), so each key touches disk at most once
-// per process. A file that fails validation (torn write, bad checksum,
-// wrong stage, parse failure) is quarantined and the lookup is a miss; a
+// A lookup reads the (stage, key) entry's bytes — the pending put, else
+// its shard file — and checks and parses them outside the lock. A file
+// that fails validation (torn write, bad checksum, wrong stage, parse
+// failure, unrunnable schedule) is quarantined and the lookup is a miss; a
 // key mismatch or a foreign stamp is a plain miss that leaves the file
 // alone.
-#define MBS_CACHE_STORE_STAGE(Fn, PutFn, Map, Type, Stage, ReadFn)      \
-  bool CacheStore::Fn(const std::string& key, Type* out) {              \
-    std::lock_guard<std::mutex> lock(mu_);                              \
-    const auto it = Map.find(key);                                      \
-    if (it != Map.end()) {                                              \
-      *out = it->second;                                                \
-      return true;                                                      \
-    }                                                                   \
-    std::string text;                                                   \
-    if (!util::fs::read_file(entry_file(Stage, key), &text,             \
-                             "cache.entry.read"))                       \
-      return false;                                                     \
-    std::string body;                                                   \
-    const EntryStatus st = check_entry(text, Stage, key, &body);        \
-    if (st == EntryStatus::kMiss) return false;                         \
-    if (st == EntryStatus::kCorrupt) {                                  \
-      quarantine_entry(Stage, key);                                     \
-      return false;                                                     \
-    }                                                                   \
-    Reader r(body);                                                     \
-    Type v = ReadFn(r);                                                 \
-    if (r.fail() || !r.at_end()) {                                      \
-      quarantine_entry(Stage, key);                                     \
-      return false;                                                     \
-    }                                                                   \
-    *out = v;                                                           \
-    Map.emplace(key, std::move(v));                                     \
-    ++loaded_;                                                          \
-    return true;                                                        \
-  }                                                                     \
-  void CacheStore::PutFn(const std::string& key, const Type& v) {       \
-    std::lock_guard<std::mutex> lock(mu_);                              \
-    if (Map.emplace(key, v).second) dirty_.emplace(Stage, key);         \
+template <typename T>
+bool CacheStore::load_entry(const char* stage, const std::string& key,
+                            T* out) {
+  std::string text;
+  bool pending = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = pending_.find({stage, key});
+    if (it != pending_.end()) {
+      text = it->second;
+      pending = true;
+    }
+  }
+  if (!pending && !util::fs::read_file(entry_file(stage, key), &text,
+                                       "cache.entry.read"))
+    return false;
+  std::string body;
+  const EntryStatus st = check_entry(text, stage, key, &body);
+  if (st == EntryStatus::kMiss) return false;
+  Parse in{Reader(body)};
+  T v{};
+  if (st == EntryStatus::kValid) in(v);
+  const bool ok = st == EntryStatus::kValid && !in.r.fail() &&
+                  in.r.at_end() && runnable(v);
+  if (ok) *out = std::move(v);
+  // Pending bytes are this store's own put: neither a disk load nor a file
+  // to quarantine.
+  if (pending) return ok;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ok)
+    ++loaded_;
+  else
+    quarantine_entry(stage, key);
+  return ok;
+}
+
+// A put frames the value's bytes once, outside the lock; a key already
+// pending keeps its (equal) bytes.
+template <typename T>
+void CacheStore::put_entry(const char* stage, const std::string& key,
+                           const T& v) {
+  Emit body;
+  body(v);
+  // The record tokens are wrapped as one length-prefixed string with an
+  // fnv1a64 checksum in front: a torn write breaks the length or the
+  // checksum, never silently yields a shorter-but-parseable body.
+  Writer w;
+  w.put_string("mbs-entry");
+  w.put_int(kFormatVersion);
+  w.put_string(kSchemaStamp);
+  w.put_string(stage);
+  w.put_string(key);
+  w.put_int(static_cast<std::int64_t>(util::fnv1a64(body.w.str())));
+  w.put_string(body.w.str());
+  std::lock_guard<std::mutex> lock(mu_);
+  if (pending_.try_emplace({stage, key}, w.str() + "\n").second) ++queued_;
+}
+
+#define MBS_CACHE_STORE_STAGE(LoadFn, PutFn, Type, Stage)          \
+  bool CacheStore::LoadFn(const std::string& key, Type* out) {     \
+    return load_entry(Stage, key, out);                            \
+  }                                                                \
+  void CacheStore::PutFn(const std::string& key, const Type& v) {  \
+    put_entry(Stage, key, v);                                      \
   }
 
-MBS_CACHE_STORE_STAGE(load_network, put_network, networks_, core::Network,
-                      "net", read_network)
-MBS_CACHE_STORE_STAGE(load_schedule, put_schedule, schedules_,
-                      sched::Schedule, "sched", read_schedule)
-MBS_CACHE_STORE_STAGE(load_traffic, put_traffic, traffics_, sched::Traffic,
-                      "traffic", read_traffic)
-MBS_CACHE_STORE_STAGE(load_step, put_step, steps_, sim::StepResult, "step",
-                      read_step)
-MBS_CACHE_STORE_STAGE(load_gpu_step, put_gpu_step, gpu_steps_,
-                      arch::GpuStepResult, "gpu", read_gpu_step)
-MBS_CACHE_STORE_STAGE(load_systolic_step, put_systolic_step, systolic_steps_,
-                      arch::SystolicStepResult, "sys", read_systolic_step)
+MBS_CACHE_STORE_STAGE(load_network, put_network, core::Network, "net")
+MBS_CACHE_STORE_STAGE(load_schedule, put_schedule, sched::Schedule, "sched")
+MBS_CACHE_STORE_STAGE(load_traffic, put_traffic, sched::Traffic, "traffic")
+MBS_CACHE_STORE_STAGE(load_step, put_step, sim::StepResult, "step")
+MBS_CACHE_STORE_STAGE(load_gpu_step, put_gpu_step, arch::GpuStepResult, "gpu")
+MBS_CACHE_STORE_STAGE(load_systolic_step, put_systolic_step,
+                      arch::SystolicStepResult, "sys")
 
 #undef MBS_CACHE_STORE_STAGE
 
 bool CacheStore::save() {
-  // Serialize dirty entries under the lock, write them outside it.
-  std::vector<std::tuple<std::string, std::string, std::string>> pending;
+  // Copy the pending entries under the lock, write them outside it; an
+  // entry leaves the pending map only once its file is in place.
+  std::vector<std::pair<std::pair<std::string, std::string>, std::string>>
+      batch;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (dirty_.empty()) return true;
-    pending.reserve(dirty_.size());
-    for (const auto& [stage, key] : dirty_) {
-      Writer body;
-      if (stage == "net")
-        write_network(body, networks_.at(key));
-      else if (stage == "sched")
-        write_schedule(body, schedules_.at(key));
-      else if (stage == "traffic")
-        write_traffic(body, traffics_.at(key));
-      else if (stage == "step")
-        write_step(body, steps_.at(key));
-      else if (stage == "gpu")
-        write_gpu_step(body, gpu_steps_.at(key));
-      else
-        write_systolic_step(body, systolic_steps_.at(key));
-      // The record tokens are wrapped as one length-prefixed string with
-      // an fnv1a64 checksum in front: a torn write breaks the length or
-      // the checksum, never silently yields a shorter-but-parseable body.
-      Writer w;
-      w.put_string("mbs-entry");
-      w.put_int(kFormatVersion);
-      w.put_string(kSchemaStamp);
-      w.put_string(stage);
-      w.put_string(key);
-      w.put_int(static_cast<std::int64_t>(util::fnv1a64(body.str())));
-      w.put_string(body.str());
-      pending.emplace_back(stage, key, w.str());
-    }
+    if (pending_.empty()) return true;
+    batch.assign(pending_.begin(), pending_.end());
   }
   const long retries = util::env_int("MBS_CACHE_SAVE_RETRIES", 3, 0, 100);
   const long backoff_ms = util::env_int("MBS_CACHE_RETRY_MS", 10, 0, 60000);
   bool all_ok = true;
-  for (const auto& [stage, key, text] : pending) {
+  for (const auto& [id, text] : batch) {
+    const auto& [stage, key] = id;
     bool ok = false;
     for (long attempt = 0; attempt <= retries && !ok; ++attempt) {
       if (attempt > 0 && backoff_ms > 0) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(backoff_ms * attempt));
       }
-      ok = util::fs::write_atomic(entry_file(stage.c_str(), key), text + "\n",
+      ok = util::fs::write_atomic(entry_file(stage.c_str(), key), text,
                                   "cache.entry.write");
     }
     std::lock_guard<std::mutex> lock(mu_);
     if (ok) {
-      dirty_.erase({stage, key});
+      pending_.erase(id);
     } else {
       all_ok = false;
       ++save_failures_;
@@ -515,13 +361,12 @@ std::size_t CacheStore::loaded_entries() const {
 
 std::size_t CacheStore::entry_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return networks_.size() + schedules_.size() + traffics_.size() +
-         steps_.size() + gpu_steps_.size() + systolic_steps_.size();
+  return loaded_ + queued_;
 }
 
 bool CacheStore::dirty() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return !dirty_.empty();
+  return !pending_.empty();
 }
 
 std::size_t CacheStore::save_failures() const {

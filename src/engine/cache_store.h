@@ -9,6 +9,14 @@
 // repeated sweep starts warm and produces bit-identical output (values
 // round-trip exactly via util::serde's hex-float encoding).
 //
+// The store is a disk layer, not a second memo: the Evaluator's caches are
+// the only typed copies. A put frames the value's entry bytes into a
+// pending map that save() empties; a load reads the pending bytes or the
+// entry's file and checks and parses them outside the store's lock, which
+// guards only the pending map and the counters. A long-lived store (the
+// serve daemon's) therefore holds no more than one save()'s worth of
+// unwritten entries.
+//
 // The on-disk layout is content-addressed and sharded per entry: each
 // record lives in its own file
 //
@@ -19,7 +27,7 @@
 // a miss and recomputes) and equal keys always serialize to identical
 // bytes, any number of processes can read and write one warm cache
 // directory concurrently without clobbering each other. save() is
-// incremental: only entries added since the last save touch disk.
+// incremental: only entries put since the last save touch disk.
 //
 // There is exactly one entry format. Its header carries a format version,
 // the stage, the full key and a schema stamp covering every serialized
@@ -38,9 +46,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "arch/gpu.h"
@@ -72,9 +79,9 @@ class CacheStore {
   /// variable is unset or empty.
   static std::unique_ptr<CacheStore> from_env();
 
-  // Lookups copy the stored value into `out` and return true on a hit.
-  // In-memory misses fall through to the per-entry shard files. All
-  // methods are thread-safe.
+  // Lookups parse the entry (its pending put, else its shard file) into
+  // `out` and return true on a hit; every call reads and parses anew. All
+  // methods are thread-safe, and concurrent loads run in parallel.
   bool load_network(const std::string& key, core::Network* out);
   bool load_schedule(const std::string& key, sched::Schedule* out);
   bool load_traffic(const std::string& key, sched::Traffic* out);
@@ -105,9 +112,10 @@ class CacheStore {
   const std::string& path() const { return path_; }
   /// Directory holding the per-entry shard files.
   std::string shard_dir() const { return path_ + ".d"; }
-  /// Entries read from disk so far (lazy per-entry loads).
+  /// Successful loads from shard files so far (each call counts).
   std::size_t loaded_entries() const;
-  /// Current total entries across all stages (in memory).
+  /// Entries loaded or queued: loaded_entries() plus the puts that queued
+  /// a new pending entry.
   std::size_t entry_count() const;
   /// True when save() has something new to write.
   bool dirty() const;
@@ -122,6 +130,10 @@ class CacheStore {
   std::size_t corrupt_entries() const;
 
  private:
+  template <typename T>
+  bool load_entry(const char* stage, const std::string& key, T* out);
+  template <typename T>
+  void put_entry(const char* stage, const std::string& key, const T& v);
   std::string entry_file(const char* stage, const std::string& key) const;
   /// Moves a failed-validation entry file out of the shard tree so it is
   /// never re-read (callers hold mu_).
@@ -130,16 +142,12 @@ class CacheStore {
   std::string path_;
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string, core::Network> networks_;
-  std::unordered_map<std::string, sched::Schedule> schedules_;
-  std::unordered_map<std::string, sched::Traffic> traffics_;
-  std::unordered_map<std::string, sim::StepResult> steps_;
-  std::unordered_map<std::string, arch::GpuStepResult> gpu_steps_;
-  std::unordered_map<std::string, arch::SystolicStepResult> systolic_steps_;
-  /// (stage tag, key) pairs not yet persisted; ordered so save() writes
-  /// deterministically.
-  std::set<std::pair<std::string, std::string>> dirty_;
+  /// Framed entry bytes not yet persisted, by (stage tag, key); ordered so
+  /// save() writes deterministically. An entry leaves once its file is
+  /// written, so the map holds at most what one save() has yet to write.
+  std::map<std::pair<std::string, std::string>, std::string> pending_;
   std::size_t loaded_ = 0;
+  std::size_t queued_ = 0;
   std::size_t save_failures_ = 0;
   std::size_t corrupt_entries_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "engine/evaluator.h"
 
 #include <cassert>
+#include <functional>
 
 #include "engine/cache_store.h"
 #include "models/zoo.h"
@@ -31,7 +32,7 @@ const T& Evaluator::stage(detail::KeyedCache<T>& cache, const std::string& key,
       key,
       [&] {
         T v{};
-        if (store_ && (store_->*load)(key, &v)) {
+        if (store_ && std::invoke(load, *store_, key, &v)) {
           disk = true;
           return v;
         }
@@ -61,9 +62,15 @@ const core::Network& Evaluator::network(const Scenario& s) {
 }
 
 const sched::Schedule& Evaluator::schedule(const Scenario& s) {
+  // A checksummed entry can still belong to another build of the network
+  // (fewer blocks than its groups must cover): it reads as a miss, and the
+  // recomputed schedule overwrites it at the next save().
+  auto load = [&](CacheStore& store, const std::string& key,
+                  sched::Schedule* v) {
+    return store.load_schedule(key, v) && v->validate(network(s)).empty();
+  };
   return stage(
-      schedules_, s.schedule_key(), &CacheStore::load_schedule,
-      &CacheStore::put_schedule,
+      schedules_, s.schedule_key(), load, &CacheStore::put_schedule,
       [&] { return sched::build_schedule(network(s), s.config, s.params); },
       &EvaluatorStats::schedule_hits, &EvaluatorStats::schedule_misses,
       &EvaluatorStats::schedule_disk_hits);

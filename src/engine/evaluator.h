@@ -155,8 +155,8 @@ class Evaluator {
 
   /// The shared per-stage path: in-memory lookup, then (on a miss) the
   /// disk store, then `compute` — recording fresh values to the store and
-  /// counting hit/miss/disk stats. `load`/`put` are CacheStore member
-  /// pointers for this stage.
+  /// counting hit/miss/disk stats. `load(store, key, &v)` reads this
+  /// stage's entry; `put` is its CacheStore member pointer.
   template <typename T, typename Load, typename Put, typename Compute>
   const T& stage(detail::KeyedCache<T>& cache, const std::string& key,
                  Load load, Put put, Compute compute,

@@ -125,8 +125,9 @@ ServeCore::Answer ServeCore::query(const std::string& spec) {
   }
 
   // Short-lived evaluator: all cross-query reuse lives in the LRU and the
-  // store (which keeps a copy of every entry it loads or writes, so the
-  // daemon's footprint grows with the distinct keys it has seen).
+  // store, which keeps no copy of what it loads. Only the stage the answer
+  // prints is fetched, so a store hit reads that one entry; the stages it
+  // depends on are read (or computed) only when it must be computed.
   // Any failure in here — including store corruption discovered mid-read,
   // which quarantines the bad entry and recomputes — must stay confined
   // to this query: the daemon answers it (or errors it) and lives on.
@@ -134,7 +135,18 @@ ServeCore::Answer ServeCore::query(const std::string& spec) {
   Evaluator eval(store_);
   ScenarioResult r;
   try {
-    r = evaluate_scenario(s, eval);
+    if (s.device == Device::kGpu)
+      r.gpu = eval.gpu_step(s);
+    else if (s.stage == Stage::kNetwork)
+      r.network = &eval.network(s);
+    else if (s.stage == Stage::kSchedule)
+      r.schedule = &eval.schedule(s);
+    else if (s.stage == Stage::kTraffic)
+      r.traffic = &eval.traffic(s);
+    else if (s.device == Device::kSystolic)
+      r.systolic = eval.systolic_step(s);
+    else
+      r.step = eval.step(s);
   } catch (const std::exception& e) {
     ++stats_.errors;
     return {false, std::string("evaluation failed: ") + e.what(),

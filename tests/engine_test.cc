@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "arch/memory.h"
 #include "engine/engine.h"
@@ -1231,6 +1233,153 @@ TEST(CacheStore, UnrunnableScheduleEntriesAreQuarantined) {
                   scenarios[i], evaluate_scenario(scenarios[i], batch)));
   }
   EXPECT_EQ(core.stats().degraded, 2u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CacheStore, ScheduleForAnotherNetworkBuildIsRecomputed) {
+  const std::string dir = test_cache_dir("short_schedule");
+  const std::string path = dir + "/evaluator.mbscache";
+  std::filesystem::remove_all(dir);
+
+  // A checksummed, runnable schedule under resnet50's real key that covers
+  // only its first 3 blocks: it tiles its own footprint, so the store
+  // accepts it, but the step walk would meet blocks with no group.
+  Scenario s;
+  ASSERT_TRUE(parse_scenario("net=resnet50;cfg=MBS2;buf=10485760", &s,
+                             nullptr));
+  Evaluator batch;
+  const sched::Schedule ref = batch.schedule(s);
+  sched::Schedule cut = ref;
+  cut.groups.resize(1);
+  cut.groups[0].first = 0;
+  cut.groups[0].last = 2;
+  cut.block_footprint.resize(3);
+  cut.block_max_sub.resize(3);
+  {
+    CacheStore store(path);
+    store.put_schedule(s.schedule_key(), cut);
+    ASSERT_TRUE(store.save());
+    sched::Schedule out;
+    ASSERT_TRUE(store.load_schedule(s.schedule_key(), &out));
+  }
+
+  CacheStore store(path);
+  Evaluator eval(&store);
+  EXPECT_TRUE(step_equal(eval.step(s), batch.step(s)));
+  EXPECT_EQ(eval.stats().schedule_disk_hits, 0);
+  ASSERT_TRUE(store.save());
+
+  // The recomputed schedule replaced the entry.
+  CacheStore reread(path);
+  sched::Schedule out;
+  ASSERT_TRUE(reread.load_schedule(s.schedule_key(), &out));
+  ASSERT_EQ(out.groups.size(), ref.groups.size());
+  EXPECT_EQ(out.groups.back().last, ref.groups.back().last);
+  EXPECT_EQ(out.block_footprint, ref.block_footprint);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CacheStore, ConcurrentLoadsMatchSerialLoads) {
+  const std::string dir = test_cache_dir("concurrent");
+  const std::string path = dir + "/evaluator.mbscache";
+  std::filesystem::remove_all(dir);
+
+  std::vector<Scenario> grid;
+  for (const char* net : {"alexnet", "resnet50", "vit_small"})
+    for (const auto cfg : {sched::ExecConfig::kBaseline,
+                           sched::ExecConfig::kMbs2})
+      for (const Device dev :
+           {Device::kWaveCore, Device::kSystolic, Device::kGpu}) {
+        Scenario s = mbs2_scenario(net);
+        s.config = cfg;
+        s.device = dev;
+        grid.push_back(s);
+      }
+  {
+    CacheStore store(path);
+    Evaluator eval(&store);
+    SweepRunner().run(grid, eval);
+    ASSERT_TRUE(store.save());
+  }
+
+  // Reads every entry `s` touches from `from` and puts it into `to`.
+  auto copy = [](CacheStore& from, CacheStore& to, const Scenario& s) {
+    core::Network net;
+    bool ok = from.load_network(s.network_key(), &net);
+    to.put_network(s.network_key(), net);
+    if (s.device == Device::kGpu) {
+      arch::GpuStepResult gpu;
+      ok = ok && from.load_gpu_step(s.cache_key(), &gpu);
+      to.put_gpu_step(s.cache_key(), gpu);
+      return ok;
+    }
+    sched::Schedule schedule;
+    sched::Traffic traffic;
+    ok = ok && from.load_schedule(s.schedule_key(), &schedule) &&
+         from.load_traffic(s.schedule_key(), &traffic);
+    to.put_schedule(s.schedule_key(), schedule);
+    to.put_traffic(s.schedule_key(), traffic);
+    if (s.device == Device::kSystolic) {
+      arch::SystolicStepResult sys;
+      ok = ok && from.load_systolic_step(s.cache_key(), &sys);
+      to.put_systolic_step(s.cache_key(), sys);
+    } else {
+      sim::StepResult step;
+      ok = ok && from.load_step(s.cache_key(), &step);
+      to.put_step(s.cache_key(), step);
+    }
+    return ok;
+  };
+  auto copy_path = [&](int thread, int pass) {
+    return dir + "/copy" + std::to_string(thread) + std::to_string(pass) +
+           "/evaluator.mbscache";
+  };
+
+  // Four threads read one store: first every thread the grid in order (the
+  // same keys at once), then each from its own offset (distinct keys at
+  // once). Each pass's reads are put into a store of the thread's own, and
+  // its saved files must equal the serially saved store's byte for byte, so
+  // every value loaded equals the one computed.
+  constexpr int kThreads = 4;
+  CacheStore store(path);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      const std::size_t n = grid.size();
+      for (int pass = 0; pass < 2; ++pass) {
+        CacheStore out(copy_path(t, pass));
+        for (std::size_t i = 0; i < n; ++i)
+          if (!copy(store, out, grid[(i + pass * t * n / kThreads) % n]))
+            ++failures;
+        if (!out.save()) ++failures;
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(store.corrupt_entries(), 0u);
+
+  const auto slurp = [](const std::filesystem::path& file) {
+    std::ifstream in(file, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  const std::filesystem::path shards = path + ".d";
+  for (int t = 0; t < kThreads; ++t)
+    for (int pass = 0; pass < 2; ++pass) {
+      std::size_t files = 0;
+      for (const auto& f :
+           std::filesystem::recursive_directory_iterator(shards)) {
+        if (!f.is_regular_file()) continue;
+        ++files;
+        const auto rel = std::filesystem::relative(f.path(), shards);
+        EXPECT_EQ(slurp(copy_path(t, pass) + ".d/" + rel.string()),
+                  slurp(f.path()))
+            << "thread " << t << " pass " << pass << " " << rel;
+      }
+      EXPECT_GT(files, grid.size());
+    }
   std::filesystem::remove_all(dir);
 }
 

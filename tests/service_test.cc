@@ -488,9 +488,8 @@ TEST(ServeCore, TiersClassifyHotStoreAndComputed) {
   {
     CacheStore store(path);
     Evaluator eval(&store);
-    // evaluate_scenario, not eval.step(): the serve path touches every
-    // stage a batch sweep row does (including traffic), and the store is
-    // only "warm" for a key when all of them are on disk.
+    // Every stage a batch sweep row writes; the serve path reads only the
+    // one its answer prints.
     evaluate_scenario(warm, eval);
     ASSERT_TRUE(store.save());
   }
@@ -526,6 +525,41 @@ TEST(ServeCore, TiersClassifyHotStoreAndComputed) {
   EXPECT_EQ(st.store_hits, 2u);
   EXPECT_EQ(st.computed, 1u);
   EXPECT_EQ(st.errors, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(ServeCore, DaemonKeepsNoEntriesAcrossQueries) {
+  const std::string dir = test_dir("serve_bounded");
+  const std::string path = dir + "/evaluator.mbscache";
+
+  // 200 distinct cycle-backend keys through a hot set of 4: every cold
+  // query writes its entries through and the store keeps none of them, so
+  // the daemon's memory is the hot set plus one query's evaluation.
+  std::vector<std::string> specs;
+  for (int i = 0; i < 200; ++i)
+    specs.push_back("net=alexnet;cfg=MBS2;dev=systolic;df=" +
+                    std::string(i % 3 == 0 ? "os" : i % 3 == 1 ? "ws" : "is") +
+                    ";spad=" + std::to_string(65536 * (1 + i / 3)));
+  CacheStore store(path);
+  ServeCore core(&store, /*hot_capacity=*/4);
+  std::vector<std::string> first;
+  for (const std::string& spec : specs) {
+    const ServeCore::Answer a = core.query(spec);
+    ASSERT_TRUE(a.ok) << spec << ": " << a.text;
+    EXPECT_EQ(a.source, ServeCore::Source::kComputed) << spec;
+    EXPECT_FALSE(store.dirty()) << spec;
+    first.push_back(a.text);
+  }
+  // Evicted long ago, every key comes back from the store unchanged.
+  const ServeStats before = core.stats();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const ServeCore::Answer a = core.query(specs[i]);
+    EXPECT_EQ(a.text, first[i]) << specs[i];
+    EXPECT_FALSE(store.dirty()) << specs[i];
+  }
+  const ServeStats after = core.stats();
+  EXPECT_EQ(after.store_hits - before.store_hits, 200u);
+  EXPECT_EQ(after.computed, before.computed);
   fs::remove_all(dir);
 }
 
