@@ -8,7 +8,7 @@
 //   1. in-memory LRU hot set (util::LruMap, bounded capacity) — O(1),
 //      no disk, no compute;
 //   2. the shared CacheStore (per-entry files, concurrent-reader safe) —
-//      one file read per stage, then hot;
+//      one file read, of the stage the answer prints, then hot;
 //   3. a fresh Evaluator computing the missing stages (and writing them
 //      through to the store for every future query);
 //
@@ -19,10 +19,10 @@
 // CI job assert exactly that equality.
 //
 // The per-query Evaluator is deliberately short-lived: the LRU and the
-// store provide all cross-query reuse. Memory is NOT bounded by the
-// hot-set capacity, though: the CacheStore keeps an in-memory copy of
-// every entry it loads or writes, so a daemon over a store grows with the
-// number of distinct keys the query stream visits.
+// store provide all cross-query reuse. Memory is bounded by the hot-set
+// capacity plus one query's evaluation: the CacheStore keeps no copy of
+// what it loads, and a query that computes saves its entries before it
+// returns, so the store's pending map is empty between queries.
 #pragma once
 
 #include <cstddef>
@@ -79,7 +79,10 @@ class ServeCore {
 
   /// The canonical one-line rendering of an evaluated scenario, shared by
   /// the serve path and the batch-verification side of serve_replay:
-  /// string equality of answers is double-bit equality of results.
+  /// string equality of answers is double-bit equality of results. It
+  /// reads only the result of the stage it prints (`gpu` for kGpu, else
+  /// the network, schedule or traffic at those stages, else `systolic` or
+  /// `step`).
   static std::string format_answer(const Scenario& s,
                                    const ScenarioResult& r);
 

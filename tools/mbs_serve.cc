@@ -17,9 +17,9 @@
 // Serving tiers: in-memory LRU hot set (capacity MBS_SERVE_HOT, default
 // 64) over the CacheStore (--cache-dir / MBS_CACHE_DIR; answers any key a
 // batch sweep already computed without recomputing it), with cold keys
-// evaluated on demand and written through to the store. Memory is not
-// bounded by the hot capacity: the store keeps every entry it loads or
-// writes in memory, so it grows with the distinct keys the stream visits.
+// evaluated on demand and written through to the store. Memory is bounded
+// by the hot capacity: the store is read from disk per query (outside its
+// lock) and keeps no entry once it is written.
 //
 // Per-query failures never kill the daemon (they answer "err ..." and
 // count in the errors stat); store corruption discovered mid-read degrades
