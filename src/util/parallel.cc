@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -32,11 +33,12 @@ int resolve_budget(int requested) {
   return requested < 1 ? 1 : requested;
 }
 
-/// One parallel_for dispatch: workers (and the caller) claim range indices
-/// from `next` until exhausted; the last finisher signals `done`.
+/// One parallel_for dispatch: its helpers and the caller claim range
+/// indices from `next` until exhausted; `pending` counts the helpers still
+/// running. The Job lives on the caller's stack, so only the helpers it was
+/// handed to may touch it, and none after its own finish().
 struct Job {
   const RangeBody* body = nullptr;
-  std::int64_t n = 0;
   std::int64_t base = 0;  // per-range length, first `rem` ranges get +1
   std::int64_t rem = 0;
   int ranges = 0;
@@ -68,9 +70,51 @@ struct Job {
   }
 };
 
+/// How long a pool thread polls before it blocks: a worker waiting for its
+/// next job, and a caller waiting for its helpers to finish. A training
+/// step issues its kernels microseconds apart, so a worker that polls this
+/// long picks up the next one without a futex wake; a pool idle for longer
+/// parks and costs nothing.
+constexpr std::chrono::microseconds kSpin{50};
+
+/// One polling step: a pause hint, which frees the core's issue slots for
+/// its sibling hyper-thread without giving up the time slice.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::this_thread::yield();
+#endif
+}
+
+/// Polls `ready` for up to kSpin: pause hints first, then yields, so a
+/// poller on an oversubscribed core lets the thread it waits for run.
+/// Returns whether `ready` became true.
+template <typename Ready>
+bool spin_until(Ready ready) {
+  for (int i = 0; i < 64; ++i) {
+    if (ready()) return true;
+    cpu_relax();
+  }
+  const auto deadline = std::chrono::steady_clock::now() + kSpin;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (ready()) return true;
+    std::this_thread::yield();
+  }
+  return ready();
+}
+
 /// Lazily started process-wide pool. Workers persist until process exit
-/// (they are detached daemon-style threads parked on a condition variable,
-/// so exit-time teardown order cannot deadlock against them).
+/// (they are detached daemon-style threads, parked on a condition variable
+/// when idle, so exit-time teardown order cannot deadlock against them).
+///
+/// Each worker has its own mailbox; a dispatch of R ranges posts the job to
+/// workers 0 .. R-2 only, so a pool grown at a larger budget does not wake,
+/// or wait for, workers the job does not need. A worker polls its mailbox
+/// for kSpin after each job before it parks, and the dispatcher takes the
+/// worker's lock to notify it only when it has parked.
 class Pool {
  public:
   static Pool& instance() {
@@ -78,21 +122,24 @@ class Pool {
     return *pool;
   }
 
-  /// Dispatches `job` across the workers (plus the caller). Returns false
+  /// Dispatches `job` to `helpers` workers plus the caller. Returns false
   /// without running anything if another thread holds the dispatch lock —
   /// the caller then runs the job inline, which keeps concurrent top-level
   /// kernels from oversubscribing the budget.
   bool try_run(Job& job, int helpers) {
     std::unique_lock<std::mutex> dispatch(dispatch_mu_, std::try_to_lock);
     if (!dispatch.owns_lock()) return false;
-    ensure_workers(helpers);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      job.pending.store(workers_ + 1, std::memory_order_relaxed);
-      job_ = &job;
-      ++generation_;
+    // A worker joins the list only once its thread runs, so a failed
+    // thread start cannot leave a mailbox that no one empties.
+    workers_.reserve(static_cast<std::size_t>(helpers));
+    while (static_cast<int>(workers_.size()) < helpers) {
+      auto w = std::make_unique<Worker>();
+      std::thread([w = w.get(), this] { worker_loop(*w); }).detach();
+      workers_.push_back(std::move(w));  // no throw: capacity reserved
     }
-    work_cv_.notify_all();
+    job.pending.store(helpers, std::memory_order_relaxed);
+    for (int i = 0; i < helpers; ++i)
+      post(*workers_[static_cast<std::size_t>(i)], job);
 
     {
       // The caller is one of the budget's threads; its ranges are inside
@@ -101,57 +148,72 @@ class Pool {
       ParallelRegionGuard region;
       job.run_ranges();
     }
-    finish(job);
 
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return job.pending.load() == 0; });
-    job_ = nullptr;
+    const auto done = [&] {
+      return job.pending.load(std::memory_order_acquire) == 0;
+    };
+    if (!spin_until(done)) {
+      std::unique_lock<std::mutex> lock(done_mu_);
+      done_cv_.wait(lock, done);
+    }
     return true;
   }
 
  private:
+  struct Worker {
+    std::atomic<Job*> job{nullptr};  // mailbox: set by post, taken by the worker
+    std::atomic<bool> parked{false};
+    std::mutex mu;  // guards the park/notify handshake
+    std::condition_variable cv;
+  };
+
   Pool() = default;
 
-  void ensure_workers(int helpers) {
-    std::lock_guard<std::mutex> lock(mu_);
-    while (workers_ < helpers) {
-      ++workers_;
-      std::thread([this] { worker_loop(); }).detach();
+  /// Hands `job` to `w`. The seq_cst store of the mailbox and load of
+  /// `parked` pair with the worker's seq_cst store of `parked` and load of
+  /// the mailbox: either the worker sees the job before it blocks, or this
+  /// sees it parked and wakes it.
+  static void post(Worker& w, Job& job) {
+    w.job.store(&job);
+    if (w.parked.load()) {
+      { std::lock_guard<std::mutex> lock(w.mu); }
+      w.cv.notify_one();
     }
   }
 
-  void worker_loop() {
+  void worker_loop(Worker& w) {
     t_in_parallel_region = true;
-    std::uint64_t seen = 0;
+    const auto posted = [&] {
+      return w.job.load(std::memory_order_relaxed) != nullptr;
+    };
     for (;;) {
-      Job* job = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock, [&] { return generation_ != seen; });
-        seen = generation_;
-        job = job_;
+      if (!spin_until(posted)) {
+        std::unique_lock<std::mutex> lock(w.mu);
+        w.parked.store(true);
+        w.cv.wait(lock, [&] { return w.job.load() != nullptr; });
+        w.parked.store(false, std::memory_order_relaxed);
       }
-      if (job) {
-        job->run_ranges();
-        finish(*job);
-      }
+      // Empty the mailbox before finishing: once pending reaches 0 the
+      // dispatcher may post the next job here.
+      Job* job = w.job.exchange(nullptr, std::memory_order_acquire);
+      job->run_ranges();
+      finish(*job);
     }
   }
 
+  /// A helper's last touch of `job`: once pending reaches 0 the caller
+  /// may return and destroy it, so the wake-up uses only pool members.
   void finish(Job& job) {
     if (job.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mu_);
+      std::lock_guard<std::mutex> lock(done_mu_);
       done_cv_.notify_all();
     }
   }
 
   std::mutex dispatch_mu_;  // one dispatch at a time; losers run inline
-  std::mutex mu_;
-  std::condition_variable work_cv_;
+  std::vector<std::unique_ptr<Worker>> workers_;  // guarded by dispatch_mu_
+  std::mutex done_mu_;
   std::condition_variable done_cv_;
-  Job* job_ = nullptr;
-  std::uint64_t generation_ = 0;
-  int workers_ = 0;
 };
 
 }  // namespace
@@ -189,7 +251,6 @@ void parallel_for(std::int64_t n, std::int64_t grain, RangeBody body) {
 
   Job job;
   job.body = &body;
-  job.n = n;
   job.ranges = static_cast<int>(ranges);
   job.base = n / ranges;
   job.rem = n % ranges;

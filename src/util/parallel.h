@@ -3,8 +3,12 @@
 // The training kernels (src/train/) and the sweep engine (src/engine/)
 // share ONE thread budget: MBS_THREADS / --threads (0 = hardware
 // concurrency). The pool is lazily started on first use and its workers
-// persist for the process lifetime, so per-kernel dispatch costs a
-// condition-variable wakeup rather than thread creation.
+// persist for the process lifetime. A dispatch of R ranges hands the job
+// to R - 1 workers (the caller runs ranges too), leaving any others idle.
+// After each job a worker polls for its next one for about 50 us before it
+// parks on a condition variable, and the caller polls for its helpers the
+// same way, so back-to-back kernels of a training step pay about a
+// microsecond per dispatch; only a pool idle for longer pays a futex wake.
 //
 // Determinism contract: parallel_for(n, grain, body) splits [0, n) into at
 // most thread_budget() contiguous ranges and runs body(begin, end) once per
@@ -92,14 +96,16 @@ class RangeBody {
 void parallel_for(std::int64_t n, std::int64_t grain, RangeBody body);
 
 /// Elements one parallel_for range should touch to be worth a pool
-/// dispatch: below this a kernel runs inline, above it splits.
-inline constexpr std::int64_t kWorkGrainElems = 32768;
+/// dispatch: below this a kernel runs inline, above it splits. Sized for
+/// the polling dispatch above, so the norm, pool and conv kernels of an
+/// 8-sample MBS sub-batch split across two threads.
+inline constexpr std::int64_t kWorkGrainElems = 8192;
 
 /// The grain, in units, for a loop whose unit touches about
 /// `per_unit_elems` elements: kWorkGrainElems / per_unit_elems, at least
-/// 1. Every training kernel sizes its parallel_for this way, so MBS
-/// sub-batches of a few samples run inline instead of paying fork/join
-/// per tiny range. The partition never changes results (see above).
+/// 1. Every training kernel and elementwise loop sizes its parallel_for
+/// this way, so work too small to repay a dispatch runs inline. The
+/// partition never changes results (see above).
 inline std::int64_t work_grain(std::int64_t per_unit_elems) {
   const std::int64_t g =
       kWorkGrainElems / (per_unit_elems < 1 ? 1 : per_unit_elems);
