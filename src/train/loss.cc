@@ -8,11 +8,19 @@ namespace mbs::train {
 
 LossResult softmax_cross_entropy(const Tensor& logits,
                                  const std::vector<int>& labels) {
+  LossResult r;
+  softmax_cross_entropy_into(logits, labels, r);
+  return r;
+}
+
+void softmax_cross_entropy_into(const Tensor& logits,
+                                std::span<const int> labels, LossResult& r) {
   const int n = logits.dim(0);
   const int k = logits.dim(1);
   assert(static_cast<int>(labels.size()) == n);
-  LossResult r;
-  r.dlogits = Tensor(logits.shape());
+  r.loss_sum = 0;
+  r.correct = 0;
+  r.dlogits.ensure_shape(logits.shape());  // every element is written below
   for (int b = 0; b < n; ++b) {
     const float* row = logits.data() + static_cast<std::int64_t>(b) * k;
     float mx = row[0];
@@ -36,7 +44,6 @@ LossResult softmax_cross_entropy(const Tensor& logits,
           static_cast<float>(p - (c == label ? 1.0 : 0.0));
     }
   }
-  return r;
 }
 
 }  // namespace mbs::train

@@ -1,6 +1,7 @@
 // Softmax cross-entropy loss.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "train/tensor.h"
@@ -19,5 +20,10 @@ struct LossResult {
 /// Synchronization": all synchronization points stay at mini-batch scope).
 LossResult softmax_cross_entropy(const Tensor& logits,
                                  const std::vector<int>& labels);
+
+/// As softmax_cross_entropy, into `out`, reusing its dlogits buffer: the
+/// form the training loop calls once per chunk.
+void softmax_cross_entropy_into(const Tensor& logits,
+                                std::span<const int> labels, LossResult& out);
 
 }  // namespace mbs::train

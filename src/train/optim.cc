@@ -22,7 +22,7 @@ void Sgd::step(const std::vector<Tensor*>& params,
     const float wd = static_cast<float>(config_.weight_decay);
     const float lr = static_cast<float>(config_.lr);
     // Elementwise update: any range partition is bit-identical.
-    util::parallel_for(p.size(), 1 << 14,
+    util::parallel_for(p.size(), util::work_grain(1),
                        [&](std::int64_t j0, std::int64_t j1) {
                          for (std::int64_t j = j0; j < j1; ++j) {
                            v[j] = mu * v[j] + g[j] + wd * p[j];

@@ -72,7 +72,7 @@ void Tensor::ensure_zeroed(std::initializer_list<int> shape) {
 
 void Tensor::fill(float v) {
   float* d = data_.data();
-  util::parallel_for(size(), 1 << 16,
+  util::parallel_for(size(), util::work_grain(1),
                      [&](std::int64_t i0, std::int64_t i1) {
                        for (std::int64_t i = i0; i < i1; ++i) d[i] = v;
                      });
@@ -82,7 +82,7 @@ void Tensor::axpy(float alpha, const Tensor& other) {
   assert(size() == other.size());
   float* d = data_.data();
   const float* o = other.data();
-  util::parallel_for(size(), 1 << 15,
+  util::parallel_for(size(), util::work_grain(1),
                      [&](std::int64_t i0, std::int64_t i1) {
                        for (std::int64_t i = i0; i < i1; ++i)
                          d[i] += alpha * o[i];
@@ -91,21 +91,28 @@ void Tensor::axpy(float alpha, const Tensor& other) {
 
 void Tensor::scale(float alpha) {
   float* d = data_.data();
-  util::parallel_for(size(), 1 << 16,
+  util::parallel_for(size(), util::work_grain(1),
                      [&](std::int64_t i0, std::int64_t i1) {
                        for (std::int64_t i = i0; i < i1; ++i) d[i] *= alpha;
                      });
 }
 
-Tensor Tensor::slice_batch(int first, int count) const {
-  assert(ndim() >= 1);
+void Tensor::slice_batch_into(int first, int count, Tensor& out) const {
+  assert(ndim() >= 1 && &out != this);
   assert(first >= 0 && first + count <= dim(0));
-  std::vector<int> s = shape_;
-  s[0] = count;
-  Tensor out(std::move(s));
   const std::int64_t per = size() / dim(0);
+  // Vector assignment and resize reuse capacity, so a steady-state slice
+  // of a recurring chunk size touches no heap; the copy overwrites it all.
+  out.shape_ = shape_;
+  out.shape_[0] = count;
+  out.data_.resize(static_cast<std::size_t>(count * per));
   std::memcpy(out.data(), data() + static_cast<std::size_t>(first) * per,
               static_cast<std::size_t>(count * per) * sizeof(float));
+}
+
+Tensor Tensor::slice_batch(int first, int count) const {
+  Tensor out;
+  slice_batch_into(first, count, out);
   return out;
 }
 

@@ -97,6 +97,9 @@ class Tensor {
   /// Returns the batch slice [first, first+count) along dimension 0.
   Tensor slice_batch(int first, int count) const;
 
+  /// As slice_batch, into `out`, reusing its buffers' capacity.
+  void slice_batch_into(int first, int count, Tensor& out) const;
+
   double mean() const {
     if (data_.empty()) return 0.0;
     double s = 0;

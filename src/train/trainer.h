@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cassert>
+#include <span>
 #include <vector>
 
 #include "train/data.h"
@@ -31,17 +32,25 @@ template <class Model>
 StepMetrics compute_gradients(Model& model, const Tensor& x,
                               const std::vector<int>& labels,
                               const std::vector<int>& chunks) {
+  // The chunk and its loss live across steps, like the models' own
+  // buffers, so a steady-state step allocates nothing here either. One set
+  // per thread: sweep workers may train models concurrently.
+  struct ChunkStorage {
+    Tensor x;
+    LossResult loss;
+  };
+  static thread_local ChunkStorage chunk;
   const int n = x.dim(0);
   model.zero_grad();
   StepMetrics m;
   int offset = 0;
   for (int c : chunks) {
     assert(c > 0 && offset + c <= n);
-    const Tensor xc = x.slice_batch(offset, c);
-    const std::vector<int> yc(labels.begin() + offset,
-                              labels.begin() + offset + c);
-    const Tensor& logits = model.forward(xc);
-    LossResult lr = softmax_cross_entropy(logits, yc);
+    x.slice_batch_into(offset, c, chunk.x);
+    const Tensor& logits = model.forward(chunk.x);
+    LossResult& lr = chunk.loss;
+    softmax_cross_entropy_into(
+        logits, std::span<const int>(labels).subspan(offset, c), lr);
     lr.dlogits.scale(1.0f / static_cast<float>(n));
     model.backward(lr.dlogits);
     m.loss += lr.loss_sum;
