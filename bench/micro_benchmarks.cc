@@ -11,14 +11,17 @@
 // both microkernel families (portable/avx2) — the numbers behind
 // BENCH_PR6.json's scaling table. The non-GEMM rows time ReLU backward,
 // max pooling and BN/GN forward/backward at an MBS sub-batch and the full
-// batch.
+// batch. BM_ParallelForDispatch times one empty pool dispatch, with the
+// helper still polling and after it has parked.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -619,7 +622,28 @@ void BM_TrainStep(benchmark::State& state) {
                                                data.labels, {8, 8, 8, 8}));
   util::set_thread_budget(-1);
 }
-BENCHMARK(BM_TrainStep)->Arg(1)->Arg(0);
+BENCHMARK(BM_TrainStep)->Arg(1)->Arg(2)->Arg(0);
+
+void BM_ParallelForDispatch(benchmark::State& state) {
+  // What one pool dispatch costs: an empty two-range body at budget 2,
+  // timed alone. The arg is the idle gap before each dispatch in us: 0 is
+  // back to back, where the helper is still polling for work; 200 is
+  // longer than the polling bound, so the helper has parked and is woken.
+  const std::chrono::microseconds gap(state.range(0));
+  util::set_thread_budget(2);
+  for (auto _ : state) {
+    if (gap.count() > 0) std::this_thread::sleep_for(gap);
+    const auto t0 = std::chrono::steady_clock::now();
+    util::parallel_for(2, 1, [](std::int64_t, std::int64_t) {});
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count());
+  }
+  util::set_thread_budget(-1);
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(0)->UseManualTime();
+// Fixed iterations: the sleeps, not the timed dispatches, set its length.
+BENCHMARK(BM_ParallelForDispatch)->Arg(200)->Iterations(2000)->UseManualTime();
 
 }  // namespace
 

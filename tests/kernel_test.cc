@@ -20,14 +20,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <mutex>
+#include <optional>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -619,6 +624,88 @@ TEST(ParallelFor, PropagatesExceptions) {
       std::runtime_error);
 }
 
+// ---- Pool handoff: polling and parked helpers --------------------------------
+
+/// Longer than the pool's polling bound (about 50 us), so a helper idle
+/// this long has parked and the next dispatch must wake it.
+constexpr std::chrono::milliseconds kParkGap{2};
+
+TEST(ParallelFor, BackToBackAndParkedDispatchesCoverEveryIndexOnce) {
+  BudgetGuard guard;
+  for (int budget : {2, 3, 8}) {
+    util::set_thread_budget(budget);
+    for (int round = 0; round < 300; ++round) {
+      // Runs of back-to-back dispatches, each run after an idle gap: the
+      // first dispatch of a run wakes parked helpers, the rest find them
+      // still polling.
+      if (round % 10 == 0) std::this_thread::sleep_for(kParkGap);
+      const int n = 1 + round % 19;
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      util::parallel_for(n, 1, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i)
+          hits[static_cast<std::size_t>(i)].fetch_add(1);
+      });
+      for (int i = 0; i < n; ++i)
+        ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+            << "budget " << budget << " round " << round << " index " << i;
+    }
+  }
+}
+
+TEST(ParallelFor, SmallJobOnAGrownPoolUsesOnlyItsOwnHelper) {
+  BudgetGuard guard;
+  util::set_thread_budget(8);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  const auto record = [&](std::int64_t, std::int64_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  };
+  util::parallel_for(64, 1, record);  // grows the pool to seven workers
+  util::set_thread_budget(2);
+  threads.clear();
+  for (int round = 0; round < 200; ++round) {
+    if (round % 20 == 0) std::this_thread::sleep_for(kParkGap);
+    util::parallel_for(2, 1, record);
+  }
+  // A two-range job is handed to one worker only, so across all rounds at
+  // most the caller and that one worker ran ranges; the other six were
+  // neither woken nor waited for.
+  threads.erase(std::this_thread::get_id());
+  EXPECT_LE(threads.size(), 1u);
+}
+
+TEST(ParallelFor, PropagatesExceptionsFromPollingAndParkedHelpers) {
+  BudgetGuard guard;
+  util::set_thread_budget(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (bool parked : {false, true}) {
+    util::parallel_for(2, 1, [](std::int64_t, std::int64_t) {});
+    if (parked) std::this_thread::sleep_for(kParkGap);
+    // The caller's range waits until the helper has taken the other one,
+    // so the throw always comes from the helper.
+    std::atomic<bool> helper_ran{false};
+    EXPECT_THROW(
+        util::parallel_for(2, 1,
+                           [&](std::int64_t, std::int64_t) {
+                             if (std::this_thread::get_id() == caller) {
+                               while (!helper_ran.load())
+                                 std::this_thread::yield();
+                               return;
+                             }
+                             helper_ran.store(true);
+                             throw std::runtime_error("boom");
+                           }),
+        std::runtime_error)
+        << (parked ? "parked" : "polling") << " helper";
+  }
+  std::atomic<int> after{0};
+  util::parallel_for(2, 1, [&](std::int64_t i0, std::int64_t i1) {
+    after.fetch_add(static_cast<int>(i1 - i0));
+  });
+  EXPECT_EQ(after.load(), 2) << "pool unusable after a helper threw";
+}
+
 // ---- ConvCache: cached-im2col backward == uncached, bit for bit -------------
 
 struct CachedConvCase {
@@ -955,6 +1042,22 @@ TEST(ZeroAllocContract, EveryKernelKindIsInsideTheContract) {
   EXPECT_FALSE(util::in_kernel_path());
 }
 
+/// SmallCnn as compute_gradients sees it, with one kernel timer held from
+/// the end of zero_grad() until the test resets it: that puts the whole
+/// chunk loop on the kernel path, so the allocation hook counts the
+/// slicing, labels and loss between the kernels too.
+struct ChunkLoopWatch {
+  SmallCnn& model;
+  std::optional<util::ScopedKernelTimer> timer;
+
+  void zero_grad() {
+    model.zero_grad();
+    timer.emplace(util::KernelKind::kGemm);
+  }
+  const Tensor& forward(const Tensor& x) { return model.forward(x); }
+  void backward(const Tensor& dlogits) { model.backward(dlogits); }
+};
+
 TEST(ZeroAllocContract, SteadyStateTrainStepIsAllocationFree) {
   if (!util::alloc_hook_active())
     GTEST_SKIP() << "allocation hook only active in Debug builds";
@@ -968,10 +1071,16 @@ TEST(ZeroAllocContract, SteadyStateTrainStepIsAllocationFree) {
     Sgd opt({/*lr=*/0.05, /*momentum=*/0.9, /*weight_decay=*/1e-4});
     // Full-batch and MBS steps alternate, as in the benchmark's training
     // stage; warm-up grows the arena to its high-water mark and settles
-    // every step-persistent buffer's capacity.
+    // every step-persistent buffer's capacity. Each step is train_step's
+    // compute_gradients + Sgd::step, with the chunk loop watched.
+    ChunkLoopWatch watch{model, std::nullopt};
     auto steps = [&] {
-      train_step(model, opt, data.images, data.labels, {32});
-      train_step(model, opt, data.images, data.labels, {8, 8, 8, 8});
+      for (const std::vector<int>& chunks :
+           {std::vector<int>{32}, std::vector<int>{8, 8, 8, 8}}) {
+        compute_gradients(watch, data.images, data.labels, chunks);
+        watch.timer.reset();
+        opt.step(model.parameters(), model.gradients());
+      }
     };
     for (int i = 0; i < 3; ++i) steps();
     const std::int64_t before = util::kernel_path_allocs();
